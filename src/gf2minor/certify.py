@@ -318,18 +318,33 @@ def load_cases(text: str) -> tuple[CertificateCase, ...]:
             name = obj["name"]
             base = obj["base"]
             ops = obj["ops"]
-            targets = [catalog.canonical_name(t) for t in obj["targets"]]
-            expected = catalog.canonical_name(obj["expected"])
+            targets = obj["targets"]
+            expected = obj["expected"]
         except KeyError as exc:
             raise InputError(f"{where}: missing field {exc}") from exc
+        for field, value in (("name", name), ("base", base),
+                             ("expected", expected)):
+            if not isinstance(value, str) or not value:
+                raise InputError(f"{where}: {field!r} must be a non-empty string")
+        if not isinstance(targets, list) or not all(
+            isinstance(t, str) for t in targets
+        ):
+            raise InputError(f"{where}: 'targets' must be a list of strings")
+        targets = [catalog.canonical_name(t) for t in targets]
+        expected = catalog.canonical_name(expected)
         if not isinstance(ops, list):
             raise InputError(f"{where}: 'ops' must be a list")
         parsed_ops = []
         for op in ops:
             try:
-                parsed_ops.append(MinorOp(op["op"], op["element"]))
+                op_kind, element = op["op"], op["element"]
             except (TypeError, KeyError) as exc:
                 raise InputError(f"{where}: bad op entry {op!r}") from exc
+            if not isinstance(element, str):
+                raise InputError(
+                    f"{where}: op element {element!r} must be a string"
+                )
+            parsed_ops.append(MinorOp(op_kind, element))
         kind = obj.get(
             "claim_kind", DUAL if expected.startswith("M*") else DIRECT
         )

@@ -13,8 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .errors import CapacityError
-from .matroid import CIRCUIT_ENUM_LIMIT, BinaryMatroid
+from .matroid import BinaryMatroid
 
 Profile = tuple[tuple[int, int], ...]
 
@@ -43,10 +42,7 @@ def element_profiles(
 
 
 def signature(m: BinaryMatroid) -> IsoSignature:
-    if m.size > CIRCUIT_ENUM_LIMIT:
-        raise CapacityError(
-            f"signature limited to {CIRCUIT_ENUM_LIMIT} elements, got {m.size}"
-        )
+    """Invariants of ``m``; m.circuits() enforces the enumeration limit."""
     circuits = m.circuits()
     profiles = element_profiles(m.elements(), circuits)
     return IsoSignature(

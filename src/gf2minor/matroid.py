@@ -160,10 +160,6 @@ class BinaryMatroid:
         """GF(2) rank of the columns of [I | A] selected by ``subset``."""
         return rank_of_vectors(self.full_column(lab) for lab in set(subset))
 
-    def is_independent(self, subset: Iterable[str]) -> bool:
-        subset = set(subset)
-        return self.rank(subset) == len(subset)
-
     def is_circuit(self, subset: Iterable[str]) -> bool:
         """True iff ``subset`` is a minimal dependent set."""
         subset = set(subset)
@@ -304,12 +300,9 @@ class BinaryMatroid:
     def delete_all(self, labels: Iterable[str]) -> BinaryMatroid:
         return self.apply_ops(delete(lab) for lab in sorted(set(labels)))
 
-    def contract_all(self, labels: Iterable[str]) -> BinaryMatroid:
-        return self.apply_ops(contract(lab) for lab in sorted(set(labels)))
-
     # -- circuits -------------------------------------------------------------------
 
-    def _fundamental_masks(self) -> list[int]:
+    def fundamental_cycles(self) -> list[int]:
         """Cycle-space basis: one vector per cobasis element.
 
         Bit layout follows elements() order (basis rows first).  The vector
@@ -334,7 +327,7 @@ class BinaryMatroid:
                 f"circuit enumeration limited to {CIRCUIT_ENUM_LIMIT} elements, "
                 f"got {self.size}"
             )
-        masks = minimal_supports(self._fundamental_masks())
+        masks = minimal_supports(self.fundamental_cycles())
         elems = self.elements()
         return frozenset(mask_to_labels(m, elems) for m in masks)
 
@@ -377,6 +370,50 @@ def minimal_supports(basis: list[int]) -> list[int]:
         if not any(m & s == m for m in minimal):
             minimal.append(s)
     return minimal
+
+
+def weight_histogram(basis: list[int]) -> tuple[int, ...]:
+    """Number of nonzero XOR combinations of ``basis`` per popcount.
+
+    Entry w counts the cycle vectors of weight w, up to the weight of the
+    basis's combined support.  For a basis of a cycle space this is a
+    label-free isomorphism invariant: it does not depend on the basis chosen
+    or on where the elements sit in the bitmask.
+    """
+    support = 0
+    for v in basis:
+        support |= v
+    counts = [0] * (support.bit_count() + 1)
+    acc = 0
+    for g in range(1, 1 << len(basis)):
+        acc ^= basis[(g & -g).bit_length() - 1]
+        counts[acc.bit_count()] += 1
+    return tuple(counts)
+
+
+def has_weight_histogram(basis: list[int], histogram: tuple[int, ...]) -> bool:
+    """``weight_histogram(basis) == histogram``, stopping at the first excess.
+
+    The span is walked in the same Gray-code order, and the walk stops as
+    soon as some weight occurs more often than ``histogram`` allows; a basis
+    whose histogram differs is usually rejected after a few XORs.
+    """
+    support = 0
+    for v in basis:
+        support |= v
+    if support.bit_count() + 1 != len(histogram):
+        return False
+    if 1 << len(basis) != sum(histogram) + 1:
+        return False
+    counts = [0] * len(histogram)
+    acc = 0
+    for g in range(1, 1 << len(basis)):
+        acc ^= basis[(g & -g).bit_length() - 1]
+        w = acc.bit_count()
+        counts[w] += 1
+        if counts[w] > histogram[w]:
+            return False
+    return True
 
 
 def cycle_matroid(g: Graph) -> BinaryMatroid:

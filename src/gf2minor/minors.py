@@ -6,12 +6,19 @@ to contract, which to delete, and a bijection from the target onto the
 survivors.  ``verify_witness`` re-checks such a certificate using nothing but
 the host's rank oracle, so the audit does not share code with the search.
 
-Search shape: contract sets are enumerated over independent sets of size
-rank(host) - rank(target) only (every minor arises that way with the deletions
-coindependent), and candidate survivor sets are filtered through cheap
-invariants (rank/corank, loop and coloop counts, circuit-size multiset,
-degree profiles) before the full isomorphism test runs.  Candidate circuits
-come from restricting the host's cycle space, a few word-XORs per candidate.
+Search shape: contract sets C are the independent sets of size
+rank(host) - rank(target) (every minor arises that way with the deletions
+coindependent).  They are walked in lexicographic order of host positions,
+eliminating one host column per level, which also yields the parallel classes
+of host / C.  Nothing is rebuilt per contract set: the cycle space of host / C
+is the host's fundamental cycle bitmasks with C's bits cleared, and deleting a
+survivor candidate is one elimination step on that basis.  Survivor sets are
+walked depth-first in lexicographic order, pruned as soon as what is left
+stops spanning host / C or has more coloops than the target.  Each survivor
+set must then have the target's cycle-space weight histogram (a label-free
+invariant, checked with an early exit) before its circuits are extracted and
+the remaining invariants (loop and coloop counts, circuit-size multiset,
+degree profiles) and the full isomorphism test run.
 All enumeration guards raise CapacityError rather than degrade silently.
 """
 
@@ -26,7 +33,13 @@ from typing import Iterable
 from . import catalog
 from .errors import CapacityError, InputError
 from .iso import element_profiles, match_circuits
-from .matroid import BinaryMatroid, MinorOp, contract, minimal_supports
+from .matroid import (
+    BinaryMatroid,
+    MinorOp,
+    has_weight_histogram,
+    minimal_supports,
+    weight_histogram,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -72,6 +85,7 @@ class _TargetData:
     n_coloops: int
     size_counts: tuple[tuple[int, int], ...]
     profile_counts: tuple
+    histogram: tuple[int, ...]
     simple_loopfree: bool
 
 
@@ -88,101 +102,167 @@ def _target_data(target: BinaryMatroid) -> _TargetData:
         n_coloops=len(target.coloops()),
         size_counts=tuple(sorted(Counter(len(c) for c in circuits).items())),
         profile_counts=tuple(sorted(Counter(profiles.values()).items())),
+        histogram=weight_histogram(target.fundamental_cycles()),
         simple_loopfree=all(len(c) >= 3 for c in circuits),
     )
 
 
-def _survivor_search(
-    sub: BinaryMatroid, tgt: _TargetData
-) -> tuple[tuple[str, ...], dict[str, str]] | None:
-    """Find survivors S of ``sub`` with sub restricted to S isomorphic to tgt.
+def _eliminate(vectors: list[int], bit: int) -> list[int] | None:
+    """Basis of the vectors in span(vectors) that avoid ``bit``.
 
-    Works on the cycle space of ``sub``: the circuits of sub\\D are the
-    minimal supports of cycle vectors avoiding D, so each candidate needs
-    only a coordinate-elimination pass over the fundamental vectors.
+    None when no vector has the bit: the element is then a coloop of the
+    current restriction, and deleting it would lower the rank.
     """
-    n = sub.size
-    if tgt.size > n:
-        return None
-    elems = sub.elements()
-    r = sub.a.n_rows
-    fund = [sub.a.col_bits(j) | (1 << (r + j)) for j in range(sub.a.n_cols)]
-
-    if tgt.simple_loopfree:
-        # The target has no loops and no parallel pairs, so a valid survivor
-        # set takes at most one element per parallel class of sub and no
-        # loops; parallel elements are interchangeable by an automorphism,
-        # so class representatives suffice for the verdict.
-        seen: dict[int, int] = {}
-        for idx in range(n):
-            col = (1 << idx) if idx < r else sub.a.col_bits(idx - r)
-            if col == 0:
-                continue
-            seen.setdefault(col, idx)
-        pool = sorted(seen.values())
-    else:
-        pool = list(range(n))
-
-    for combo in combinations(pool, tgt.size):
-        smask = 0
-        for idx in combo:
-            smask |= 1 << idx
-        # Basis of the cycle vectors supported inside the candidate.
-        vectors = fund
-        for d in range(n):
-            bit = 1 << d
-            if smask & bit:
-                continue
-            pivot = 0
-            nxt = []
-            for v in vectors:
-                if v & bit:
-                    if pivot:
-                        nxt.append(v ^ pivot)
-                    else:
-                        pivot = v
-                else:
-                    nxt.append(v)
+    pivot = 0
+    out = []
+    for v in vectors:
+        if v & bit:
             if pivot:
-                vectors = nxt
-        if len(vectors) != tgt.corank:
-            continue
-
-        circuit_masks = minimal_supports(list(vectors)) if vectors else []
-        covered = 0
-        loops = 0
-        sizes = Counter()
-        for cm in circuit_masks:
-            covered |= cm
-            w = cm.bit_count()
-            sizes[w] += 1
-            if w == 1:
-                loops += 1
-        if loops != tgt.n_loops:
-            continue
-        if tgt.size - covered.bit_count() != tgt.n_coloops:
-            continue
-        if tuple(sorted(sizes.items())) != tgt.size_counts:
-            continue
-
-        labels = tuple(elems[idx] for idx in combo)
-        cand_circuits = [
-            frozenset(elems[b.bit_length() - 1] for b in _bits(cm))
-            for cm in circuit_masks
-        ]
-        profiles = element_profiles(labels, cand_circuits)
-        if tuple(sorted(Counter(profiles.values()).items())) != tgt.profile_counts:
-            continue
-        mapping = match_circuits(tgt.elements, tgt.circuits, labels, cand_circuits)
-        if mapping is not None:
-            return labels, mapping
-    return None
+                out.append(v ^ pivot)
+            else:
+                pivot = v
+        else:
+            out.append(v)
+    return out if pivot else None
 
 
-def _bits(mask: int):
+def _contract_sets(columns: list[int], c_size: int):
+    """Independent sets of ``c_size`` host positions, lexicographic order.
+
+    Yields (positions, reduced columns).  The walk eliminates one chosen
+    column from all host columns per level, so a prefix's eliminations are
+    shared by every set that extends it, and a column that has already
+    reduced to 0 depends on the chosen ones and is never chosen.  At a leaf
+    each host column is reduced modulo the span of C's columns with C's
+    pivots cleared everywhere: two elements reduce to the same int exactly
+    when they are parallel in host / C, and to 0 exactly when they are
+    loops there (C's own elements included).
+    """
+    n = len(columns)
+
+    def extend(start: int, chosen: tuple[int, ...], cols: list[int]):
+        if len(chosen) == c_size:
+            yield chosen, cols
+            return
+        for idx in range(start, n - c_size + len(chosen) + 1):
+            piv = cols[idx]
+            if not piv:
+                continue
+            low = piv & -piv
+            yield from extend(
+                idx + 1, chosen + (idx,),
+                [x ^ piv if x & low else x for x in cols],
+            )
+
+    return extend(0, (), list(columns))
+
+
+def _survivor_search(
+    cycles: list[int], pool: list[int], tgt: _TargetData, elems: tuple[str, ...]
+) -> tuple[tuple[str, ...], dict[str, str]] | None:
+    """Find survivors S within ``pool`` with the minor on S isomorphic to tgt.
+
+    ``cycles`` is a basis of the cycle space of host / C, as bitmasks over
+    host positions.  The circuits of (host / C) \\ D are the minimal supports
+    of the cycle vectors avoiding D, so deleting an element is one
+    elimination step on the basis.  Survivor sets are visited in
+    lexicographic order of their pool positions by a depth-first walk that
+    includes before it deletes, sharing each prefix's eliminations.  S must
+    span host / C (its rank is the target's rank), so a branch stops as soon
+    as it would delete a coloop of what is left.  Elements of host / C
+    outside the pool are deleted up front.
+    """
+    alive = 0
+    for idx in pool:
+        alive |= 1 << idx
+    support = 0
+    for v in cycles:
+        support |= v
+    for idx in _positions(support & ~alive):
+        cycles = _eliminate(cycles, 1 << idx)
+        if cycles is None:
+            return None
+    t = tgt.size
+    n_pool = len(pool)
+    max_coloops = tgt.n_coloops
+
+    def coloops(vectors: list[int], alive: int) -> int:
+        support = 0
+        for v in vectors:
+            support |= v
+        return (alive & ~support).bit_count()
+
+    def test(vectors: list[int], smask: int):
+        if not has_weight_histogram(vectors, tgt.histogram):
+            return None
+        return _match_candidate(vectors, smask, tgt, elems)
+
+    def walk(i: int, need: int, vectors: list[int], smask: int, alive: int):
+        if need == n_pool - i:  # every remaining element survives
+            for idx in pool[i:]:
+                smask |= 1 << idx
+            return test(vectors, smask)
+        if need == 0:  # every remaining element is deleted
+            for idx in pool[i:]:
+                vectors = _eliminate(vectors, 1 << idx)
+                if vectors is None:
+                    return None
+            return test(vectors, smask)
+        bit = 1 << pool[i]
+        found = walk(i + 1, need - 1, vectors, smask | bit, alive)
+        if found is not None:
+            return found
+        vectors = _eliminate(vectors, bit)
+        if vectors is None:
+            return None
+        alive ^= bit
+        if coloops(vectors, alive) > max_coloops:
+            return None
+        return walk(i + 1, need, vectors, smask, alive)
+
+    if t > n_pool or coloops(cycles, alive) > max_coloops:
+        return None
+    return walk(0, t, cycles, 0, alive)
+
+
+def _match_candidate(
+    vectors: list[int], smask: int, tgt: _TargetData, elems: tuple[str, ...]
+) -> tuple[tuple[str, ...], dict[str, str]] | None:
+    """Invariant filters, then the circuit bijection, for one survivor set."""
+    circuit_masks = minimal_supports(vectors) if vectors else []
+    covered = 0
+    loops = 0
+    sizes = Counter()
+    for cm in circuit_masks:
+        covered |= cm
+        w = cm.bit_count()
+        sizes[w] += 1
+        if w == 1:
+            loops += 1
+    if loops != tgt.n_loops:
+        return None
+    if tgt.size - covered.bit_count() != tgt.n_coloops:
+        return None
+    if tuple(sorted(sizes.items())) != tgt.size_counts:
+        return None
+
+    labels = tuple(elems[idx] for idx in _positions(smask))
+    cand_circuits = [
+        frozenset(elems[idx] for idx in _positions(cm)) for cm in circuit_masks
+    ]
+    profiles = element_profiles(labels, cand_circuits)
+    if tuple(sorted(Counter(profiles.values()).items())) != tgt.profile_counts:
+        return None
+    mapping = match_circuits(tgt.elements, tgt.circuits, labels, cand_circuits)
+    if mapping is None:
+        return None
+    return labels, mapping
+
+
+def _positions(mask: int):
     while mask:
         low = mask & -mask
-        yield low
+        yield low.bit_length() - 1
         mask ^= low
 
 
@@ -192,7 +272,12 @@ def find_minor_witness(
     """Search for a minor of ``host`` isomorphic to ``target``.
 
     Deterministic: the returned witness is the first hit in canonical
-    enumeration order (contract sets by element order, then survivor sets).
+    enumeration order.  Contract sets C are the independent sets of size
+    rank(host) - rank(target), taken as combinations of host.elements()
+    positions in lexicographic order.  Within each C, survivor sets are
+    taken in lexicographic order of host positions from the pool: every
+    element outside C, or for a simple loop-free target the first element
+    of each parallel class of host / C.
     """
     if host.size > HOST_LIMIT:
         raise CapacityError(
@@ -209,15 +294,34 @@ def find_minor_witness(
     if c_size < 0 or d_size < 0 or tgt.corank > host.corank:
         return None
 
-    for combo in combinations(host.elements(), c_size):
-        if host.rank(combo) < c_size:
-            continue  # contract sets may be assumed independent
-        sub = host.apply_ops(contract(e) for e in combo)
-        found = _survivor_search(sub, tgt)
+    elems = host.elements()
+    columns = [host.full_column(e) for e in elems]
+    fundamental = host.fundamental_cycles()
+    everything = range(host.size)
+    for combo, reduced in _contract_sets(columns, c_size):
+        cmask = 0
+        for idx in combo:
+            cmask |= 1 << idx
+        # C is independent, so clearing its bits maps the host's cycle
+        # space one-to-one onto that of host / C: still a basis.
+        cycles = [v & ~cmask for v in fundamental]
+        if tgt.simple_loopfree:
+            # The target has no loops and no parallel pairs, so a valid
+            # survivor set takes at most one element per parallel class of
+            # host / C and no loops; parallel elements are interchangeable
+            # by an automorphism, so the first of each class suffices.
+            first: dict[int, int] = {}
+            for idx, col in enumerate(reduced):
+                if col:
+                    first.setdefault(col, idx)
+            pool = sorted(first.values())
+        else:
+            pool = [idx for idx in everything if not cmask >> idx & 1]
+        found = _survivor_search(cycles, pool, tgt, elems)
         if found is None:
             continue
         labels, mapping = found
-        contract_set = frozenset(combo)
+        contract_set = frozenset(elems[i] for i in combo)
         survivors = frozenset(labels)
         return MinorWitness(
             contract_set=contract_set,

@@ -38,3 +38,37 @@ def relabeled_copy(rng: Random, m: BinaryMatroid) -> BinaryMatroid:
     rng.shuffle(fresh)
     k = m.a.n_rows
     return BinaryMatroid(tuple(fresh[:k]), tuple(fresh[k:]), m.a)
+
+
+def random_simple_graph(
+    rng: Random, max_vertices: int, min_edges: int, max_edges: int
+) -> Graph:
+    """Random graph without loops or parallel edges (a simple cycle matroid).
+
+    It has 3 to ``max_vertices`` vertices and as many edges in
+    [min_edges, max_edges] as its vertex pairs allow.
+    """
+    nv = rng.randint(3, max_vertices)
+    pairs = [(u, v) for u in range(nv) for v in range(u + 1, nv)]
+    hi = min(max_edges, len(pairs))
+    chosen = sorted(rng.sample(pairs, rng.randint(min(min_edges, hi), hi)))
+    return Graph(nv, tuple((u, v, f"e{i + 1}") for i, (u, v) in enumerate(chosen)))
+
+
+def planted_host(rng: Random, target: BinaryMatroid, extra: int) -> BinaryMatroid:
+    """Random host with ``target`` as a minor, under fresh shuffled labels.
+
+    The host's compact block is [[A, X], [Y, Z]] with A the target's and X,
+    Y, Z random: contracting the extra basis rows and deleting the extra
+    cobasis columns gives back the target.
+    """
+    extra_rows = rng.randint(0, extra)
+    extra_cols = extra - extra_rows
+    k, c = target.a.n_rows, target.a.n_cols
+    rows = [r | (rng.getrandbits(extra_cols) << c) for r in target.a.rows]
+    rows += [rng.getrandbits(c + extra_cols) for _ in range(extra_rows)]
+    return relabeled_copy(rng, BinaryMatroid(
+        tuple(f"x{i + 1}" for i in range(k + extra_rows)),
+        tuple(f"y{j + 1}" for j in range(c + extra_cols)),
+        Gf2Matrix(k + extra_rows, c + extra_cols, tuple(rows)),
+    ))

@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+
+import pytest
 
 from gf2minor.catalog import get_named, parse_matrix_file, write_matrix_file
-from gf2minor.cli import execute_command
+from gf2minor.cli import execute_command, main
 
 
 def run(capsys, *argv):
@@ -199,3 +204,58 @@ def test_bad_matrix_file_parse_error(tmp_path, capsys):
     code, _, err = run(capsys, "info", "--matroid", str(bad))
     assert code == 2
     assert "line 6" in err
+
+
+_GOOD_CASE = {
+    "name": "k5self",
+    "base": "M(K5)",
+    "ops": [{"op": "delete", "element": "e45"}],
+    "targets": ["M(K33)", "M(K5)"],
+    "expected": "M(K33)",
+}
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("name", 5),
+        ("name", ""),
+        ("base", 7),
+        ("base", ""),
+        ("targets", "K5"),
+        ("targets", ["M(K5)", 3]),
+        ("expected", None),
+        ("ops", [{"op": "delete", "element": 45}]),
+    ],
+    ids=["name-int", "name-empty", "base-int", "base-empty", "targets-str",
+         "targets-int-item", "expected-null", "op-element-int"],
+)
+def test_malformed_certificate_field_is_an_input_error(tmp_path, capsys, field, value):
+    cert = tmp_path / "cases.json"
+    cert.write_text(json.dumps([dict(_GOOD_CASE, **{field: value})]))
+    code, out, err = run(capsys, "verify", "--cert", str(cert))
+    assert code == 2
+    assert "Traceback" not in err
+    assert "case #1" in err
+    assert out == ""
+
+
+def test_python_dash_m_matches_the_cli_entry_point(capsys, monkeypatch):
+    # Full replay exits 1 (the g8 data defect), so a dropped exit code shows.
+    argv = ["verify", "--json"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "gf2minor", *argv],
+        capture_output=True, text=True, timeout=300,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+    )
+    assert "Traceback" not in proc.stderr
+    monkeypatch.setattr(sys, "argv", ["gf2minor", *argv])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    out = capsys.readouterr().out
+    assert proc.returncode == exc.value.code == 1
+    strip = lambda s: [
+        {k: v for k, v in json.loads(l).items() if k != "elapsed_s"}
+        for l in s.strip().splitlines()
+    ]
+    assert strip(proc.stdout) == strip(out)

@@ -23,9 +23,13 @@ from gf2minor.matroid import (
     contract,
     cycle_matroid,
     delete,
+    has_weight_histogram,
+    mask_to_labels,
+    minimal_supports,
+    weight_histogram,
 )
 
-from gen import random_graph, random_matroid
+from gen import random_graph, random_matroid, relabeled_copy
 from oracles import (
     circuits_by_enumeration,
     dense_columns,
@@ -188,6 +192,68 @@ def test_circuits_capacity_guard():
     )
     with pytest.raises(CapacityError):
         m.circuits()
+
+
+# -- cycle space ------------------------------------------------------------------
+
+
+def test_masked_fundamental_cycles_span_the_contraction():
+    # For independent C, clearing C's bits in the host's fundamental cycles
+    # gives a basis of the cycle space of host / C.
+    rng = Random(2718)
+    done = 0
+    while done < 40:
+        m = random_matroid(rng, 11, min_elements=2)
+        elems = m.elements()
+        c = rng.sample(elems, rng.randint(0, m.full_rank))
+        if m.rank(c) < len(c):
+            continue
+        cmask = sum(1 << elems.index(e) for e in c)
+        masked = [v & ~cmask for v in m.fundamental_cycles()]
+        contracted = m.apply_ops(contract(e) for e in c)
+        got = {mask_to_labels(s, elems) for s in minimal_supports(masked)}
+        assert got == contracted.circuits()
+        assert len(masked) == contracted.corank
+        done += 1
+
+
+def test_weight_histogram_is_a_representation_invariant():
+    rng = Random(1618)
+    for _ in range(40):
+        m = random_matroid(rng, 11, min_elements=1)
+        hist = weight_histogram(m.fundamental_cycles())
+        assert sum(hist) == (1 << m.corank) - 1
+        assert weight_histogram(m.dual().dual().fundamental_cycles()) == hist
+        assert weight_histogram(relabeled_copy(rng, m).fundamental_cycles()) == hist
+        spots = [
+            (bl, cl)
+            for i, bl in enumerate(m.basis_labels)
+            for j, cl in enumerate(m.cobasis_labels)
+            if m.a.entry(i, j)
+        ]
+        if spots:
+            piv = m.exchange(*rng.choice(spots))
+            assert weight_histogram(piv.fundamental_cycles()) == hist
+
+
+def test_weight_histogram_counts_cycles_by_size():
+    # K4's cycle space: 4 triangles, 3 four-cycles, nothing else nonzero.
+    hist = weight_histogram(cycle_matroid(complete_graph(4)).fundamental_cycles())
+    assert hist == (0, 0, 0, 4, 3, 0, 0)
+
+
+def test_early_exit_histogram_check_agrees_with_the_full_histogram():
+    rng = Random(1414)
+    hists = [
+        weight_histogram(random_matroid(rng, 9).fundamental_cycles())
+        for _ in range(30)
+    ]
+    for _ in range(60):
+        basis = random_matroid(rng, 9).fundamental_cycles()
+        own = weight_histogram(basis)
+        assert has_weight_histogram(basis, own)
+        for other in hists:
+            assert has_weight_histogram(basis, other) == (own == other)
 
 
 # -- duality --------------------------------------------------------------------

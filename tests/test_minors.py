@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from itertools import combinations
 from random import Random
 
 import pytest
@@ -25,9 +26,10 @@ from gf2minor.minors import (
     is_graphic,
     covering_cocircuit_witness,
     verify_witness,
+    _contract_sets,
 )
 
-from gen import random_matroid
+from gen import planted_host, random_matroid, random_simple_graph
 from oracles import has_minor_brute_force
 
 
@@ -152,6 +154,31 @@ def test_verdicts_match_brute_force_oracle():
     assert agree > 5  # the sample must include genuine positives
 
 
+def test_simple_target_verdicts_match_brute_force_oracle():
+    # Targets without loops or parallel pairs take the survivor search's
+    # parallel-class pool; half are planted in their host, half are not.
+    rng = Random(0x5EED)
+    found = missed = 0
+    for i in range(40):
+        target = cycle_matroid(random_simple_graph(rng, 5, min_edges=4, max_edges=6))
+        assert all(len(c) >= 3 for c in target.circuits())
+        if i % 2 == 0:
+            host = planted_host(rng, target, 8 - target.size)
+        else:
+            host = random_matroid(rng, 8, min_elements=target.size)
+        got = find_minor_witness(host, target)
+        expected = has_minor_brute_force(host, target)
+        assert (got is not None) == expected
+        if i % 2 == 0:
+            assert got is not None
+        if got is not None:
+            assert verify_witness(host, target, got)
+            found += 1
+        else:
+            missed += 1
+    assert found > 20 and missed > 3  # both answers must occur
+
+
 def test_witnesses_from_search_always_verify():
     rng = Random(0xCAFE)
     for _ in range(40):
@@ -160,6 +187,32 @@ def test_witnesses_from_search_always_verify():
         w = find_minor_witness(host, target)
         if w is not None:
             assert verify_witness(host, target, w)
+
+
+def test_contract_set_walk_finds_parallel_classes_of_the_contraction():
+    # The walk yields exactly the independent sets, in combinations order,
+    # and its reduced columns are equal exactly for parallel elements of
+    # host / C and zero exactly for its loops and for C itself.
+    rng = Random(0xC0DE)
+    for _ in range(20):
+        host = random_matroid(rng, 9, min_elements=2)
+        elems = host.elements()
+        c_size = rng.randint(0, host.full_rank)
+        walked = list(_contract_sets([host.full_column(e) for e in elems], c_size))
+        assert [combo for combo, _ in walked] == [
+            combo for combo in combinations(range(host.size), c_size)
+            if host.rank(elems[i] for i in combo) == c_size
+        ]
+        for combo, reduced in walked:
+            minor = host.apply_ops(contract(elems[i]) for i in combo)
+            rest = [i for i in range(host.size) if i not in combo]
+            assert all(reduced[i] == 0 for i in combo)
+            for i in rest:
+                assert (reduced[i] == 0) == (minor.rank([elems[i]]) == 0)
+            for i, j in combinations(rest, 2):
+                if reduced[i] and reduced[j]:
+                    parallel = minor.rank([elems[i], elems[j]]) == 1
+                    assert (reduced[i] == reduced[j]) == parallel
 
 
 # -- verify_witness -------------------------------------------------------------
