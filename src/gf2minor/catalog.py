@@ -82,7 +82,7 @@ def parse_matrix_file(text: str) -> BinaryMatroid:
     counts = {}
     for pos, key in ((1, "rows"), (2, "cols")):
         lineno, args = _header(lines, pos, key)
-        if len(args) != 1 or not args[0].isdigit():
+        if len(args) != 1 or not args[0].isdecimal():
             raise ParseError(f"line {lineno}: '{key}' needs one non-negative integer")
         counts[key] = int(args[0])
     k, n = counts["rows"], counts["cols"]

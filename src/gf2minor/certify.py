@@ -303,8 +303,8 @@ def load_cases(text: str) -> tuple[CertificateCase, ...]:
     """Parse a JSON certificate file (a list of case objects)."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"certificate file is not valid JSON: {exc}") from exc
+    except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
+        raise InputError(f"certificate file is not readable JSON: {exc}") from exc
     if isinstance(data, dict) and "cases" in data:
         data = data["cases"]
     if not isinstance(data, list):

@@ -70,8 +70,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if missing:
             raise InputError(f"unknown case name(s): {', '.join(missing)}")
         cases = tuple(known[n] for n in args.case)
-    jobs = args.jobs or int(os.environ.get("MATROID_JOBS", "1"))
-    reports, summary = certify.replay_all(cases, jobs=jobs)
+    reports, summary = certify.replay_all(cases, jobs=args.jobs)
 
     if args.json:
         for r in reports:
@@ -185,7 +184,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--case", action="append", metavar="NAME",
                    help="replay only this case (repeatable)")
     p.add_argument("--cert", metavar="FILE", help="JSON certificate file")
-    p.add_argument("--jobs", type=int, default=None, metavar="N",
+    # A string default goes through type=int too, so a bad $MATROID_JOBS
+    # is a usage error, while an explicit --jobs wins over it.
+    p.add_argument("--jobs", type=int, metavar="N",
+                   default=os.environ.get("MATROID_JOBS", "1"),
                    help="parallel workers (default: $MATROID_JOBS or 1)")
     p.add_argument("--json", action="store_true",
                    help="one JSON object per case instead of the table")
@@ -231,10 +233,7 @@ def execute_command(argv: list[str]) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except MatroidError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as exc:
+    except (MatroidError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -5,13 +5,18 @@ circuit set of one exactly onto the other's (circuits determine a matroid).
 A cheap invariant signature filters first; the backtracking search then
 assigns elements rarest-profile-class first and prunes as soon as a fully
 mapped circuit lands outside the target circuit set.
+
+``circuit_signature`` is the one place the label-free invariants (element
+count, rank, loop and coloop counts, circuit-size and element-profile
+multisets) are computed: ``signature``, ``find_isomorphism`` and the minor
+search's target data and survivor filter all call it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Collection, Iterable, Mapping
 
 from .matroid import BinaryMatroid
 
@@ -41,18 +46,28 @@ def element_profiles(
     return {e: tuple(sorted(cnt.items())) for e, cnt in per.items()}
 
 
-def signature(m: BinaryMatroid) -> IsoSignature:
-    """Invariants of ``m``; m.circuits() enforces the enumeration limit."""
-    circuits = m.circuits()
-    profiles = element_profiles(m.elements(), circuits)
+def circuit_signature(
+    elements: Iterable[str], rank: int, circuits: Collection[frozenset[str]]
+) -> IsoSignature:
+    """Invariants of the matroid of the given rank with these circuits.
+
+    Loops are the 1-element circuits and coloops the elements in no circuit,
+    so only the rank has to come from outside.
+    """
+    profiles = element_profiles(elements, circuits)
     return IsoSignature(
-        n_elements=m.size,
-        rank=m.full_rank,
-        n_loops=len(m.loops()),
-        n_coloops=len(m.coloops()),
+        n_elements=len(profiles),
+        rank=rank,
+        n_loops=sum(len(c) == 1 for c in circuits),
+        n_coloops=sum(not p for p in profiles.values()),
         circuit_sizes=tuple(sorted(Counter(len(c) for c in circuits).items())),
         element_profiles=tuple(sorted(profiles.values())),
     )
+
+
+def signature(m: BinaryMatroid) -> IsoSignature:
+    """Invariants of ``m``; m.circuits() enforces the enumeration limit."""
+    return circuit_signature(m.elements(), m.full_rank, m.circuits())
 
 
 def match_circuits(
@@ -65,7 +80,9 @@ def match_circuits(
 
     Works on raw circuit families, so minor-search candidates can be tested
     without building matroid objects.  Returns the first bijection in the
-    deterministic search order, or None.
+    deterministic search order, or None.  The answer is exact for any
+    families: callers compare ``circuit_signature`` first only to skip
+    hopeless pairs, and the search maps each element to one of equal profile.
     """
     elems1 = sorted(elements1)
     elems2 = sorted(elements2)
@@ -73,14 +90,9 @@ def match_circuits(
     circ2set = frozenset(circuits2)
     if len(elems1) != len(elems2) or len(circ1) != len(circ2set):
         return None
-    if Counter(len(c) for c in circ1) != Counter(len(c) for c in circ2set):
-        return None
 
     prof1 = element_profiles(elems1, circ1)
     prof2 = element_profiles(elems2, circ2set)
-    if Counter(prof1.values()) != Counter(prof2.values()):
-        return None
-
     class_size = Counter(prof1.values())
     order = sorted(elems1, key=lambda e: (class_size[prof1[e]], prof1[e], e))
     pos = {e: i for i, e in enumerate(order)}
@@ -120,10 +132,11 @@ def match_circuits(
 
 def find_isomorphism(m1: BinaryMatroid, m2: BinaryMatroid) -> dict[str, str] | None:
     """Witnessing bijection E(m1) -> E(m2), or None."""
-    if signature(m1) != signature(m2):
+    c1, c2 = m1.circuits(), m2.circuits()
+    sig1 = circuit_signature(m1.elements(), m1.full_rank, c1)
+    if sig1 != circuit_signature(m2.elements(), m2.full_rank, c2):
         return None
-    return match_circuits(m1.elements(), m1.circuits(),
-                          m2.elements(), m2.circuits())
+    return match_circuits(m1.elements(), c1, m2.elements(), c2)
 
 
 def is_isomorphic(m1: BinaryMatroid, m2: BinaryMatroid) -> bool:

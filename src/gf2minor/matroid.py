@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import CapacityError, InputError
 from .gf2 import Gf2Matrix, rank_of_vectors
@@ -343,13 +343,16 @@ class BinaryMatroid:
         return head + ("\n" + str(self.a) if self.a.n_rows else "")
 
 
-def mask_to_labels(mask: int, elems: tuple[str, ...]) -> frozenset[str]:
-    out = []
+def mask_positions(mask: int) -> Iterator[int]:
+    """Positions of the set bits of ``mask``, lowest first."""
     while mask:
         low = mask & -mask
-        out.append(elems[low.bit_length() - 1])
+        yield low.bit_length() - 1
         mask ^= low
-    return frozenset(out)
+
+
+def mask_to_labels(mask: int, elems: tuple[str, ...]) -> frozenset[str]:
+    return frozenset(elems[i] for i in mask_positions(mask))
 
 
 def minimal_supports(basis: list[int]) -> list[int]:

@@ -16,27 +16,36 @@ survivor candidate is one elimination step on that basis.  Survivor sets are
 walked depth-first in lexicographic order, pruned as soon as what is left
 stops spanning host / C or has more coloops than the target.  Each survivor
 set must then have the target's cycle-space weight histogram (a label-free
-invariant, checked with an early exit) before its circuits are extracted and
-the remaining invariants (loop and coloop counts, circuit-size multiset,
-degree profiles) and the full isomorphism test run.
+invariant, checked with an early exit) before its circuits are extracted.
+Its ``iso.circuit_signature`` (loop and coloop counts, circuit-size and
+profile multisets) must then equal the target's, which is computed by the
+same function once per search, before the full isomorphism test runs.
 All enumeration guards raise CapacityError rather than degrade silently.
 """
 
 from __future__ import annotations
 
 import logging
-from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
 from . import catalog
 from .errors import CapacityError, InputError
-from .iso import element_profiles, match_circuits
+# element_profiles is bound here for bench/tracer.py, which wraps it in this
+# module; the search itself reaches it through circuit_signature.
+from .iso import (  # noqa: F401
+    IsoSignature,
+    circuit_signature,
+    element_profiles,
+    match_circuits,
+)
 from .matroid import (
     BinaryMatroid,
     MinorOp,
     has_weight_histogram,
+    mask_positions,
+    mask_to_labels,
     minimal_supports,
     weight_histogram,
 )
@@ -78,32 +87,17 @@ class MinorWitness:
 class _TargetData:
     elements: tuple[str, ...]
     circuits: frozenset[frozenset[str]]
-    size: int
-    rank: int
-    corank: int
-    n_loops: int
-    n_coloops: int
-    size_counts: tuple[tuple[int, int], ...]
-    profile_counts: tuple
+    sig: IsoSignature
     histogram: tuple[int, ...]
-    simple_loopfree: bool
 
 
 def _target_data(target: BinaryMatroid) -> _TargetData:
-    circuits = target.circuits()
-    profiles = element_profiles(target.elements(), circuits)
+    elements, circuits = target.elements(), target.circuits()
     return _TargetData(
-        elements=target.elements(),
+        elements=elements,
         circuits=circuits,
-        size=target.size,
-        rank=target.full_rank,
-        corank=target.corank,
-        n_loops=len(target.loops()),
-        n_coloops=len(target.coloops()),
-        size_counts=tuple(sorted(Counter(len(c) for c in circuits).items())),
-        profile_counts=tuple(sorted(Counter(profiles.values()).items())),
+        sig=circuit_signature(elements, target.full_rank, circuits),
         histogram=weight_histogram(target.fundamental_cycles()),
-        simple_loopfree=all(len(c) >= 3 for c in circuits),
     )
 
 
@@ -159,8 +153,8 @@ def _contract_sets(columns: list[int], c_size: int):
 
 def _survivor_search(
     cycles: list[int], pool: list[int], tgt: _TargetData, elems: tuple[str, ...]
-) -> tuple[tuple[str, ...], dict[str, str]] | None:
-    """Find survivors S within ``pool`` with the minor on S isomorphic to tgt.
+) -> dict[str, str] | None:
+    """Bijection from tgt onto survivors S within ``pool``, or None.
 
     ``cycles`` is a basis of the cycle space of host / C, as bitmasks over
     host positions.  The circuits of (host / C) \\ D are the minimal supports
@@ -178,13 +172,13 @@ def _survivor_search(
     support = 0
     for v in cycles:
         support |= v
-    for idx in _positions(support & ~alive):
+    for idx in mask_positions(support & ~alive):
         cycles = _eliminate(cycles, 1 << idx)
         if cycles is None:
             return None
-    t = tgt.size
+    t = tgt.sig.n_elements
     n_pool = len(pool)
-    max_coloops = tgt.n_coloops
+    max_coloops = tgt.sig.n_coloops
 
     def coloops(vectors: list[int], alive: int) -> int:
         support = 0
@@ -227,43 +221,17 @@ def _survivor_search(
 
 def _match_candidate(
     vectors: list[int], smask: int, tgt: _TargetData, elems: tuple[str, ...]
-) -> tuple[tuple[str, ...], dict[str, str]] | None:
+) -> dict[str, str] | None:
     """Invariant filters, then the circuit bijection, for one survivor set."""
-    circuit_masks = minimal_supports(vectors) if vectors else []
-    covered = 0
-    loops = 0
-    sizes = Counter()
-    for cm in circuit_masks:
-        covered |= cm
-        w = cm.bit_count()
-        sizes[w] += 1
-        if w == 1:
-            loops += 1
-    if loops != tgt.n_loops:
-        return None
-    if tgt.size - covered.bit_count() != tgt.n_coloops:
-        return None
-    if tuple(sorted(sizes.items())) != tgt.size_counts:
-        return None
-
-    labels = tuple(elems[idx] for idx in _positions(smask))
+    labels = mask_to_labels(smask, elems)
     cand_circuits = [
-        frozenset(elems[idx] for idx in _positions(cm)) for cm in circuit_masks
+        mask_to_labels(cm, elems)
+        for cm in (minimal_supports(vectors) if vectors else [])
     ]
-    profiles = element_profiles(labels, cand_circuits)
-    if tuple(sorted(Counter(profiles.values()).items())) != tgt.profile_counts:
+    # S spans host / C, so its rank is the target's.
+    if circuit_signature(labels, tgt.sig.rank, cand_circuits) != tgt.sig:
         return None
-    mapping = match_circuits(tgt.elements, tgt.circuits, labels, cand_circuits)
-    if mapping is None:
-        return None
-    return labels, mapping
-
-
-def _positions(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+    return match_circuits(tgt.elements, tgt.circuits, labels, cand_circuits)
 
 
 def find_minor_witness(
@@ -289,10 +257,11 @@ def find_minor_witness(
             f"got {target.size}"
         )
     tgt = _target_data(target)
-    c_size = host.full_rank - tgt.rank
-    d_size = host.size - c_size - tgt.size
-    if c_size < 0 or d_size < 0 or tgt.corank > host.corank:
+    c_size = host.full_rank - tgt.sig.rank
+    d_size = host.size - c_size - tgt.sig.n_elements
+    if c_size < 0 or d_size < 0 or target.corank > host.corank:
         return None
+    simple_loopfree = all(size >= 3 for size, _ in tgt.sig.circuit_sizes)
 
     elems = host.elements()
     columns = [host.full_column(e) for e in elems]
@@ -305,7 +274,7 @@ def find_minor_witness(
         # C is independent, so clearing its bits maps the host's cycle
         # space one-to-one onto that of host / C: still a basis.
         cycles = [v & ~cmask for v in fundamental]
-        if tgt.simple_loopfree:
+        if simple_loopfree:
             # The target has no loops and no parallel pairs, so a valid
             # survivor set takes at most one element per parallel class of
             # host / C and no loops; parallel elements are interchangeable
@@ -317,15 +286,13 @@ def find_minor_witness(
             pool = sorted(first.values())
         else:
             pool = [idx for idx in everything if not cmask >> idx & 1]
-        found = _survivor_search(cycles, pool, tgt, elems)
-        if found is None:
+        mapping = _survivor_search(cycles, pool, tgt, elems)
+        if mapping is None:
             continue
-        labels, mapping = found
         contract_set = frozenset(elems[i] for i in combo)
-        survivors = frozenset(labels)
         return MinorWitness(
             contract_set=contract_set,
-            delete_set=host.ground_set - contract_set - survivors,
+            delete_set=host.ground_set - contract_set - set(mapping.values()),
             mapping=tuple(sorted(mapping.items())),
         )
     return None

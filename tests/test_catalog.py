@@ -128,6 +128,13 @@ def test_parse_reports_label_count_mismatch():
         parse_matrix_file(text)
 
 
+def test_parse_reports_non_decimal_count():
+    # "²".isdigit() is true, but int() rejects it.
+    text = "name t\nrows ²\ncols 1\nrowlabels a\ncollabels b\n1\n"
+    with pytest.raises(ParseError, match="line 2: 'rows' needs"):
+        parse_matrix_file(text)
+
+
 def test_parse_reports_missing_header():
     with pytest.raises(ParseError):
         parse_matrix_file("rows 1\ncols 1\n")

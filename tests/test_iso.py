@@ -10,6 +10,7 @@ from gf2minor.catalog import entries, get_named
 from gf2minor.errors import CapacityError
 from gf2minor.gf2 import Gf2Matrix
 from gf2minor.iso import (
+    circuit_signature,
     find_isomorphism,
     is_isomorphic,
     match_circuits,
@@ -20,7 +21,11 @@ from gf2minor.matroid import (
     BinaryMatroid,
     complete_bipartite_graph,
     complete_graph,
+    contract,
     cycle_matroid,
+    delete,
+    mask_to_labels,
+    minimal_supports,
 )
 
 from gen import random_matroid, relabeled_copy
@@ -50,6 +55,40 @@ def test_signature_is_label_free():
     for _ in range(20):
         m = random_matroid(rng, 10)
         assert signature(m) == signature(relabeled_copy(rng, m))
+
+
+def test_circuit_signature_of_masked_cycles_matches_the_built_minor():
+    # The minor search's view of (host / C) \ D: the host's fundamental
+    # cycles with C's bits cleared, keeping the circuits inside the
+    # survivors S.  Its signature must be that of the minor apply_ops builds.
+    rng = Random(9091)
+    done = 0
+    while done < 60:
+        host = random_matroid(rng, 10, min_elements=1)
+        elems = host.elements()
+        c = rng.sample(elems, rng.randint(0, host.full_rank))
+        if host.rank(c) < len(c):
+            continue
+        rest = [e for e in elems if e not in c]
+        s = set(rng.sample(rest, rng.randint(0, len(rest))))
+        cmask = sum(1 << elems.index(e) for e in c)
+        smask = sum(1 << elems.index(e) for e in s)
+        masked = [v & ~cmask for v in host.fundamental_cycles()]
+        circuits = [
+            mask_to_labels(m, elems)
+            for m in minimal_supports(masked) if not m & ~smask
+        ]
+        minor = host.apply_ops(
+            [contract(e) for e in c] + [delete(e) for e in rest if e not in s]
+        )
+        rank = host.rank(s | set(c)) - len(c)
+        sig = circuit_signature(s, rank, circuits)
+        assert sig == signature(minor)
+        # Loops and coloops read off the circuits agree with the matrix.
+        assert (sig.n_elements, sig.rank, sig.n_loops, sig.n_coloops) == (
+            minor.size, minor.full_rank, len(minor.loops()), len(minor.coloops())
+        )
+        done += 1
 
 
 def test_signature_capacity_guard():
@@ -134,3 +173,8 @@ def test_match_circuits_on_raw_families():
     mapping = match_circuits("abc", tri1, "xyz", tri2)
     assert mapping is not None and sorted(mapping) == ["a", "b", "c"]
     assert match_circuits("abc", tri1, "xyz", [frozenset("xy")]) is None
+    # Same circuit sizes, different profiles (w is on both triangles and z
+    # is a coloop): only the profile-restricted search can say no.
+    two = [frozenset("abc"), frozenset("def")]
+    bowtie = [frozenset("uvw"), frozenset("wxy")]
+    assert match_circuits("abcdef", two, "uvwxyz", bowtie) is None
