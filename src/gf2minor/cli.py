@@ -28,6 +28,14 @@ EXIT_FAIL = 1
 EXIT_ERROR = 2
 
 
+def _read_text(path: Path) -> str:
+    """A UTF-8 input file's text; any other encoding is an error naming it."""
+    try:
+        return path.read_text()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: {exc}") from None
+
+
 def _load_matroid(arg: str) -> BinaryMatroid:
     """Catalog name or matrix file path; a real file wins over a name."""
     path = Path(arg)
@@ -42,7 +50,7 @@ def _load_matroid(arg: str) -> BinaryMatroid:
                 "using the file",
                 file=sys.stderr,
             )
-        return catalog.parse_matrix_file(path.read_text())
+        return catalog.parse_matrix_file(_read_text(path))
     return catalog.get_named(arg)
 
 
@@ -61,7 +69,7 @@ def _set_str(labels) -> str:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.cert:
-        cases = certify.load_cases(Path(args.cert).read_text())
+        cases = certify.load_cases(_read_text(Path(args.cert)))
     else:
         cases = certify.builtin_cases()
     if args.case:
@@ -233,7 +241,7 @@ def execute_command(argv: list[str]) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (MatroidError, OSError, UnicodeDecodeError) as exc:
+    except (MatroidError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

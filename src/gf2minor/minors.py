@@ -6,17 +6,26 @@ to contract, which to delete, and a bijection from the target onto the
 survivors.  ``verify_witness`` re-checks such a certificate using nothing but
 the host's rank oracle, so the audit does not share code with the search.
 
-Search shape: contract sets C are the independent sets of size
-rank(host) - rank(target) (every minor arises that way with the deletions
-coindependent).  They are walked in lexicographic order of host positions,
-eliminating one host column per level, which also yields the parallel classes
-of host / C.  Nothing is rebuilt per contract set: the cycle space of host / C
-is the host's fundamental cycle bitmasks with C's bits cleared, and deleting a
-survivor candidate is one elimination step on that basis.  Survivor sets are
-walked depth-first in lexicographic order, pruned as soon as what is left
-stops spanning host / C or has more coloops than the target.  Each survivor
-set must then have the target's cycle-space weight histogram (a label-free
-invariant, checked with an early exit) before its circuits are extracted.
+Search shape: every minor arises as host / C \\ D with C independent of size
+rank(host) - rank(target) and D coindependent.  Since host / C depends only
+on the flat cl(C), only one C per flat is tried: the greedy basis, the
+lexicographically first basis of cl(C) in host order.  If some C hits, so
+does the greedy basis C' of cl(C) (the same minor up to swapping loops), and
+C' comes first, so the first hit is unchanged.  Contract sets are walked in
+lexicographic order of host positions, eliminating one host column per
+level, which also yields the parallel classes of host / C; a branch is cut
+as soon as a position it passed over falls into the span.  Nothing is
+rebuilt per contract set: the cycle space of host / C is the host's
+fundamental cycle bitmasks with C's bits cleared, and deleting a survivor
+candidate is one elimination step on that basis.  Survivor sets are walked
+depth-first in lexicographic order, pruned as soon as what is left stops
+spanning host / C or has more coloops than the target.  For a cosimple
+target (no cocircuit of size at most 2) a branch is also pruned when what is
+left has a series pair: restricting never removes a series pair, so every
+spanning survivor set would keep a cocircuit of size at most 2.  Each
+survivor set must then have the target's cycle-space weight histogram (a
+label-free invariant, checked with an early exit) before its circuits are
+extracted.
 Its ``iso.circuit_signature`` (loop and coloop counts, circuit-size and
 profile multisets) must then equal the target's, which is computed by the
 same function once per search, before the full isomorphism test runs.
@@ -27,6 +36,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 from typing import Iterable
 
@@ -89,15 +99,18 @@ class _TargetData:
     circuits: frozenset[frozenset[str]]
     sig: IsoSignature
     histogram: tuple[int, ...]
+    cosimple: bool  # no cocircuit of size at most 2
 
 
 def _target_data(target: BinaryMatroid) -> _TargetData:
     elements, circuits = target.elements(), target.circuits()
+    cycles = target.fundamental_cycles()
     return _TargetData(
         elements=elements,
         circuits=circuits,
         sig=circuit_signature(elements, target.full_rank, circuits),
-        histogram=weight_histogram(target.fundamental_cycles()),
+        histogram=weight_histogram(cycles),
+        cosimple=not _has_small_cocircuit(cycles, (1 << target.size) - 1),
     )
 
 
@@ -121,34 +134,74 @@ def _eliminate(vectors: list[int], bit: int) -> list[int] | None:
 
 
 def _contract_sets(columns: list[int], c_size: int):
-    """Independent sets of ``c_size`` host positions, lexicographic order.
+    """Greedy bases of ``c_size`` host positions, in lexicographic order.
 
-    Yields (positions, reduced columns).  The walk eliminates one chosen
-    column from all host columns per level, so a prefix's eliminations are
-    shared by every set that extends it, and a column that has already
-    reduced to 0 depends on the chosen ones and is never chosen.  At a leaf
-    each host column is reduced modulo the span of C's columns with C's
-    pivots cleared everywhere: two elements reduce to the same int exactly
-    when they are parallel in host / C, and to 0 exactly when they are
-    loops there (C's own elements included).
+    Yields (positions, reduced columns) for each independent C that is the
+    greedy (lexicographically first) basis of cl(C): host / C depends only
+    on cl(C), so the other bases of that flat would repeat its minors.  The
+    walk eliminates one chosen column from all host columns per level, so a
+    prefix's eliminations are shared by every set that extends it, and a
+    column that has already reduced to 0 depends on the chosen ones and is
+    never chosen.  A position passed over while its column was non-zero
+    must stay outside cl(C), so a pivot equal to that column (which would
+    clear it) cuts the branch.  At a leaf each host column is reduced modulo
+    the span of C's columns with C's pivots cleared everywhere: two elements
+    reduce to the same int exactly when they are parallel in host / C, and
+    to 0 exactly when they are loops there (C's own elements included).
     """
     n = len(columns)
 
-    def extend(start: int, chosen: tuple[int, ...], cols: list[int]):
+    def extend(
+        start: int, chosen: tuple[int, ...], cols: list[int],
+        skipped: tuple[int, ...],
+    ):
         if len(chosen) == c_size:
             yield chosen, cols
             return
+        passed = {cols[j] for j in skipped}
         for idx in range(start, n - c_size + len(chosen) + 1):
             piv = cols[idx]
-            if not piv:
+            if not piv or piv in passed:
                 continue
             low = piv & -piv
             yield from extend(
                 idx + 1, chosen + (idx,),
                 [x ^ piv if x & low else x for x in cols],
+                skipped,
             )
+            passed.add(piv)
+            skipped += (idx,)
 
-    return extend(0, (), list(columns))
+    return extend(0, (), list(columns), ())
+
+
+def _coloops(vectors: list[int], alive: int) -> int:
+    """Coloops of M|alive, where ``vectors`` span its cycle space."""
+    support = 0
+    for v in vectors:
+        support |= v
+    return (alive & ~support).bit_count()
+
+
+def _has_small_cocircuit(vectors: list[int], alive: int) -> bool:
+    """Whether M|alive has a coloop or a series pair, a cocircuit of size <= 2.
+
+    ``vectors`` span the cycle space of M|alive.  An element's column is the
+    set of vectors that contain it: it is 0 exactly for a coloop, and two
+    other elements are in series exactly when their columns are equal, since
+    then every cycle meets both or neither.  Classes of equal columns are
+    found by splitting ``alive`` on each vector in turn; a class of one
+    element can split no further and is dropped, so the scan stops as soon
+    as every class is a singleton.
+    """
+    if _coloops(vectors, alive):
+        return True
+    classes = [alive] if alive else []
+    for v in vectors:
+        classes = [p for c in classes for p in (c & v, c & ~v) if p & (p - 1)]
+        if not classes:
+            return False
+    return bool(classes)
 
 
 def _survivor_search(
@@ -163,9 +216,17 @@ def _survivor_search(
     lexicographic order of their pool positions by a depth-first walk that
     includes before it deletes, sharing each prefix's eliminations.  S must
     span host / C (its rank is the target's rank), so a branch stops as soon
-    as it would delete a coloop of what is left.  Elements of host / C
-    outside the pool are deleted up front.
+    as it would delete a coloop of what is left; the walk therefore keeps
+    rank(alive) = r(host / C).  A branch also stops when what is left has
+    more coloops than the target, or, for a cosimple target, any coloop or
+    series pair {e, f}: every spanning S within what is left then meets
+    {e, f}, so S & {e, f} holds a cocircuit of M|S of size at most 2.
+    Elements of host / C outside the pool are deleted up front.
     """
+    t = tgt.sig.n_elements
+    n_pool = len(pool)
+    if t > n_pool:
+        return None
     alive = 0
     for idx in pool:
         alive |= 1 << idx
@@ -176,15 +237,11 @@ def _survivor_search(
         cycles = _eliminate(cycles, 1 << idx)
         if cycles is None:
             return None
-    t = tgt.sig.n_elements
-    n_pool = len(pool)
-    max_coloops = tgt.sig.n_coloops
 
-    def coloops(vectors: list[int], alive: int) -> int:
-        support = 0
-        for v in vectors:
-            support |= v
-        return (alive & ~support).bit_count()
+    def dead(vectors: list[int], alive: int) -> bool:
+        if tgt.cosimple:
+            return _has_small_cocircuit(vectors, alive)
+        return _coloops(vectors, alive) > tgt.sig.n_coloops
 
     def test(vectors: list[int], smask: int):
         if not has_weight_histogram(vectors, tgt.histogram):
@@ -210,11 +267,11 @@ def _survivor_search(
         if vectors is None:
             return None
         alive ^= bit
-        if coloops(vectors, alive) > max_coloops:
+        if dead(vectors, alive):
             return None
         return walk(i + 1, need, vectors, smask, alive)
 
-    if t > n_pool or coloops(cycles, alive) > max_coloops:
+    if dead(cycles, alive):
         return None
     return walk(0, t, cycles, 0, alive)
 
@@ -240,12 +297,16 @@ def find_minor_witness(
     """Search for a minor of ``host`` isomorphic to ``target``.
 
     Deterministic: the returned witness is the first hit in canonical
-    enumeration order.  Contract sets C are the independent sets of size
-    rank(host) - rank(target), taken as combinations of host.elements()
-    positions in lexicographic order.  Within each C, survivor sets are
-    taken in lexicographic order of host positions from the pool: every
-    element outside C, or for a simple loop-free target the first element
-    of each parallel class of host / C.
+    enumeration order.  Contract sets C are taken as combinations of
+    host.elements() positions in lexicographic order, each of size
+    rank(host) - rank(target) and each the greedy (lexicographically first)
+    basis of its closure: host / C depends only on cl(C), and if C hits, so
+    does the greedy basis C' of cl(C), which comes first.  Within each C,
+    survivor sets are taken in lexicographic order of host positions from
+    the pool: every element outside C, or for a simple loop-free target the
+    first element of each parallel class of host / C.  For a cosimple
+    target a branch whose remaining elements have a coloop or a series pair
+    is cut, because restricting never removes a series pair.
     """
     if host.size > HOST_LIMIT:
         raise CapacityError(
@@ -256,10 +317,15 @@ def find_minor_witness(
             f"minor search targets limited to {TARGET_LIMIT} elements, "
             f"got {target.size}"
         )
-    tgt = _target_data(target)
+    return _find_minor(host, _target_data(target))
+
+
+def _find_minor(host: BinaryMatroid, tgt: _TargetData) -> MinorWitness | None:
+    """``find_minor_witness`` past its capacity guards."""
     c_size = host.full_rank - tgt.sig.rank
+    # d_size is corank(host) - corank(target).
     d_size = host.size - c_size - tgt.sig.n_elements
-    if c_size < 0 or d_size < 0 or target.corank > host.corank:
+    if c_size < 0 or d_size < 0:
         return None
     simple_loopfree = all(size >= 3 for size, _ in tgt.sig.circuit_sizes)
 
@@ -361,16 +427,20 @@ def verify_witness(
 # -- graphicness -------------------------------------------------------------------
 
 
+@cache
+def _excluded_minor_data() -> tuple[_TargetData, ...]:
+    return tuple(
+        _target_data(catalog.get_named(name)) for name in GRAPHICNESS_EXCLUDED
+    )
+
+
 def is_graphic(m: BinaryMatroid) -> bool:
     """Tutte's criterion: graphic iff no F7, F7*, M*(K5) or M*(K33) minor."""
     if m.size > HOST_LIMIT:
         raise CapacityError(
             f"graphicness test limited to {HOST_LIMIT} elements, got {m.size}"
         )
-    return all(
-        find_minor_witness(m, catalog.get_named(name)) is None
-        for name in GRAPHICNESS_EXCLUDED
-    )
+    return all(_find_minor(m, tgt) is None for tgt in _excluded_minor_data())
 
 
 @dataclass(frozen=True)

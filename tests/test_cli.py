@@ -259,3 +259,17 @@ def test_python_dash_m_matches_the_cli_entry_point(capsys, monkeypatch):
         for l in s.strip().splitlines()
     ]
     assert strip(proc.stdout) == strip(out)
+
+
+def test_undecodable_target_file_is_named(tmp_path, capsys):
+    host = tmp_path / "host.mat"
+    host.write_text(write_matrix_file(get_named("M(K5)"), name="K5"))
+    bad = tmp_path / "target.mat"
+    bad.write_bytes(b"\xff\xfe\x00bad")
+    code, _, err = run(
+        capsys, "minor", "--matroid", str(host), "--target", str(bad)
+    )
+    assert code == 2
+    assert err.startswith(f"error: {bad}: 'utf-8' codec can't decode")
+    assert str(host) not in err and "Traceback" not in err
+

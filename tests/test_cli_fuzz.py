@@ -180,6 +180,8 @@ def test_unreadable_input_file_is_a_usage_error(tmp_path, capsys, command, flag,
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and "Traceback" not in err
+    if data == NON_UTF8:
+        assert err.startswith(f"error: {bad}: 'utf-8' codec can't decode")
 
 
 def test_bad_matroid_jobs_is_a_usage_error(capsys, monkeypatch):

@@ -7,6 +7,7 @@ from random import Random
 
 import pytest
 
+from gf2minor import minors
 from gf2minor.catalog import get_named
 from gf2minor.errors import CapacityError, InputError
 from gf2minor.gf2 import Gf2Matrix
@@ -26,7 +27,10 @@ from gf2minor.minors import (
     is_graphic,
     covering_cocircuit_witness,
     verify_witness,
+    _coloops,
     _contract_sets,
+    _eliminate,
+    _has_small_cocircuit,
 )
 
 from gen import planted_host, random_matroid, random_simple_graph
@@ -189,8 +193,16 @@ def test_witnesses_from_search_always_verify():
             assert verify_witness(host, target, w)
 
 
+def closure(host: BinaryMatroid, subset) -> frozenset[str]:
+    """cl(subset) by brute force: the elements that do not raise its rank."""
+    subset = list(subset)
+    r = host.rank(subset)
+    return frozenset(e for e in host.elements() if host.rank(subset + [e]) == r)
+
+
 def test_contract_set_walk_finds_parallel_classes_of_the_contraction():
-    # The walk yields exactly the independent sets, in combinations order,
+    # The walk yields, in combinations order, exactly the first independent
+    # combination of each rank-c_size flat (host / C depends only on cl(C)),
     # and its reduced columns are equal exactly for parallel elements of
     # host / C and zero exactly for its loops and for C itself.
     rng = Random(0xC0DE)
@@ -199,10 +211,12 @@ def test_contract_set_walk_finds_parallel_classes_of_the_contraction():
         elems = host.elements()
         c_size = rng.randint(0, host.full_rank)
         walked = list(_contract_sets([host.full_column(e) for e in elems], c_size))
-        assert [combo for combo, _ in walked] == [
-            combo for combo in combinations(range(host.size), c_size)
-            if host.rank(elems[i] for i in combo) == c_size
-        ]
+        first_of_flat: dict[frozenset[str], tuple[int, ...]] = {}
+        for combo in combinations(range(host.size), c_size):
+            chosen = [elems[i] for i in combo]
+            if host.rank(chosen) == c_size:
+                first_of_flat.setdefault(closure(host, chosen), combo)
+        assert [combo for combo, _ in walked] == list(first_of_flat.values())
         for combo, reduced in walked:
             minor = host.apply_ops(contract(elems[i]) for i in combo)
             rest = [i for i in range(host.size) if i not in combo]
@@ -213,6 +227,122 @@ def test_contract_set_walk_finds_parallel_classes_of_the_contraction():
                 if reduced[i] and reduced[j]:
                     parallel = minor.rank([elems[i], elems[j]]) == 1
                     assert (reduced[i] == reduced[j]) == parallel
+
+
+def test_small_cocircuit_check_matches_the_dual_circuits():
+    # M|alive has a coloop or a series pair exactly when its dual has a
+    # circuit of size at most 2; the cycle space of the restriction is the
+    # host's with the deleted elements eliminated, as in the survivor walk.
+    rng = Random(0x5E41E5)
+    answers = set()
+    for _ in range(80):
+        m = random_matroid(rng, 9, min_elements=1)
+        elems = m.elements()
+        alive, vectors = 0, m.fundamental_cycles()
+        for idx in range(m.size):
+            if rng.random() < 0.7:
+                alive |= 1 << idx
+            else:  # deleting a coloop (None) leaves the cycle space as it is
+                reduced = _eliminate(vectors, 1 << idx)
+                vectors = vectors if reduced is None else reduced
+        restricted = m.delete_all(e for i, e in enumerate(elems) if not alive >> i & 1)
+        expected = any(len(c) <= 2 for c in restricted.dual().circuits())
+        assert _coloops(vectors, alive) == len(restricted.coloops())
+        assert _has_small_cocircuit(vectors, alive) == expected
+        full = (1 << restricted.size) - 1
+        assert _has_small_cocircuit(restricted.fundamental_cycles(), full) == expected
+        answers.add(expected)
+    assert answers == {True, False}
+
+
+WHEEL4 = Graph(5, tuple(
+    (u, v, f"e{i + 1}") for i, (u, v) in enumerate(
+        [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3), (3, 4), (4, 1)]
+    )
+))
+
+
+def add_coloop(m: BinaryMatroid) -> BinaryMatroid:
+    """m plus a fresh coloop: one more basis row, zero in every column."""
+    return BinaryMatroid(
+        m.basis_labels + ("zc",), m.cobasis_labels,
+        Gf2Matrix(m.a.n_rows + 1, m.a.n_cols, m.a.rows + (0,)),
+    )
+
+
+@pytest.mark.parametrize("name, max_host", [("M(K4)", 8), ("W4", 9)])
+def test_small_cosimple_targets_match_brute_force_oracle(name, max_host):
+    # The series-pair prune is on for cosimple targets; half the hosts are
+    # planted, half random.  Host sizes keep the oracle to about a second.
+    target = {
+        "M(K4)": cycle_matroid(complete_graph(4)), "W4": cycle_matroid(WHEEL4),
+    }[name]
+    assert not any(len(c) <= 2 for c in target.dual().circuits())
+    assert minors._target_data(target).cosimple
+    rng = Random(0xC051 + target.size)
+    found = missed = 0
+    for i in range(16):
+        if i % 2 == 0:
+            host = planted_host(rng, target, rng.randint(0, max_host - target.size))
+        else:
+            host = random_matroid(rng, max_host, min_elements=target.size)
+        got = find_minor_witness(host, target)
+        assert (got is not None) == has_minor_brute_force(host, target)
+        if got is not None:
+            assert verify_witness(host, target, got)
+            found += 1
+        else:
+            missed += 1
+    assert found >= 8 and missed > 0
+
+
+@pytest.mark.parametrize("name", ["M(K5)", "M(K33)"])
+def test_large_cosimple_targets_on_planted_and_random_hosts(name):
+    # Too large for the brute-force oracle.  Planted hosts must answer yes
+    # with a verified witness.  On random hosts the verdict must equal that
+    # of the same search with a coloop added to host and target: the
+    # coloop-sum target is not cosimple, so no series prune runs there, and
+    # N + coloop is a minor of M + coloop exactly when N is a minor of M.
+    target = get_named(name)
+    assert minors._target_data(target).cosimple
+    assert not minors._target_data(add_coloop(target)).cosimple
+    rng = Random(0xB16 + target.size)
+    for i in range(12):
+        if i % 2 == 0:
+            host = planted_host(rng, target, rng.randint(0, 13 - target.size))
+            got = find_minor_witness(host, target)
+            assert got is not None and verify_witness(host, target, got)
+        else:
+            host = random_matroid(rng, 13, min_elements=target.size)
+            got = find_minor_witness(host, target)
+            unpruned = find_minor_witness(add_coloop(host), add_coloop(target))
+            assert (got is not None) == (unpruned is not None)
+            if got is not None:
+                assert verify_witness(host, target, got)
+
+
+def test_contract_sets_of_witnesses_are_greedy_bases():
+    # Every witness's contract set is the lexicographically first basis of
+    # its closure, the one the greedy algorithm picks in host order.
+    rng = Random(0x6EED)
+    hits = 0
+    for i in range(60):
+        if i % 2 == 0:
+            target = random_matroid(rng, 6, min_elements=2)
+            host = planted_host(rng, target, rng.randint(0, 5))
+        else:
+            host = random_matroid(rng, 10)
+            target = random_matroid(rng, 6)
+        w = find_minor_witness(host, target)
+        if w is None:
+            continue
+        greedy: list[str] = []
+        for e in host.elements():
+            if e in closure(host, w.contract_set) and host.rank(greedy + [e]) > len(greedy):
+                greedy.append(e)
+        assert w.contract_set == frozenset(greedy)
+        hits += 1
+    assert hits > 30
 
 
 # -- verify_witness -------------------------------------------------------------
@@ -288,6 +418,17 @@ def test_k33_cycle_matroid_is_graphic():
 @pytest.mark.parametrize("name", ["F7", "F7*", "M*(K5)", "M*(K33)"])
 def test_excluded_minors_are_not_graphic(name):
     assert not is_graphic(get_named(name))
+
+
+def test_is_graphic_builds_the_excluded_minor_data_once(monkeypatch):
+    built = []
+    real = minors._target_data
+    monkeypatch.setattr(minors, "_target_data", lambda t: built.append(t) or real(t))
+    minors._excluded_minor_data.cache_clear()
+    assert is_graphic(get_named("M(K5)"))
+    assert len(built) == 4
+    assert not is_graphic(get_named("F7"))
+    assert len(built) == 4
 
 
 def test_graphicness_capacity_guard():
