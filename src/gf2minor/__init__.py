@@ -3,9 +3,10 @@
 The package provides bit-packed GF(2) matrices, labeled binary matroids in
 standard form [I | A] with deletion/contraction/dual operations, exact
 circuit enumeration, isomorphism testing, exhaustive minor-containment
-search with independently verifiable witnesses, Tutte-style graphicness
-checks, and a replay engine plus CLI for a built-in library of 29
-minor-containment certificates.
+search with independently verifiable witnesses, graphicness decided by
+graph realization with a checkable certificate either way, and a replay
+engine plus CLI for a built-in library of 29 minor-containment
+certificates.
 """
 
 from .catalog import (
@@ -51,9 +52,11 @@ from .minors import (
     MinorWitness,
     check_graphic_cocircuits,
     find_minor_witness,
+    graphic_certificate,
     has_minor,
     is_graphic,
     covering_cocircuit_witness,
+    verify_graph,
     verify_witness,
 )
 
@@ -90,6 +93,7 @@ __all__ = [
     "find_isomorphism",
     "find_minor_witness",
     "get_named",
+    "graphic_certificate",
     "has_minor",
     "is_graphic",
     "is_isomorphic",
@@ -100,6 +104,7 @@ __all__ = [
     "replay_all",
     "replay_case",
     "signature",
+    "verify_graph",
     "verify_witness",
     "write_matrix_file",
 ]

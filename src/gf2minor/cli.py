@@ -15,11 +15,13 @@ from pathlib import Path
 
 from . import catalog, certify
 from .errors import InputError, MatroidError
-from .matroid import BinaryMatroid, MinorOp, contract, delete
+from .matroid import BinaryMatroid, Graph, MinorOp, contract, delete
 from .minors import (
     check_graphic_cocircuits,
     find_minor_witness,
+    graphic_certificate,
     is_graphic,
+    verify_graph,
     verify_witness,
 )
 
@@ -132,8 +134,27 @@ def cmd_minor(args: argparse.Namespace) -> int:
 
 def cmd_graphic(args: argparse.Namespace) -> int:
     m = _load_matroid(args.matroid)
-    verdict = is_graphic(m)
+    if not args.certificate:
+        verdict = is_graphic(m)
+        print(f"graphic: {'yes' if verdict else 'no'}")
+        return EXIT_OK if verdict else EXIT_FAIL
+    cert = graphic_certificate(m)
+    verdict = isinstance(cert, Graph)
     print(f"graphic: {'yes' if verdict else 'no'}")
+    if verdict:
+        print(f"vertices {cert.n_vertices}")
+        for u, v, label in sorted(cert.edges):
+            print(f"{u} {v} {label}")
+        audited = verify_graph(m, cert)
+    else:
+        name, w = cert
+        print(f"excluded minor: {name}")
+        print(json.dumps(w.as_dict(), indent=2, sort_keys=True))
+        audited = verify_witness(m, catalog.get_named(name), w)
+    if not audited:
+        print("error: certificate REJECTED by the independent check",
+              file=sys.stderr)
+        return EXIT_ERROR
     return EXIT_OK if verdict else EXIT_FAIL
 
 
@@ -211,8 +232,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--witness", action="store_true", help="print the witness")
     p.set_defaults(func=cmd_minor)
 
-    p = sub.add_parser("graphic", help="excluded-minor graphicness test")
+    p = sub.add_parser("graphic", help="graphicness test")
     p.add_argument("--matroid", required=True)
+    p.add_argument("--certificate", action="store_true",
+                   help="print the graph, or the excluded minor and witness")
     p.set_defaults(func=cmd_graphic)
 
     p = sub.add_parser("cocircuits", help="list cocircuits")

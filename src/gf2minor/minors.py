@@ -6,6 +6,12 @@ to contract, which to delete, and a bijection from the target onto the
 survivors.  ``verify_witness`` re-checks such a certificate using nothing but
 the host's rank oracle, so the audit does not share code with the search.
 
+``graphic_certificate`` decides graphicness with a certificate either way: a
+``Graph`` from ``realize.realize``, or, when no graph exists, the first of
+Tutte's excluded minors found by running the four searches round-robin.
+``verify_graph`` checks a graph from the standard-form block and GF(2)
+ranks alone; ``is_graphic`` is the bare verdict.
+
 Search shape: every minor arises as host / C \\ D with C independent of size
 rank(host) - rank(target) and D coindependent.  Since host / C depends only
 on the flat cl(C), only one C per flat is tried: the greedy basis, the
@@ -38,10 +44,11 @@ import logging
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from . import catalog
-from .errors import CapacityError, InputError
+from .errors import CapacityError, InputError, MatroidError
+from .gf2 import rank_of_vectors
 # element_profiles is bound here for bench/tracer.py, which wraps it in this
 # module; the search itself reaches it through circuit_signature.
 from .iso import (  # noqa: F401
@@ -52,6 +59,7 @@ from .iso import (  # noqa: F401
 )
 from .matroid import (
     BinaryMatroid,
+    Graph,
     MinorOp,
     has_weight_histogram,
     mask_positions,
@@ -59,6 +67,7 @@ from .matroid import (
     minimal_supports,
     weight_histogram,
 )
+from .realize import realize
 
 logger = logging.getLogger(__name__)
 
@@ -322,11 +331,23 @@ def find_minor_witness(
 
 def _find_minor(host: BinaryMatroid, tgt: _TargetData) -> MinorWitness | None:
     """``find_minor_witness`` past its capacity guards."""
+    return next((w for w in _minor_steps(host, tgt) if w is not None), None)
+
+
+def _minor_steps(
+    host: BinaryMatroid, tgt: _TargetData
+) -> Iterator[MinorWitness | None]:
+    """``_find_minor``'s walk, one step per contract set.
+
+    Yields None for each contract set whose survivor search misses, and the
+    witness for one that hits, in the order ``find_minor_witness`` tries
+    them; callers stop at the first witness.
+    """
     c_size = host.full_rank - tgt.sig.rank
     # d_size is corank(host) - corank(target).
     d_size = host.size - c_size - tgt.sig.n_elements
     if c_size < 0 or d_size < 0:
-        return None
+        return
     simple_loopfree = all(size >= 3 for size, _ in tgt.sig.circuit_sizes)
 
     elems = host.elements()
@@ -354,14 +375,14 @@ def _find_minor(host: BinaryMatroid, tgt: _TargetData) -> MinorWitness | None:
             pool = [idx for idx in everything if not cmask >> idx & 1]
         mapping = _survivor_search(cycles, pool, tgt, elems)
         if mapping is None:
+            yield None
             continue
         contract_set = frozenset(elems[i] for i in combo)
-        return MinorWitness(
+        yield MinorWitness(
             contract_set=contract_set,
             delete_set=host.ground_set - contract_set - set(mapping.values()),
             mapping=tuple(sorted(mapping.items())),
         )
-    return None
 
 
 def has_minor(host: BinaryMatroid, target: BinaryMatroid) -> bool:
@@ -424,6 +445,34 @@ def verify_witness(
     return got == expected
 
 
+def verify_graph(m: BinaryMatroid, g: Graph) -> bool:
+    """Whether the cycle matroid of ``g`` is ``m``, edge labels as elements.
+
+    InputError unless the edge labels biject onto E(m).  Each vertex star
+    (a loop's two ends cancel) must lie in the row space of [I | A], the
+    cocycle space of ``m``, and the stars must have rank r(m): the cut space
+    of ``g`` then equals that cocycle space, and a binary matroid is
+    determined by its cocycle space.  Reads only the standard-form block and
+    ranks it with ``gf2.rank_of_vectors``; it shares no code with the
+    realization.
+    """
+    labels = m.basis_labels + m.cobasis_labels
+    position = {lab: i for i, lab in enumerate(labels)}
+    # Graph already rejects repeated labels, so equal counts make a bijection.
+    if len(g.edges) != len(labels) or any(
+        lab not in position for _, _, lab in g.edges
+    ):
+        raise InputError("graph edge labels must biject onto the ground set")
+    stars = [0] * g.n_vertices
+    for u, v, lab in g.edges:
+        bit = 1 << position[lab]
+        stars[u] ^= bit
+        stars[v] ^= bit
+    k = m.a.n_rows
+    rows = [(1 << i) | (row << k) for i, row in enumerate(m.a.rows)]
+    return rank_of_vectors(stars) == k and rank_of_vectors(rows + stars) == k
+
+
 # -- graphicness -------------------------------------------------------------------
 
 
@@ -434,13 +483,49 @@ def _excluded_minor_data() -> tuple[_TargetData, ...]:
     )
 
 
-def is_graphic(m: BinaryMatroid) -> bool:
-    """Tutte's criterion: graphic iff no F7, F7*, M*(K5) or M*(K33) minor."""
+_EXHAUSTED = object()
+
+
+def graphic_certificate(m: BinaryMatroid) -> Graph | tuple[str, MinorWitness]:
+    """A graph realizing ``m``, or the name and witness of an excluded minor.
+
+    The graph's edge labels are the elements of ``m``; ``verify_graph``
+    checks it.  When no graph exists, Tutte's theorem guarantees one of
+    ``GRAPHICNESS_EXCLUDED`` as a minor: the four searches run round-robin,
+    one contract set each per turn in ``GRAPHICNESS_EXCLUDED`` order, and
+    the first hit is returned with its ``MinorWitness``, which
+    ``verify_witness`` checks against ``catalog.get_named(name)``.
+    """
     if m.size > HOST_LIMIT:
         raise CapacityError(
             f"graphicness test limited to {HOST_LIMIT} elements, got {m.size}"
         )
-    return all(_find_minor(m, tgt) is None for tgt in _excluded_minor_data())
+    graph = realize(m)
+    if graph is not None:
+        return graph
+    searches = {
+        name: _minor_steps(m, tgt)
+        for name, tgt in zip(GRAPHICNESS_EXCLUDED, _excluded_minor_data())
+    }
+    while searches:
+        for name, steps in list(searches.items()):
+            w = next(steps, _EXHAUSTED)
+            if w is _EXHAUSTED:
+                del searches[name]
+            elif w is not None:
+                return name, w
+    raise MatroidError(
+        "no graph and no excluded minor found; this contradicts Tutte's theorem"
+    )
+
+
+def is_graphic(m: BinaryMatroid) -> bool:
+    """Whether ``m`` is the cycle matroid of a graph.
+
+    Decided by ``graphic_certificate``: a graph for "yes", an excluded minor
+    (F7, F7*, M*(K5) or M*(K33), by Tutte's theorem) for "no".
+    """
+    return isinstance(graphic_certificate(m), Graph)
 
 
 @dataclass(frozen=True)

@@ -165,7 +165,7 @@ def test_write_matrix_file_rejects_bad_name():
 def test_g_entries_graphic_r_entries_not():
     # The g blocks represent graphic matroids; r15/r16 are the two
     # non-graphic ones (their duals are not cographic).  Small sample here;
-    # the slow test covers every g entry.
+    # test_every_g_matrix_is_graphic covers every g entry.
     from gf2minor.minors import is_graphic
 
     assert is_graphic(get_named("g12"))
@@ -174,7 +174,6 @@ def test_g_entries_graphic_r_entries_not():
     assert not is_graphic(get_named("r16"))
 
 
-@pytest.mark.slow
 def test_every_g_matrix_is_graphic():
     from gf2minor.minors import is_graphic
 

@@ -236,7 +236,6 @@ def test_load_cases_rejects_malformed_input():
         }]))
 
 
-@pytest.mark.slow
 def test_all_case_witnesses_pass_the_dense_oracle_audit():
     # Third route: recompute each witness's minor with the dense list-based
     # oracle (independent of both the search and verify_witness).

@@ -135,6 +135,69 @@ def test_graphic_exit_codes(capsys):
     assert "graphic: no" in out
 
 
+def _graph_lines(out: str) -> tuple[int, list[tuple[int, int, str]]]:
+    lines = out.splitlines()
+    assert lines[0] == "graphic: yes"
+    head, n = lines[1].split()
+    assert head == "vertices"
+    edges = [(int(u), int(v), lab) for u, v, lab in map(str.split, lines[2:])]
+    return int(n), edges
+
+
+def test_graphic_certificate_prints_a_checked_graph(capsys):
+    from gf2minor.matroid import Graph
+    from gf2minor.minors import verify_graph
+
+    code, out, err = run(capsys, "graphic", "--certificate", "--matroid", "g6")
+    assert code == 0 and err == ""
+    n, edges = _graph_lines(out)
+    assert edges == sorted(edges)
+    assert verify_graph(get_named("g6"), Graph(n, tuple(edges)))
+
+
+def test_graphic_certificate_prints_a_checked_witness(capsys):
+    from gf2minor.minors import MinorWitness, verify_witness
+
+    code, out, err = run(capsys, "graphic", "--certificate", "--matroid", "r16")
+    assert code == 1 and err == ""
+    lines = out.splitlines()
+    assert lines[0] == "graphic: no"
+    head, name = lines[1].split(": ")
+    assert head == "excluded minor" and name in ("F7", "F7*", "M*(K5)", "M*(K33)")
+    w = json.loads("\n".join(lines[2:]))
+    witness = MinorWitness(
+        frozenset(w["contract"]), frozenset(w["delete"]),
+        tuple(sorted(w["map"].items())),
+    )
+    assert verify_witness(get_named("r16"), get_named(name), witness)
+
+
+def test_graphic_certificate_rejected_exits_2(capsys, monkeypatch):
+    import gf2minor.cli as cli
+
+    monkeypatch.setattr(cli, "verify_graph", lambda m, g: False)
+    code, _, err = run(capsys, "graphic", "--certificate", "--matroid", "M(K5)")
+    assert code == 2 and "REJECTED" in err
+    monkeypatch.setattr(cli, "verify_witness", lambda h, t, w: False)
+    code, _, err = run(capsys, "graphic", "--certificate", "--matroid", "F7")
+    assert code == 2 and "REJECTED" in err
+
+
+@pytest.mark.parametrize("name", ["g6", "r16"])
+def test_graphic_certificate_identical_across_hash_seeds(name):
+    outputs = set()
+    for seed in ("0", "1"):
+        res = subprocess.run(
+            [sys.executable, "-m", "gf2minor", "graphic", "--certificate",
+             "--matroid", name],
+            env=dict(os.environ, PYTHONHASHSEED=seed),
+            capture_output=True, text=True,
+        )
+        assert res.returncode in (0, 1), res.stderr
+        outputs.add(res.stdout)
+    assert len(outputs) == 1
+
+
 def test_info_f7(capsys):
     code, out, _ = run(capsys, "info", "--matroid", "F7")
     assert code == 0

@@ -120,7 +120,8 @@ def test_fuzzed_matrix_files(tmp_path, capsys):
         base = write_matrix_file(get_named(rng.choice(["F7", "M(K33)", "M*(K5)"])))
         mat.write_bytes(_mutate_bytes(rng, _mutate_matrix(rng, base)))
         command = rng.choice([
-            ["info"], ["graphic"], ["cocircuits"], ["dual"],
+            ["info"], ["graphic"], ["graphic", "--certificate"], ["cocircuits"],
+            ["dual"],
             ["minor", "--target", "F7"],
         ])
         _run(capsys, [command[0], "--matroid", str(mat), *command[1:]])
@@ -130,7 +131,7 @@ ARGV_SEEDS = [
     ["verify", "--cert", "cases.json", "--json"],
     ["minor", "--matroid", "M(K5)", "--target", "M(K33)",
      "--contract", "e12", "--delete", "e45", "--witness"],
-    ["graphic", "--matroid", "F7*"],
+    ["graphic", "--matroid", "F7*", "--certificate"],
     ["cocircuits", "--matroid", "M(K33)", "--check-graphic"],
     ["info", "--matroid", "M*(K5)"],
     ["dual", "--matroid", "F7", "-o", "out.mat"],
@@ -140,7 +141,7 @@ ARGV_JUNK = [
     "", "-", "--", "-h", "--json", "--jobs", "0", "-1", "x", "--case",
     "g99", "--cert", "missing.json", ".", "--matroid", "--target", "F7",
     "nosuch", "--contract", "e12,,", "--delete", "zz", "-o", "--witness",
-    "--check-graphic", "verify", "info", "²",
+    "--check-graphic", "--certificate", "verify", "info", "²",
 ]
 
 
