@@ -3,12 +3,12 @@
 The package provides bit-packed GF(2) matrices, labeled binary matroids in
 standard form [I | A] with deletion/contraction/dual operations, exact
 circuit enumeration, isomorphism testing, exhaustive minor-containment
-search with independently verifiable witnesses, graphicness decided by
-graph realization with a checkable certificate either way, and a replay
-engine plus CLI for a built-in library of 29 minor-containment
-certificates.
+search, graphicness by graph realization, and a replay engine plus CLI for
+29 built-in certificates.  Found minors and graphicness answers carry a
+witness or a graph that ``audit`` checks, sharing no code with the search.
 """
 
+from .audit import MinorWitness, verify_graph, verify_witness
 from .catalog import (
     CatalogEntry,
     catalog_names,
@@ -49,15 +49,12 @@ from .matroid import (
 from .minors import (
     CocircuitCheck,
     CocircuitReport,
-    MinorWitness,
     check_graphic_cocircuits,
     find_minor_witness,
     graphic_certificate,
     has_minor,
     is_graphic,
     covering_cocircuit_witness,
-    verify_graph,
-    verify_witness,
 )
 
 __version__ = "0.1.0"

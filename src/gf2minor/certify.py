@@ -19,9 +19,10 @@ from time import perf_counter
 from typing import Iterable
 
 from . import catalog
+from .audit import MinorWitness, verify_witness
 from .errors import InputError, MatroidError
 from .matroid import CONTRACT, DELETE, BinaryMatroid, MinorOp, OpTrace
-from .minors import MinorWitness, find_minor_witness, verify_witness
+from .minors import find_minor_witness
 
 DIRECT = "direct"  # contractions in a graphic base, targets M(K5)/M(K33)
 DUAL = "dual"      # deletions, targets M*(K5)/M*(K33)

@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 
 from . import catalog, certify
+from .audit import verify_graph, verify_witness
 from .errors import InputError, MatroidError
 from .matroid import BinaryMatroid, Graph, MinorOp, contract, delete
 from .minors import (
@@ -21,8 +22,6 @@ from .minors import (
     find_minor_witness,
     graphic_certificate,
     is_graphic,
-    verify_graph,
-    verify_witness,
 )
 
 EXIT_OK = 0

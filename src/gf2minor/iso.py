@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Collection, Iterable, Mapping
+from typing import Collection, Iterable
 
 from .matroid import BinaryMatroid
 
@@ -141,13 +141,3 @@ def find_isomorphism(m1: BinaryMatroid, m2: BinaryMatroid) -> dict[str, str] | N
 
 def is_isomorphic(m1: BinaryMatroid, m2: BinaryMatroid) -> bool:
     return find_isomorphism(m1, m2) is not None
-
-
-def verify_bijection(
-    mapping: Mapping[str, str],
-    circuits1: Iterable[frozenset[str]],
-    circuits2: Iterable[frozenset[str]],
-) -> bool:
-    """Independent soundness recheck for a claimed circuit bijection."""
-    imaged = {frozenset(mapping[e] for e in c) for c in circuits1}
-    return imaged == set(circuits2)

@@ -1,16 +1,15 @@
-"""Minor containment search, witnesses, graphicness, and cocircuit checks.
+"""Minor containment search, graphicness, and cocircuit checks.
 
 ``find_minor_witness`` decides whether a host matroid has a minor isomorphic
 to a small target and, if so, returns an explicit certificate: which elements
 to contract, which to delete, and a bijection from the target onto the
-survivors.  ``verify_witness`` re-checks such a certificate using nothing but
-the host's rank oracle, so the audit does not share code with the search.
+survivors.  ``audit.verify_witness`` checks such a certificate against the
+target's standard form, sharing no code with the search.
 
 ``graphic_certificate`` decides graphicness with a certificate either way: a
 ``Graph`` from ``realize.realize``, or, when no graph exists, the first of
 Tutte's excluded minors found by running the four searches round-robin.
-``verify_graph`` checks a graph from the standard-form block and GF(2)
-ranks alone; ``is_graphic`` is the bare verdict.
+``audit.verify_graph`` checks the graph; ``is_graphic`` is the bare verdict.
 
 Search shape: every minor arises as host / C \\ D with C independent of size
 rank(host) - rank(target) and D coindependent.  Since host / C depends only
@@ -43,12 +42,12 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations
 from typing import Iterable, Iterator
 
 from . import catalog
+# verify_witness is bound here only for bench/, which reads it at this module.
+from .audit import MinorWitness, verify_witness  # noqa: F401
 from .errors import CapacityError, InputError, MatroidError
-from .gf2 import rank_of_vectors
 # element_profiles is bound here for bench/tracer.py, which wraps it in this
 # module; the search itself reaches it through circuit_signature.
 from .iso import (  # noqa: F401
@@ -76,30 +75,6 @@ TARGET_LIMIT = 12
 
 # Tutte's excluded minors for graphicness of a binary matroid.
 GRAPHICNESS_EXCLUDED = ("F7", "F7*", "M*(K5)", "M*(K33)")
-
-
-@dataclass(frozen=True)
-class MinorWitness:
-    """Certificate that a host contains a minor isomorphic to a target.
-
-    ``mapping`` pairs each target element with the surviving host element it
-    corresponds to; contracting ``contract_set`` and deleting ``delete_set``
-    leaves exactly the survivors.
-    """
-
-    contract_set: frozenset[str]
-    delete_set: frozenset[str]
-    mapping: tuple[tuple[str, str], ...]
-
-    def survivors(self) -> frozenset[str]:
-        return frozenset(h for _, h in self.mapping)
-
-    def as_dict(self) -> dict:
-        return {
-            "contract": sorted(self.contract_set),
-            "delete": sorted(self.delete_set),
-            "map": {t: h for t, h in self.mapping},
-        }
 
 
 @dataclass(frozen=True)
@@ -389,90 +364,6 @@ def has_minor(host: BinaryMatroid, target: BinaryMatroid) -> bool:
     return find_minor_witness(host, target) is not None
 
 
-# -- independent witness audit ---------------------------------------------------
-
-
-def _circuits_from_rank(elements: list[str], rank_fn) -> set[frozenset[str]]:
-    """Minimal dependent sets of a rank function, by subset enumeration."""
-    circuits: set[frozenset[str]] = set()
-    for size in range(1, len(elements) + 1):
-        for combo in combinations(elements, size):
-            s = frozenset(combo)
-            if any(c <= s for c in circuits):
-                continue
-            if rank_fn(s) < size:
-                circuits.add(s)
-    return circuits
-
-
-def verify_witness(
-    host: BinaryMatroid, target: BinaryMatroid, w: MinorWitness
-) -> bool:
-    """Recompute the minor named by ``w`` straight from the rank oracle.
-
-    Structural defects (overlapping sets, non-bijections, labels outside the
-    ground sets, elements left unaccounted for) raise InputError; a
-    well-formed witness that names a different minor returns False.
-    """
-    mapping = dict(w.mapping)
-    if len(mapping) != len(w.mapping):
-        raise InputError("witness mapping repeats a target element")
-    survivors = list(mapping.values())
-    if len(set(survivors)) != len(survivors):
-        raise InputError("witness mapping is not injective")
-    if set(mapping) != set(target.ground_set):
-        raise InputError("witness mapping must cover the target ground set")
-    for lab in w.contract_set | w.delete_set | set(survivors):
-        if lab not in host.ground_set:
-            raise InputError(f"witness references unknown host element {lab!r}")
-    if w.contract_set & w.delete_set:
-        raise InputError("witness contract and delete sets overlap")
-    surv_set = frozenset(survivors)
-    if (w.contract_set | w.delete_set) & surv_set:
-        raise InputError("witness survivors overlap contract/delete sets")
-    if w.contract_set | w.delete_set | surv_set != host.ground_set:
-        raise InputError("witness does not account for every host element")
-
-    base = host.rank(w.contract_set)
-
-    def minor_rank(subset) -> int:
-        return host.rank(set(subset) | w.contract_set) - base
-
-    got = _circuits_from_rank(sorted(surv_set), minor_rank)
-    expected = {
-        frozenset(mapping[e] for e in c) for c in target.circuits()
-    }
-    return got == expected
-
-
-def verify_graph(m: BinaryMatroid, g: Graph) -> bool:
-    """Whether the cycle matroid of ``g`` is ``m``, edge labels as elements.
-
-    InputError unless the edge labels biject onto E(m).  Each vertex star
-    (a loop's two ends cancel) must lie in the row space of [I | A], the
-    cocycle space of ``m``, and the stars must have rank r(m): the cut space
-    of ``g`` then equals that cocycle space, and a binary matroid is
-    determined by its cocycle space.  Reads only the standard-form block and
-    ranks it with ``gf2.rank_of_vectors``; it shares no code with the
-    realization.
-    """
-    labels = m.basis_labels + m.cobasis_labels
-    position = {lab: i for i, lab in enumerate(labels)}
-    # Graph already rejects repeated labels, so equal counts make a bijection.
-    if len(g.edges) != len(labels) or any(
-        lab not in position for _, _, lab in g.edges
-    ):
-        raise InputError("graph edge labels must biject onto the ground set")
-    stars = [0] * g.n_vertices
-    for u, v, lab in g.edges:
-        bit = 1 << position[lab]
-        stars[u] ^= bit
-        stars[v] ^= bit
-    k = m.a.n_rows
-    rows = [(1 << i) | (row << k) for i, row in enumerate(m.a.rows)]
-    return rank_of_vectors(stars) == k and rank_of_vectors(rows + stars) == k
-
-
 # -- graphicness -------------------------------------------------------------------
 
 
@@ -489,12 +380,12 @@ _EXHAUSTED = object()
 def graphic_certificate(m: BinaryMatroid) -> Graph | tuple[str, MinorWitness]:
     """A graph realizing ``m``, or the name and witness of an excluded minor.
 
-    The graph's edge labels are the elements of ``m``; ``verify_graph``
+    The graph's edge labels are the elements of ``m``; ``audit.verify_graph``
     checks it.  When no graph exists, Tutte's theorem guarantees one of
     ``GRAPHICNESS_EXCLUDED`` as a minor: the four searches run round-robin,
     one contract set each per turn in ``GRAPHICNESS_EXCLUDED`` order, and
     the first hit is returned with its ``MinorWitness``, which
-    ``verify_witness`` checks against ``catalog.get_named(name)``.
+    ``audit.verify_witness`` checks against ``catalog.get_named(name)``.
     """
     if m.size > HOST_LIMIT:
         raise CapacityError(

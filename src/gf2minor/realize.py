@@ -6,8 +6,8 @@ subdivided back afterwards; the cosimple rest of rank r >= 2 is graphic
 exactly when r + 1 of its cocircuits, the vertex stars, cover every element
 twice and have rank r.  It answers None for a matroid that is not graphic;
 ``minors.graphic_certificate`` then finds an excluded minor instead.  Only
-bitmask elimination is used here, never ``gf2.rank_of_vectors``, so that
-``minors.verify_graph`` shares no code with the realization it checks.
+bitmask elimination is used here, never the rank routine of ``audit``, so
+that ``audit.verify_graph`` shares no code with the realization it checks.
 """
 
 from __future__ import annotations

@@ -20,6 +20,7 @@ from __future__ import annotations
 from collections import Counter
 from random import Random
 
+from gf2minor.audit import MinorWitness, verify_witness
 from gf2minor.catalog import entries, get_named
 from gf2minor.certify import builtin_cases, replay_all, replay_case
 from gf2minor.errors import InputError
@@ -34,11 +35,9 @@ from gf2minor.matroid import (
     delete,
 )
 from gf2minor.minors import (
-    MinorWitness,
     find_minor_witness,
     is_graphic,
     covering_cocircuit_witness,
-    verify_witness,
 )
 
 from gen import random_matroid, relabeled_copy

@@ -146,7 +146,7 @@ def _graph_lines(out: str) -> tuple[int, list[tuple[int, int, str]]]:
 
 def test_graphic_certificate_prints_a_checked_graph(capsys):
     from gf2minor.matroid import Graph
-    from gf2minor.minors import verify_graph
+    from gf2minor.audit import verify_graph
 
     code, out, err = run(capsys, "graphic", "--certificate", "--matroid", "g6")
     assert code == 0 and err == ""
@@ -156,7 +156,7 @@ def test_graphic_certificate_prints_a_checked_graph(capsys):
 
 
 def test_graphic_certificate_prints_a_checked_witness(capsys):
-    from gf2minor.minors import MinorWitness, verify_witness
+    from gf2minor.audit import MinorWitness, verify_witness
 
     code, out, err = run(capsys, "graphic", "--certificate", "--matroid", "r16")
     assert code == 1 and err == ""

@@ -17,6 +17,7 @@ from random import Random
 import pytest
 
 from gf2minor import minors
+from gf2minor.audit import verify_graph, verify_witness
 from gf2minor.catalog import catalog_names, get_named
 from gf2minor.errors import CapacityError, InputError
 from gf2minor.gf2 import Gf2Matrix
@@ -29,8 +30,6 @@ from gf2minor.matroid import (
 from gf2minor.minors import (
     GRAPHICNESS_EXCLUDED,
     graphic_certificate,
-    verify_graph,
-    verify_witness,
 )
 
 from gen import planted_host, random_graph, random_matroid

@@ -8,6 +8,7 @@ from random import Random
 import pytest
 
 from gf2minor import minors
+from gf2minor.audit import MinorWitness, verify_witness
 from gf2minor.catalog import get_named
 from gf2minor.errors import CapacityError, InputError
 from gf2minor.gf2 import Gf2Matrix
@@ -20,13 +21,11 @@ from gf2minor.matroid import (
     delete,
 )
 from gf2minor.minors import (
-    MinorWitness,
     check_graphic_cocircuits,
     find_minor_witness,
     has_minor,
     is_graphic,
     covering_cocircuit_witness,
-    verify_witness,
     _coloops,
     _contract_sets,
     _eliminate,
