@@ -34,7 +34,7 @@ from .errors import (
     PivotError,
 )
 from .gf2 import Gf2Matrix, rank_of_vectors
-from .iso import IsoSignature, find_isomorphism, is_isomorphic, signature
+from .iso import find_isomorphism, is_isomorphic
 from .matroid import (
     BinaryMatroid,
     Graph,
@@ -69,7 +69,6 @@ __all__ = [
     "Gf2Matrix",
     "Graph",
     "InputError",
-    "IsoSignature",
     "MatroidError",
     "MinorOp",
     "MinorWitness",
@@ -100,7 +99,6 @@ __all__ = [
     "rank_of_vectors",
     "replay_all",
     "replay_case",
-    "signature",
     "verify_graph",
     "verify_witness",
     "write_matrix_file",

@@ -115,21 +115,6 @@ class Gf2Matrix:
 
     # -- operations -----------------------------------------------------------
 
-    def rank_of_columns(self, cols: Iterable[int]) -> int:
-        """GF(2) rank of the submatrix formed by the selected columns."""
-        seen = set()
-        vectors = []
-        for j in cols:
-            self._check_col(j)
-            if j not in seen:  # repeated indices cannot raise the rank
-                seen.add(j)
-                vectors.append(self.col_bits(j))
-        return rank_of_vectors(vectors)
-
-    def rank(self) -> int:
-        """GF(2) rank of the whole matrix."""
-        return rank_of_vectors(self.rows)
-
     def pivot(self, i: int, j: int) -> Gf2Matrix:
         """Basis-exchange pivot at a nonzero entry ``(i, j)``.
 

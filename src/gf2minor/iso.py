@@ -1,142 +1,109 @@
-"""Isomorphism of small binary matroids via circuit-set bijection search.
+"""Isomorphism of small binary matroids by matching circuit bitmasks.
 
 Two matroids are isomorphic iff some bijection of their ground sets maps the
 circuit set of one exactly onto the other's (circuits determine a matroid).
-A cheap invariant signature filters first; the backtracking search then
-assigns elements rarest-profile-class first and prunes as soon as a fully
-mapped circuit lands outside the target circuit set.
-
-``circuit_signature`` is the one place the label-free invariants (element
-count, rank, loop and coloop counts, circuit-size and element-profile
-multisets) are computed: ``signature``, ``find_isomorphism`` and the minor
-search's target data and survivor filter all call it.
+``match_circuits`` is the one kernel: it works on circuits as bitmasks over
+element positions, so ``find_isomorphism`` and the minor search's survivor
+sets share it without building label sets.  It profiles each side once,
+rejects a different circuit count or element-profile multiset, and then
+backtracks, assigning positions rarest-profile-class first and pruning as
+soon as a fully mapped circuit lands outside the other circuit set.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Collection, Iterable
+from typing import Iterable
 
-from .matroid import BinaryMatroid
+from .matroid import BinaryMatroid, mask_positions
 
 Profile = tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
-class IsoSignature:
-    """Label-free invariants; equal for isomorphic matroids."""
-
-    n_elements: int
-    rank: int
-    n_loops: int
-    n_coloops: int
-    circuit_sizes: tuple[tuple[int, int], ...]
-    element_profiles: tuple[Profile, ...]
-
-
 def element_profiles(
-    elements: Iterable[str], circuits: Iterable[frozenset[str]]
-) -> dict[str, Profile]:
-    """Per-element multiset of (circuit size, how many such circuits hit it)."""
-    per: dict[str, Counter] = {e: Counter() for e in elements}
+    positions: Iterable[int], circuits: Iterable[int]
+) -> dict[int, Profile]:
+    """Per-position multiset of (circuit size, how many such circuits hit it)."""
+    per: dict[int, Counter] = {p: Counter() for p in positions}
     for c in circuits:
-        for e in c:
-            per[e][len(c)] += 1
-    return {e: tuple(sorted(cnt.items())) for e, cnt in per.items()}
-
-
-def circuit_signature(
-    elements: Iterable[str], rank: int, circuits: Collection[frozenset[str]]
-) -> IsoSignature:
-    """Invariants of the matroid of the given rank with these circuits.
-
-    Loops are the 1-element circuits and coloops the elements in no circuit,
-    so only the rank has to come from outside.
-    """
-    profiles = element_profiles(elements, circuits)
-    return IsoSignature(
-        n_elements=len(profiles),
-        rank=rank,
-        n_loops=sum(len(c) == 1 for c in circuits),
-        n_coloops=sum(not p for p in profiles.values()),
-        circuit_sizes=tuple(sorted(Counter(len(c) for c in circuits).items())),
-        element_profiles=tuple(sorted(profiles.values())),
-    )
-
-
-def signature(m: BinaryMatroid) -> IsoSignature:
-    """Invariants of ``m``; m.circuits() enforces the enumeration limit."""
-    return circuit_signature(m.elements(), m.full_rank, m.circuits())
+        size = c.bit_count()
+        for p in mask_positions(c):
+            per[p][size] += 1
+    return {p: tuple(sorted(cnt.items())) for p, cnt in per.items()}
 
 
 def match_circuits(
-    elements1: Iterable[str],
-    circuits1: Iterable[frozenset[str]],
-    elements2: Iterable[str],
-    circuits2: Iterable[frozenset[str]],
-) -> dict[str, str] | None:
-    """Bijection elements1 -> elements2 mapping circuits1 onto circuits2.
+    positions1: Iterable[int],
+    circuits1: Iterable[int],
+    positions2: Iterable[int],
+    circuits2: Iterable[int],
+) -> dict[int, int] | None:
+    """Bijection positions1 -> positions2 mapping circuits1 onto circuits2.
 
-    Works on raw circuit families, so minor-search candidates can be tested
-    without building matroid objects.  Returns the first bijection in the
-    deterministic search order, or None.  The answer is exact for any
-    families: callers compare ``circuit_signature`` first only to skip
-    hopeless pairs, and the search maps each element to one of equal profile.
+    Circuits are bitmasks over the positions.  The answer is exact for any
+    families.  Equal profile multisets are necessary: a coloop has the empty
+    profile, and summing count_k over the positions gives k times the number
+    of k-element circuits, loops included.  Positions of side 1 are assigned
+    rarest profile class first, ties in the order given; each is tried
+    against the positions of side 2 with its profile, in the order given.
+    Returns the first bijection in that order, or None.
     """
-    elems1 = sorted(elements1)
-    elems2 = sorted(elements2)
-    circ1 = list(circuits1)
-    circ2set = frozenset(circuits2)
-    if len(elems1) != len(elems2) or len(circ1) != len(circ2set):
+    pos1, pos2 = list(positions1), list(positions2)
+    circ1, circ2 = list(circuits1), frozenset(circuits2)
+    if len(pos1) != len(pos2) or len(circ1) != len(circ2):
+        return None
+    prof1 = element_profiles(pos1, circ1)
+    prof2 = element_profiles(pos2, circ2)
+    if sorted(prof1.values()) != sorted(prof2.values()):
         return None
 
-    prof1 = element_profiles(elems1, circ1)
-    prof2 = element_profiles(elems2, circ2set)
     class_size = Counter(prof1.values())
-    order = sorted(elems1, key=lambda e: (class_size[prof1[e]], prof1[e], e))
-    pos = {e: i for i, e in enumerate(order)}
-    candidates = {
-        e: [f for f in elems2 if prof2[f] == prof1[e]] for e in elems1
-    }
-    # Circuits become checkable once their latest-ordered element is placed.
-    check_at: list[list[frozenset[str]]] = [[] for _ in order]
+    order = sorted(pos1, key=lambda p: (class_size[prof1[p]], prof1[p]))
+    step = {p: i for i, p in enumerate(order)}
+    candidates = [[q for q in pos2 if prof2[q] == prof1[p]] for p in order]
+    # Circuits become checkable once their latest-ordered position is placed.
+    check_at: list[list[tuple[int, ...]]] = [[] for _ in order]
     for c in circ1:
-        check_at[max(pos[e] for e in c)].append(c)
+        members = tuple(mask_positions(c))
+        check_at[max(step[p] for p in members)].append(members)
 
-    assign: dict[str, str] = {}
-    used: set[str] = set()
+    image: dict[int, int] = {}  # side-1 position -> bit of its image
 
-    def dfs(i: int) -> bool:
+    def dfs(i: int, used: int) -> bool:
         if i == len(order):
             return True
-        e = order[i]
-        for f in candidates[e]:
-            if f in used:
+        p = order[i]
+        for q in candidates[i]:
+            bit = 1 << q
+            if used & bit:
                 continue
-            assign[e] = f
-            used.add(f)
+            image[p] = bit
+            # Images are distinct bits, so their sum is the image mask.
             if all(
-                frozenset(assign[x] for x in c) in circ2set
-                for c in check_at[i]
-            ) and dfs(i + 1):
+                sum(image[x] for x in c) in circ2 for c in check_at[i]
+            ) and dfs(i + 1, used | bit):
                 return True
-            used.discard(f)
-            del assign[e]
         return False
 
-    if dfs(0):
-        return dict(assign)
+    if dfs(0, 0):
+        return {p: image[p].bit_length() - 1 for p in order}
     return None
 
 
 def find_isomorphism(m1: BinaryMatroid, m2: BinaryMatroid) -> dict[str, str] | None:
-    """Witnessing bijection E(m1) -> E(m2), or None."""
-    c1, c2 = m1.circuits(), m2.circuits()
-    sig1 = circuit_signature(m1.elements(), m1.full_rank, c1)
-    if sig1 != circuit_signature(m2.elements(), m2.full_rank, c2):
+    """Witnessing bijection E(m1) -> E(m2), or None.
+
+    Elements are tried in label order; ``circuit_masks`` enforces the
+    enumeration limit.
+    """
+    e1, e2 = m1.elements(), m2.elements()
+    mapping = match_circuits(
+        sorted(range(m1.size), key=e1.__getitem__), m1.circuit_masks(),
+        sorted(range(m2.size), key=e2.__getitem__), m2.circuit_masks(),
+    )
+    if mapping is None:
         return None
-    return match_circuits(m1.elements(), c1, m2.elements(), c2)
+    return {e1[p]: e2[q] for p, q in mapping.items()}
 
 
 def is_isomorphic(m1: BinaryMatroid, m2: BinaryMatroid) -> bool:

@@ -315,8 +315,8 @@ class BinaryMatroid:
             self.a.col_bits(j) | (1 << (r + j)) for j in range(self.a.n_cols)
         ]
 
-    def circuits(self) -> frozenset[frozenset[str]]:
-        """All minimal dependent sets.
+    def circuit_masks(self) -> list[int]:
+        """All minimal dependent sets, as bitmasks over elements() positions.
 
         Enumerates the full cycle space (supports of null-space vectors of
         [I | A]) by Gray-code XOR over the fundamental vectors and keeps the
@@ -327,9 +327,12 @@ class BinaryMatroid:
                 f"circuit enumeration limited to {CIRCUIT_ENUM_LIMIT} elements, "
                 f"got {self.size}"
             )
-        masks = minimal_supports(self.fundamental_cycles())
+        return minimal_supports(self.fundamental_cycles())
+
+    def circuits(self) -> frozenset[frozenset[str]]:
+        """All minimal dependent sets, by label; see ``circuit_masks``."""
         elems = self.elements()
-        return frozenset(mask_to_labels(m, elems) for m in masks)
+        return frozenset(mask_to_labels(m, elems) for m in self.circuit_masks())
 
     def cocircuits(self) -> frozenset[frozenset[str]]:
         """Circuits of the dual."""

@@ -30,10 +30,8 @@ left has a series pair: restricting never removes a series pair, so every
 spanning survivor set would keep a cocircuit of size at most 2.  Each
 survivor set must then have the target's cycle-space weight histogram (a
 label-free invariant, checked with an early exit) before its circuits are
-extracted.
-Its ``iso.circuit_signature`` (loop and coloop counts, circuit-size and
-profile multisets) must then equal the target's, which is computed by the
-same function once per search, before the full isomorphism test runs.
+extracted as bitmasks and handed to ``iso.match_circuits``, which rejects a
+different element-profile multiset before it searches for the bijection.
 All enumeration guards raise CapacityError rather than degrade silently.
 """
 
@@ -49,20 +47,14 @@ from . import catalog
 from .audit import MinorWitness, verify_witness  # noqa: F401
 from .errors import CapacityError, InputError, MatroidError
 # element_profiles is bound here for bench/tracer.py, which wraps it in this
-# module; the search itself reaches it through circuit_signature.
-from .iso import (  # noqa: F401
-    IsoSignature,
-    circuit_signature,
-    element_profiles,
-    match_circuits,
-)
+# module; the search itself reaches it through match_circuits.
+from .iso import element_profiles, match_circuits  # noqa: F401
 from .matroid import (
     BinaryMatroid,
     Graph,
     MinorOp,
     has_weight_histogram,
     mask_positions,
-    mask_to_labels,
     minimal_supports,
     weight_histogram,
 )
@@ -80,22 +72,34 @@ GRAPHICNESS_EXCLUDED = ("F7", "F7*", "M*(K5)", "M*(K33)")
 @dataclass(frozen=True)
 class _TargetData:
     elements: tuple[str, ...]
-    circuits: frozenset[frozenset[str]]
-    sig: IsoSignature
+    rank: int
+    n_coloops: int
+    simple_loopfree: bool  # every circuit has at least 3 elements
+    positions: tuple[int, ...]  # of elements, in label order
+    circuits: tuple[int, ...]  # bitmasks over positions
     histogram: tuple[int, ...]
     cosimple: bool  # no cocircuit of size at most 2
 
 
 def _target_data(target: BinaryMatroid) -> _TargetData:
-    elements, circuits = target.elements(), target.circuits()
+    elements, circuits = target.elements(), tuple(target.circuit_masks())
     cycles = target.fundamental_cycles()
+    everything = (1 << target.size) - 1
     return _TargetData(
         elements=elements,
+        rank=target.full_rank,
+        n_coloops=_coloops(cycles, everything),
+        simple_loopfree=all(c.bit_count() >= 3 for c in circuits),
+        positions=tuple(_by_label(elements, everything)),
         circuits=circuits,
-        sig=circuit_signature(elements, target.full_rank, circuits),
         histogram=weight_histogram(cycles),
-        cosimple=not _has_small_cocircuit(cycles, (1 << target.size) - 1),
+        cosimple=not _has_small_cocircuit(cycles, everything),
     )
+
+
+def _by_label(elems: tuple[str, ...], mask: int) -> list[int]:
+    """Positions of the set bits of ``mask``, in label order."""
+    return sorted(mask_positions(mask), key=elems.__getitem__)
 
 
 def _eliminate(vectors: list[int], bit: int) -> list[int] | None:
@@ -190,8 +194,8 @@ def _has_small_cocircuit(vectors: list[int], alive: int) -> bool:
 
 def _survivor_search(
     cycles: list[int], pool: list[int], tgt: _TargetData, elems: tuple[str, ...]
-) -> dict[str, str] | None:
-    """Bijection from tgt onto survivors S within ``pool``, or None.
+) -> dict[int, int] | None:
+    """Bijection from tgt's positions onto survivors S within ``pool``, or None.
 
     ``cycles`` is a basis of the cycle space of host / C, as bitmasks over
     host positions.  The circuits of (host / C) \\ D are the minimal supports
@@ -207,7 +211,7 @@ def _survivor_search(
     {e, f}, so S & {e, f} holds a cocircuit of M|S of size at most 2.
     Elements of host / C outside the pool are deleted up front.
     """
-    t = tgt.sig.n_elements
+    t = len(tgt.elements)
     n_pool = len(pool)
     if t > n_pool:
         return None
@@ -225,12 +229,15 @@ def _survivor_search(
     def dead(vectors: list[int], alive: int) -> bool:
         if tgt.cosimple:
             return _has_small_cocircuit(vectors, alive)
-        return _coloops(vectors, alive) > tgt.sig.n_coloops
+        return _coloops(vectors, alive) > tgt.n_coloops
 
     def test(vectors: list[int], smask: int):
         if not has_weight_histogram(vectors, tgt.histogram):
             return None
-        return _match_candidate(vectors, smask, tgt, elems)
+        return match_circuits(
+            tgt.positions, tgt.circuits,
+            _by_label(elems, smask), minimal_supports(vectors),
+        )
 
     def walk(i: int, need: int, vectors: list[int], smask: int, alive: int):
         if need == n_pool - i:  # every remaining element survives
@@ -258,21 +265,6 @@ def _survivor_search(
     if dead(cycles, alive):
         return None
     return walk(0, t, cycles, 0, alive)
-
-
-def _match_candidate(
-    vectors: list[int], smask: int, tgt: _TargetData, elems: tuple[str, ...]
-) -> dict[str, str] | None:
-    """Invariant filters, then the circuit bijection, for one survivor set."""
-    labels = mask_to_labels(smask, elems)
-    cand_circuits = [
-        mask_to_labels(cm, elems)
-        for cm in (minimal_supports(vectors) if vectors else [])
-    ]
-    # S spans host / C, so its rank is the target's.
-    if circuit_signature(labels, tgt.sig.rank, cand_circuits) != tgt.sig:
-        return None
-    return match_circuits(tgt.elements, tgt.circuits, labels, cand_circuits)
 
 
 def find_minor_witness(
@@ -318,12 +310,11 @@ def _minor_steps(
     witness for one that hits, in the order ``find_minor_witness`` tries
     them; callers stop at the first witness.
     """
-    c_size = host.full_rank - tgt.sig.rank
+    c_size = host.full_rank - tgt.rank
     # d_size is corank(host) - corank(target).
-    d_size = host.size - c_size - tgt.sig.n_elements
+    d_size = host.size - c_size - len(tgt.elements)
     if c_size < 0 or d_size < 0:
         return
-    simple_loopfree = all(size >= 3 for size, _ in tgt.sig.circuit_sizes)
 
     elems = host.elements()
     columns = [host.full_column(e) for e in elems]
@@ -336,7 +327,7 @@ def _minor_steps(
         # C is independent, so clearing its bits maps the host's cycle
         # space one-to-one onto that of host / C: still a basis.
         cycles = [v & ~cmask for v in fundamental]
-        if simple_loopfree:
+        if tgt.simple_loopfree:
             # The target has no loops and no parallel pairs, so a valid
             # survivor set takes at most one element per parallel class of
             # host / C and no loops; parallel elements are interchangeable
@@ -353,10 +344,11 @@ def _minor_steps(
             yield None
             continue
         contract_set = frozenset(elems[i] for i in combo)
+        pairs = sorted((tgt.elements[p], elems[q]) for p, q in mapping.items())
         yield MinorWitness(
             contract_set=contract_set,
-            delete_set=host.ground_set - contract_set - set(mapping.values()),
-            mapping=tuple(sorted(mapping.items())),
+            delete_set=host.ground_set - contract_set - {h for _, h in pairs},
+            mapping=tuple(pairs),
         )
 
 

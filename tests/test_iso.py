@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from random import Random
 
 import pytest
@@ -10,11 +11,10 @@ from gf2minor.catalog import entries, get_named
 from gf2minor.errors import CapacityError
 from gf2minor.gf2 import Gf2Matrix
 from gf2minor.iso import (
-    circuit_signature,
+    element_profiles,
     find_isomorphism,
     is_isomorphic,
     match_circuits,
-    signature,
 )
 from gf2minor.matroid import (
     BinaryMatroid,
@@ -23,6 +23,7 @@ from gf2minor.matroid import (
     contract,
     cycle_matroid,
     delete,
+    mask_positions,
     mask_to_labels,
     minimal_supports,
 )
@@ -35,35 +36,43 @@ from oracles import (
 )
 
 
+def profile_multiset(m: BinaryMatroid) -> list:
+    return sorted(element_profiles(range(m.size), m.circuit_masks()).values())
+
+
 def test_signature_k5():
-    sig = signature(get_named("M(K5)"))
-    assert sig.n_elements == 10
-    assert sig.rank == 4
-    assert sig.n_loops == 0 and sig.n_coloops == 0
-    assert sig.circuit_sizes == ((3, 10), (4, 15), (5, 12))
+    k5 = get_named("M(K5)")
+    masks = k5.circuit_masks()
+    assert Counter(c.bit_count() for c in masks) == {3: 10, 4: 15, 5: 12}
     # K5 is edge-transitive: every element shows the same profile.
-    assert len(set(sig.element_profiles)) == 1
+    assert len(set(profile_multiset(k5))) == 1
 
 
 def test_signature_empty():
     m = BinaryMatroid.from_standard_form(Gf2Matrix.zeros(0, 0), [], [])
-    sig = signature(m)
-    assert (sig.n_elements, sig.rank, sig.n_loops, sig.n_coloops) == (0, 0, 0, 0)
-    assert sig.circuit_sizes == ()
-    assert sig.element_profiles == ()
+    assert find_isomorphism(m, m) == {}
 
 
 def test_signature_is_label_free():
     rng = Random(8)
     for _ in range(20):
         m = random_matroid(rng, 10)
-        assert signature(m) == signature(relabeled_copy(rng, m))
+        assert profile_multiset(m) == profile_multiset(relabeled_copy(rng, m))
+        # Re-pivoting moves elements to other positions; the multiset stays.
+        ones = [
+            (i, j) for i in range(m.a.n_rows) for j in range(m.a.n_cols)
+            if m.a.entry(i, j)
+        ]
+        if ones:
+            i, j = rng.choice(ones)
+            moved = m.exchange(m.basis_labels[i], m.cobasis_labels[j])
+            assert profile_multiset(moved) == profile_multiset(m)
 
 
 def test_circuit_signature_of_masked_cycles_matches_the_built_minor():
     # The minor search's view of (host / C) \ D: the host's fundamental
-    # cycles with C's bits cleared, keeping the circuits inside the
-    # survivors S.  Its signature must be that of the minor apply_ops builds.
+    # cycles with C's bits cleared, keeping the circuit masks inside the
+    # survivors S.  They must be the circuits of the minor apply_ops builds.
     rng = Random(9091)
     done = 0
     while done < 60:
@@ -77,20 +86,25 @@ def test_circuit_signature_of_masked_cycles_matches_the_built_minor():
         cmask = sum(1 << elems.index(e) for e in c)
         smask = sum(1 << elems.index(e) for e in s)
         masked = [v & ~cmask for v in host.fundamental_cycles()]
-        circuits = [
-            mask_to_labels(m, elems)
-            for m in minimal_supports(masked) if not m & ~smask
-        ]
+        circuits = [m for m in minimal_supports(masked) if not m & ~smask]
         minor = host.apply_ops(
             [contract(e) for e in c] + [delete(e) for e in rest if e not in s]
         )
-        rank = host.rank(s | set(c)) - len(c)
-        sig = circuit_signature(s, rank, circuits)
-        assert sig == signature(minor)
-        # Loops and coloops read off the circuits agree with the matrix.
-        assert (sig.n_elements, sig.rank, sig.n_loops, sig.n_coloops) == (
-            minor.size, minor.full_rank, len(minor.loops()), len(minor.coloops())
+        assert {mask_to_labels(m, elems) for m in circuits} == minor.circuits()
+        minor_elems = minor.elements()
+        mapping = match_circuits(
+            sorted(mask_positions(smask), key=elems.__getitem__), circuits,
+            sorted(range(minor.size), key=minor_elems.__getitem__),
+            minor.circuit_masks(),
         )
+        assert mapping is not None
+        # Loops and coloops read off the circuit masks agree with the matrix.
+        profiles = element_profiles(mask_positions(smask), circuits)
+        assert (
+            len(profiles),
+            sum(m.bit_count() == 1 for m in circuits),
+            sum(not p for p in profiles.values()),
+        ) == (minor.size, len(minor.loops()), len(minor.coloops()))
         done += 1
 
 
@@ -99,7 +113,7 @@ def test_signature_capacity_guard():
         Gf2Matrix.zeros(0, 25), [], [f"s{j}" for j in range(25)]
     )
     with pytest.raises(CapacityError):
-        signature(m)
+        find_isomorphism(m, m)
 
 
 def test_reflexivity_with_identity_on_catalog():
@@ -171,13 +185,78 @@ def test_agreement_with_all_bijections_oracle():
 
 
 def test_match_circuits_on_raw_families():
-    tri1 = [frozenset("abc")]
-    tri2 = [frozenset("xyz")]
-    mapping = match_circuits("abc", tri1, "xyz", tri2)
-    assert mapping is not None and sorted(mapping) == ["a", "b", "c"]
-    assert match_circuits("abc", tri1, "xyz", [frozenset("xy")]) is None
-    # Same circuit sizes, different profiles (w is on both triangles and z
-    # is a coloop): only the profile-restricted search can say no.
-    two = [frozenset("abc"), frozenset("def")]
-    bowtie = [frozenset("uvw"), frozenset("wxy")]
-    assert match_circuits("abcdef", two, "uvwxyz", bowtie) is None
+    tri1 = [0b111]
+    tri2 = [0b111000]
+    mapping = match_circuits([0, 1, 2], tri1, [3, 4, 5], tri2)
+    assert mapping is not None and sorted(mapping) == [0, 1, 2]
+    assert sorted(mapping.values()) == [3, 4, 5]
+    assert match_circuits([0, 1, 2], tri1, [3, 4, 5], [0b11000]) is None
+    # Same circuit sizes, different profiles (2 is on both triangles and 5
+    # is a coloop): only the profile comparison or the search can say no.
+    two = [0b000111, 0b111000]
+    bowtie = [0b000111, 0b011100]
+    assert match_circuits(range(6), two, range(6), bowtie) is None
+
+
+def _switched(rng: Random, family: set[int]) -> set[int]:
+    """``family`` with one element swapped between two sets of equal size.
+
+    Every element keeps its profile, so the profile multiset is unchanged;
+    the result may or may not be isomorphic to ``family``.
+    """
+    sets = sorted(family)
+    pairs = [
+        (a, b) for a in sets for b in sets
+        if a < b and a.bit_count() == b.bit_count()
+    ]
+    if not pairs:
+        return set(family)
+    a, b = rng.choice(pairs)
+    x = rng.choice(list(mask_positions(a & ~b)))
+    y = rng.choice(list(mask_positions(b & ~a)))
+    out = set(family) - {a, b}
+    out |= {a ^ (1 << x) ^ (1 << y), b ^ (1 << x) ^ (1 << y)}
+    return out
+
+
+def as_sets(family: set[int]) -> set[frozenset[int]]:
+    return {frozenset(mask_positions(c)) for c in family}
+
+
+def test_match_circuits_agrees_with_all_bijections_oracle():
+    rng = Random(707)
+    verdicts = Counter()
+    equal_profiles_rejected = 0
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        fam1 = {rng.randrange(1, 1 << n) for _ in range(rng.randint(1, 8))}
+        roll = rng.random()
+        if roll < 0.3:
+            perm = list(range(n))
+            rng.shuffle(perm)
+            fam2 = {
+                sum(1 << perm[p] for p in mask_positions(c)) for c in fam1
+            }
+        elif roll < 0.8:
+            fam2 = _switched(rng, fam1)
+        else:
+            fam2 = {rng.randrange(1, 1 << n) for _ in range(len(fam1))}
+        order2 = list(range(n))
+        rng.shuffle(order2)
+        mapping = match_circuits(range(n), fam1, order2, fam2)
+        expected = isomorphic_all_bijections(
+            range(n), as_sets(fam1), range(n), as_sets(fam2)
+        )
+        assert (mapping is not None) == expected
+        verdicts[expected] += 1
+        if mapping is not None:
+            assert sorted(mapping) == sorted(mapping.values()) == list(range(n))
+            assert bijection_maps_circuits(mapping, as_sets(fam1), as_sets(fam2))
+        elif len(fam1) == len(fam2) and (
+            sorted(element_profiles(range(n), fam1).values())
+            == sorted(element_profiles(range(n), fam2).values())
+        ):
+            equal_profiles_rejected += 1
+    assert verdicts[True] and verdicts[False]
+    # The search itself, not only the profile comparison, must say no.
+    assert equal_profiles_rejected
