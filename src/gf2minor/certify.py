@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import re
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Iterable
@@ -22,7 +21,9 @@ from . import catalog
 from .audit import MinorWitness, verify_witness
 from .errors import InputError, MatroidError
 from .matroid import CONTRACT, DELETE, BinaryMatroid, MinorOp, OpTrace
-from .minors import find_minor_witness
+# find_minor_witness is bound here only for bench/tracer.py, which wraps it
+# in this module; replay searches catalog targets through find_named_minor.
+from .minors import find_minor_witness, find_named_minor  # noqa: F401
 
 DIRECT = "direct"  # contractions in a graphic base, targets M(K5)/M(K33)
 DUAL = "dual"      # deletions, targets M*(K5)/M*(K33)
@@ -222,7 +223,7 @@ def replay_case(case: CertificateCase) -> ReplayReport:
         verdict: str | None = None
         witness: MinorWitness | None = None
         for target_name in case.targets:
-            w = find_minor_witness(host, catalog.get_named(target_name))
+            w = find_named_minor(host, target_name)
             if w is not None:
                 verdict, witness = target_name, w
                 break
@@ -282,6 +283,10 @@ def replay_all(
     start = perf_counter()
     case_list = list(builtin_cases() if cases is None else cases)
     if jobs > 1 and len(case_list) > 1:
+        # Imported here: the process pool costs about 2 MB to import, and
+        # only a fanned-out replay needs it.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             reports = list(pool.map(_replay_or_error, case_list))
     else:

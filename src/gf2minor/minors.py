@@ -23,21 +23,26 @@ as soon as a position it passed over falls into the span.  Nothing is
 rebuilt per contract set: the cycle space of host / C is the host's
 fundamental cycle bitmasks with C's bits cleared, and deleting a survivor
 candidate is one elimination step on that basis.  Survivor sets are walked
-depth-first in lexicographic order, pruned as soon as what is left stops
-spanning host / C or has more coloops than the target.  For a cosimple
-target (no cocircuit of size at most 2) a branch is also pruned when what is
-left has a series pair: restricting never removes a series pair, so every
-spanning survivor set would keep a cocircuit of size at most 2.  Each
-survivor set must then have the target's cycle-space weight histogram (a
-label-free invariant, checked with an early exit) before its circuits are
-extracted as bitmasks and handed to ``iso.match_circuits``, which rejects a
-different element-profile multiset before it searches for the bijection.
-All enumeration guards raise CapacityError rather than degrade silently.
+depth-first in lexicographic order, one per count vector over the parallel
+classes and loops of host / C (an automorphism swaps two in a class): the
+earliest members of each, at most the target's largest class or loop count,
+which come first, so the first hit is unchanged.  The walk is pruned as soon
+as what is left stops spanning host / C or has more coloops than the target.
+For a cosimple target (no cocircuit of size at most 2) a branch is also
+pruned when what is left has a series pair: restricting never removes a
+series pair, so every spanning survivor set would keep a cocircuit of size
+at most 2.  Each survivor set must then have the target's cycle-space weight
+histogram (a label-free invariant, checked with an early exit) before its
+circuits are extracted as bitmasks and handed to ``iso.match_circuits``,
+which rejects a different element-profile multiset before it searches for
+the bijection.  All enumeration guards raise CapacityError rather than
+degrade silently.
 """
 
 from __future__ import annotations
 
 import logging
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from typing import Iterable, Iterator
@@ -74,7 +79,8 @@ class _TargetData:
     elements: tuple[str, ...]
     rank: int
     n_coloops: int
-    simple_loopfree: bool  # every circuit has at least 3 elements
+    n_loops: int
+    max_parallel: int  # size of the largest parallel class of non-loops
     positions: tuple[int, ...]  # of elements, in label order
     circuits: tuple[int, ...]  # bitmasks over positions
     histogram: tuple[int, ...]
@@ -85,11 +91,13 @@ def _target_data(target: BinaryMatroid) -> _TargetData:
     elements, circuits = target.elements(), tuple(target.circuit_masks())
     cycles = target.fundamental_cycles()
     everything = (1 << target.size) - 1
+    classes = Counter(filter(None, map(target.full_column, elements)))
     return _TargetData(
         elements=elements,
         rank=target.full_rank,
         n_coloops=_coloops(cycles, everything),
-        simple_loopfree=all(c.bit_count() >= 3 for c in circuits),
+        n_loops=len(target.loops()),
+        max_parallel=max(classes.values(), default=0),
         positions=tuple(_by_label(elements, everything)),
         circuits=circuits,
         histogram=weight_histogram(cycles),
@@ -193,21 +201,23 @@ def _has_small_cocircuit(vectors: list[int], alive: int) -> bool:
 
 
 def _survivor_search(
-    cycles: list[int], pool: list[int], tgt: _TargetData, elems: tuple[str, ...]
+    cycles: list[int], pool: list[int], prev: list[int], tgt: _TargetData,
+    elems: tuple[str, ...],
 ) -> dict[int, int] | None:
     """Bijection from tgt's positions onto survivors S within ``pool``, or None.
 
     ``cycles`` is a basis of the cycle space of host / C, as bitmasks over
-    host positions.  The circuits of (host / C) \\ D are the minimal supports
-    of the cycle vectors avoiding D, so deleting an element is one
+    host positions.  The circuits of (host / C) \\ D are the minimal
+    supports of the cycle vectors avoiding D, so deleting an element is one
     elimination step on the basis.  Survivor sets are visited in
     lexicographic order of their pool positions by a depth-first walk that
-    includes before it deletes, sharing each prefix's eliminations.  S must
-    span host / C (its rank is the target's rank), so a branch stops as soon
-    as it would delete a coloop of what is left; the walk therefore keeps
-    rank(alive) = r(host / C).  A branch also stops when what is left has
-    more coloops than the target, or, for a cosimple target, any coloop or
-    series pair {e, f}: every spanning S within what is left then meets
+    includes before it deletes, sharing each prefix's eliminations; pool[i]
+    survives only with prev[i], the pool members before it in its class.  S
+    must span host / C (its rank is the target's rank), so a branch stops as
+    soon as it would delete a coloop of what is left; the walk therefore
+    keeps rank(alive) = r(host / C).  A branch also stops when what is left
+    has more coloops than the target, or, for a cosimple target, any coloop
+    or series pair {e, f}: every spanning S within what is left then meets
     {e, f}, so S & {e, f} holds a cocircuit of M|S of size at most 2.
     Elements of host / C outside the pool are deleted up front.
     """
@@ -241,8 +251,10 @@ def _survivor_search(
 
     def walk(i: int, need: int, vectors: list[int], smask: int, alive: int):
         if need == n_pool - i:  # every remaining element survives
-            for idx in pool[i:]:
-                smask |= 1 << idx
+            for j in range(i, n_pool):
+                if smask & prev[j] != prev[j]:
+                    return None
+                smask |= 1 << pool[j]
             return test(vectors, smask)
         if need == 0:  # every remaining element is deleted
             for idx in pool[i:]:
@@ -251,9 +263,10 @@ def _survivor_search(
                     return None
             return test(vectors, smask)
         bit = 1 << pool[i]
-        found = walk(i + 1, need - 1, vectors, smask | bit, alive)
-        if found is not None:
-            return found
+        if smask & prev[i] == prev[i]:
+            found = walk(i + 1, need - 1, vectors, smask | bit, alive)
+            if found is not None:
+                return found
         vectors = _eliminate(vectors, bit)
         if vectors is None:
             return None
@@ -278,12 +291,24 @@ def find_minor_witness(
     rank(host) - rank(target) and each the greedy (lexicographically first)
     basis of its closure: host / C depends only on cl(C), and if C hits, so
     does the greedy basis C' of cl(C), which comes first.  Within each C,
-    survivor sets are taken in lexicographic order of host positions from
-    the pool: every element outside C, or for a simple loop-free target the
-    first element of each parallel class of host / C.  For a cosimple
+    survivor sets are taken in lexicographic order of host positions, with
+    only the earliest members in host order of each parallel class of
+    host / C and of its loops: those come first, and an automorphism swaps
+    them for any others.  For a cosimple
     target a branch whose remaining elements have a coloop or a series pair
     is cut, because restricting never removes a series pair.
     """
+    _check_capacity(host, target)
+    return _find_minor(host, _target_data(target))
+
+
+def find_named_minor(host: BinaryMatroid, name: str) -> MinorWitness | None:
+    """``find_minor_witness`` on a catalog target, its search data cached."""
+    _check_capacity(host, catalog.get_named(name))
+    return _find_minor(host, _named_target(catalog.canonical_name(name)))
+
+
+def _check_capacity(host: BinaryMatroid, target: BinaryMatroid) -> None:
     if host.size > HOST_LIMIT:
         raise CapacityError(
             f"minor search hosts limited to {HOST_LIMIT} elements, got {host.size}"
@@ -293,7 +318,12 @@ def find_minor_witness(
             f"minor search targets limited to {TARGET_LIMIT} elements, "
             f"got {target.size}"
         )
-    return _find_minor(host, _target_data(target))
+
+
+@cache
+def _named_target(name: str) -> _TargetData:
+    """Search data of the catalog entry with canonical name ``name``."""
+    return _target_data(catalog.get_named(name))
 
 
 def _find_minor(host: BinaryMatroid, tgt: _TargetData) -> MinorWitness | None:
@@ -319,7 +349,7 @@ def _minor_steps(
     elems = host.elements()
     columns = [host.full_column(e) for e in elems]
     fundamental = host.fundamental_cycles()
-    everything = range(host.size)
+    max_parallel, n_loops = tgt.max_parallel, tgt.n_loops
     for combo, reduced in _contract_sets(columns, c_size):
         cmask = 0
         for idx in combo:
@@ -327,19 +357,17 @@ def _minor_steps(
         # C is independent, so clearing its bits maps the host's cycle
         # space one-to-one onto that of host / C: still a basis.
         cycles = [v & ~cmask for v in fundamental]
-        if tgt.simple_loopfree:
-            # The target has no loops and no parallel pairs, so a valid
-            # survivor set takes at most one element per parallel class of
-            # host / C and no loops; parallel elements are interchangeable
-            # by an automorphism, so the first of each class suffices.
-            first: dict[int, int] = {}
-            for idx, col in enumerate(reduced):
-                if col:
-                    first.setdefault(col, idx)
-            pool = sorted(first.values())
-        else:
-            pool = [idx for idx in everything if not cmask >> idx & 1]
-        mapping = _survivor_search(cycles, pool, tgt, elems)
+        # Pool the first max_parallel members of each parallel class of
+        # host / C and its first n_loops loops (C itself also reduces to 0).
+        pool, prev, members = [], [], {}
+        for idx, col in enumerate(reduced):
+            before = members.get(col, 0)
+            cap = max_parallel if col else 0 if cmask >> idx & 1 else n_loops
+            if before.bit_count() < cap:
+                pool.append(idx)
+                prev.append(before)
+                members[col] = before | 1 << idx
+        mapping = _survivor_search(cycles, pool, prev, tgt, elems)
         if mapping is None:
             yield None
             continue
@@ -357,13 +385,6 @@ def has_minor(host: BinaryMatroid, target: BinaryMatroid) -> bool:
 
 
 # -- graphicness -------------------------------------------------------------------
-
-
-@cache
-def _excluded_minor_data() -> tuple[_TargetData, ...]:
-    return tuple(
-        _target_data(catalog.get_named(name)) for name in GRAPHICNESS_EXCLUDED
-    )
 
 
 _EXHAUSTED = object()
@@ -387,8 +408,7 @@ def graphic_certificate(m: BinaryMatroid) -> Graph | tuple[str, MinorWitness]:
     if graph is not None:
         return graph
     searches = {
-        name: _minor_steps(m, tgt)
-        for name, tgt in zip(GRAPHICNESS_EXCLUDED, _excluded_minor_data())
+        name: _minor_steps(m, _named_target(name)) for name in GRAPHICNESS_EXCLUDED
     }
     while searches:
         for name, steps in list(searches.items()):

@@ -17,7 +17,14 @@ from gf2minor.certify import (
 )
 from gf2minor.catalog import get_named, write_matrix_file
 from gf2minor.errors import InputError
-from gf2minor.matroid import ROUTE_CONTRACT_LOOP, MinorOp, contract
+from gf2minor.gf2 import Gf2Matrix
+from gf2minor.matroid import (
+    ROUTE_CONTRACT_LOOP,
+    BinaryMatroid,
+    MinorOp,
+    contract,
+    delete,
+)
 
 EXPECTED_K5 = {"g1", "g3", "g7", "g8", "g10", "g21", "g22", "g24", "g25",
                "g26", "g27", "g28"}
@@ -130,6 +137,27 @@ def test_replay_case_error_carries_case_name():
     )
     with pytest.raises(InputError, match="broken"):
         replay_case(case)
+
+
+def test_replay_keeps_the_search_capacity_guards():
+    # A host of 22 elements, or a catalog target of 18, exceeds the minor
+    # search's limits; replay reports the CapacityError as an InputError.
+    wide = BinaryMatroid(
+        ("b1",), tuple(f"s{j}" for j in range(22)), Gf2Matrix(1, 22, (0,))
+    )
+    cases = [
+        CertificateCase(
+            name="wide", base=write_matrix_file(wide, name="wide"),
+            ops=(delete("s0"),), targets=("M(K5)",), expected="M(K5)",
+        ),
+        CertificateCase(
+            name="big-target", base="g25", ops=(contract("r5"),),
+            targets=("g1",), expected="g1",
+        ),
+    ]
+    for case in cases:
+        with pytest.raises(InputError, match=f"{case.name}: .*limited to"):
+            replay_case(case)
 
 
 def test_replay_all_empty_list():

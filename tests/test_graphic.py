@@ -41,9 +41,10 @@ def excluded_minor_oracle(m: BinaryMatroid, first: str | None = None) -> bool:
     The target ``first`` is searched first.  The verdict does not depend on
     the order, but a non-graphic input then stops after one search.
     """
-    data = dict(zip(GRAPHICNESS_EXCLUDED, minors._excluded_minor_data()))
-    order = sorted(data, key=lambda name: name != first)
-    return all(minors._find_minor(m, data[name]) is None for name in order)
+    order = sorted(GRAPHICNESS_EXCLUDED, key=lambda name: name != first)
+    return all(
+        minors._find_minor(m, minors._named_target(name)) is None for name in order
+    )
 
 
 def certified_verdict(m: BinaryMatroid) -> tuple[bool, str | None]:

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from itertools import combinations
+from collections import Counter
+from itertools import combinations, product
 from random import Random
 
 import pytest
@@ -32,7 +33,7 @@ from gf2minor.minors import (
     _has_small_cocircuit,
 )
 
-from gen import planted_host, random_matroid, random_simple_graph
+from gen import planted_host, random_matroid, random_simple_graph, relabeled_copy
 from oracles import has_minor_brute_force
 
 
@@ -158,8 +159,9 @@ def test_verdicts_match_brute_force_oracle():
 
 
 def test_simple_target_verdicts_match_brute_force_oracle():
-    # Targets without loops or parallel pairs take the survivor search's
-    # parallel-class pool; half are planted in their host, half are not.
+    # Targets without loops or parallel pairs walk at most the first member
+    # of each parallel class of host / C and no loops; half are planted in
+    # their host, half are not.
     rng = Random(0x5EED)
     found = missed = 0
     for i in range(40):
@@ -180,6 +182,127 @@ def test_simple_target_verdicts_match_brute_force_oracle():
         else:
             missed += 1
     assert found > 20 and missed > 3  # both answers must occur
+
+
+def with_columns(m: BinaryMatroid, extra: list[int]) -> BinaryMatroid:
+    """m plus one cobasis element per column of ``extra`` (bit i = row i).
+
+    A zero column is a loop; a copy of an element's column is parallel to it.
+    """
+    k, c = m.a.n_rows, m.a.n_cols
+    rows = tuple(
+        r | sum((v >> i & 1) << (c + j) for j, v in enumerate(extra))
+        for i, r in enumerate(m.a.rows)
+    )
+    labels = tuple(f"p{j + 1}" for j in range(len(extra)))
+    return BinaryMatroid(
+        m.basis_labels, m.cobasis_labels + labels, Gf2Matrix(k, c + len(extra), rows)
+    )
+
+
+def non_simple_target(rng: Random) -> BinaryMatroid:
+    """A random matroid plus up to two loops and up to two parallel copies
+    of one of its non-loop elements, at least one of them; 6 elements at most."""
+    base = random_matroid(rng, 4, min_elements=1)
+    extra = [0] * rng.randint(0, 2)
+    nonloops = [v for v in map(base.full_column, base.elements()) if v]
+    if nonloops:
+        extra += [rng.choice(nonloops)] * rng.randint(0 if extra else 1, 2)
+    extra = (extra or [0])[: 6 - base.size]
+    return relabeled_copy(rng, with_columns(base, extra))
+
+
+def non_simple_pairs():
+    """(host, target, planted): half the hosts are planted, half random."""
+    rng = Random(0x9A7A)
+    for i in range(40):
+        target = non_simple_target(rng)
+        if i % 2 == 0:
+            host = planted_host(rng, target, rng.randint(0, 8 - target.size))
+            yield host, target, True
+        else:
+            yield random_matroid(rng, 8, min_elements=target.size), target, False
+
+
+def mix_pairs():
+    """Pairs shaped like the benchmark's minor_mix bank, on smaller hosts.
+
+    An even pair's target is its host after a random contract/delete
+    sequence, so it often has loops and parallel classes.
+    """
+    rng = Random(0x313)
+    for i in range(60):
+        host = random_matroid(rng, 13, min_elements=10)
+        if i % 2 == 0:
+            removed = rng.sample(host.elements(), host.size - rng.randint(5, 8))
+            ops = [rng.choice((contract, delete))(e) for e in removed]
+            yield host, relabeled_copy(rng, host.apply_ops(ops)), True
+        else:
+            yield host, random_matroid(rng, 7, min_elements=4), False
+
+
+def test_non_simple_target_verdicts_match_brute_force_oracle():
+    found = missed = 0
+    for host, target, planted in non_simple_pairs():
+        counts = Counter(map(target.full_column, target.elements()))
+        assert counts[0] or max(counts.values()) >= 2
+        got = find_minor_witness(host, target)
+        assert (got is not None) == has_minor_brute_force(host, target)
+        if planted:
+            assert got is not None
+        if got is not None:
+            assert verify_witness(host, target, got)
+            found += 1
+        else:
+            missed += 1
+    assert found > 20 and missed > 3  # both answers must occur
+
+
+def test_witness_survivors_are_class_prefixes_of_the_contraction():
+    # Within each parallel class of host / C, and among its loops, the
+    # survivors are the earliest members in host order: swapping parallel
+    # elements (or loops) is an automorphism, and the first hit in the
+    # survivor walk's lexicographic order is the canonical one.
+    hits = 0
+    for host, target, _ in [*non_simple_pairs(), *mix_pairs()]:
+        w = find_minor_witness(host, target)
+        if w is None:
+            continue
+        minor = host.apply_ops(contract(e) for e in sorted(w.contract_set))
+        classes: dict[int, list[str]] = {}
+        for e in host.elements():
+            if e not in w.contract_set:
+                classes.setdefault(minor.full_column(e), []).append(e)
+        for members in classes.values():
+            kept = [e for e in members if e in w.survivors()]
+            assert kept == members[: len(kept)]
+        hits += 1
+    assert hits > 50
+
+
+def test_survivor_walk_tests_one_set_per_class_count_vector(monkeypatch):
+    # The host has rank 3: six copies of e1, two each of e2 and e3, one
+    # e1+e2+e3 and three loops.  The target (a parallel pair on e1, e2,
+    # e1+e2, a coloop e3 and a loop) needs a triangle that no restriction of
+    # the host has, so the one contract set (C is empty) is searched to the
+    # end.  Walking class prefixes tests at most one survivor set per count
+    # vector (how many from each class, within the target's caps); walking
+    # every subset would test hundreds.
+    free = BinaryMatroid(("x1", "x2", "x3"), (), Gf2Matrix(3, 0, (0, 0, 0)))
+    host = with_columns(free, [1] * 5 + [2, 4, 7, 0, 0, 0])
+    target = with_columns(free, [1, 3, 0])
+    calls = []
+    real = minors.has_weight_histogram
+    monkeypatch.setattr(
+        minors, "has_weight_histogram", lambda *a: calls.append(a) or real(*a)
+    )
+    assert find_minor_witness(host, target) is None
+    classes = Counter(map(host.full_column, host.elements()))
+    caps = [min(n, 2 if col else 1) for col, n in classes.items()]
+    vectors = sum(
+        sum(ks) == target.size for ks in product(*(range(c + 1) for c in caps))
+    )
+    assert 0 < len(calls) <= vectors
 
 
 def test_witnesses_from_search_always_verify():
@@ -423,7 +546,7 @@ def test_is_graphic_builds_the_excluded_minor_data_once(monkeypatch):
     built = []
     real = minors._target_data
     monkeypatch.setattr(minors, "_target_data", lambda t: built.append(t) or real(t))
-    minors._excluded_minor_data.cache_clear()
+    minors._named_target.cache_clear()
     # A graphic input is answered by a graph and needs no search data.
     assert is_graphic(get_named("M(K5)"))
     assert built == []
