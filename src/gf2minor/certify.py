@@ -4,14 +4,15 @@ A certificate names a base matroid, an op sequence, a list of candidate
 targets, and the expected verdict.  Replaying it applies the ops, searches
 the targets in order, independently re-verifies any witness found, and also
 audits (informationally) whether the op set is a circuit of the base.  The
-29 built-in certificates carry their original signed-index command strings
-as provenance; the op lists themselves use element labels, which are stable
-under pivoting.
+29 built-in certificates are stored as their original signed-index command
+strings, kept as provenance and parsed into ops on element labels, which are
+stable under pivoting.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import re
 from dataclasses import dataclass
 from time import perf_counter
@@ -20,10 +21,8 @@ from typing import Iterable
 from . import catalog
 from .audit import MinorWitness, verify_witness
 from .errors import InputError, MatroidError
-from .matroid import CONTRACT, DELETE, BinaryMatroid, MinorOp, OpTrace
-# find_minor_witness is bound here only for bench/tracer.py, which wraps it
-# in this module; replay searches catalog targets through find_named_minor.
-from .minors import find_minor_witness, find_named_minor  # noqa: F401
+from .matroid import CONTRACT, BinaryMatroid, MinorOp, OpTrace
+from .minors import find_minor_witness
 
 DIRECT = "direct"  # contractions in a graphic base, targets M(K5)/M(K33)
 DUAL = "dual"      # deletions, targets M*(K5)/M*(K33)
@@ -115,71 +114,52 @@ class ReplaySummary:
 
 # -- built-in certificates ---------------------------------------------------------
 
-# (name, op kind, op elements, expected target, signed-index command provenance)
+# (name, expected target, signed-index command); the command is the op list.
 _BUILTIN_TABLE = (
-    ("g1", CONTRACT, "r1 s1 s3", "M(K5)", "!contract 1;!contract -1;!contract -3"),
-    ("g2", CONTRACT, "r4 r5 s9", "M(K33)", "!contract 4;!contract 5;!contract -9"),
-    ("g3", CONTRACT, "r1 r2 r3 s2", "M(K5)",
-     "!contract 1;!contract 2;!contract 3;!contract -2"),
-    ("g4", CONTRACT, "r4 r5 r6 s6", "M(K33)",
-     "!contract 4;!contract 5;!contract 6;!contract -6"),
-    ("g5", CONTRACT, "r7 r8 r9 s8", "M(K33)",
-     "!contract 7;!contract 8;!contract 9;!contract -8"),
-    ("g6", CONTRACT, "r6 r7 r8 s7", "M(K33)",
-     "!contract 6;!contract 7;!contract 8;!contract -7"),
-    ("g7", CONTRACT, "r1 r2 s5", "M(K5)", "!contract 1;!contract 2;!contract -5"),
-    ("g8", CONTRACT, "r4 s5 s6", "M(K5)", "!contract 4;!contract -5;!contract -6"),
-    ("g9", CONTRACT, "r1 r2 r3 s2", "M(K33)",
-     "!contract 1;!contract 2;!contract 3;!contract -2"),
-    ("g10", CONTRACT, "r1 r6 s1 s3", "M(K5)",
-     "!contract 1;!contract 6;!contract -1;!contract -3"),
-    ("g11", CONTRACT, "r3 r6 s5 s7", "M(K33)",
-     "!contract 3;!contract 6;!contract -5;!contract -7"),
-    ("g12", CONTRACT, "r8 s1 s2 s3", "M(K33)",
-     "!contract 8;!contract -1;!contract -2;!contract -3"),
-    ("g13", CONTRACT, "r2 r6 s6 s9", "M(K33)",
-     "!contract 2;!contract 6;!contract -6;!contract -9"),
-    ("g14", CONTRACT, "r7 r8 s2 s5", "M(K33)",
-     "!contract 7;!contract 8;!contract -2;!contract -5"),
-    ("g15", CONTRACT, "r7 r8 r9 s3", "M(K33)",
-     "!contract 7;!contract 8;!contract 9;!contract -3"),
-    ("g16", CONTRACT, "r6 r7 r9 s5", "M(K33)",
-     "!contract 6;!contract 7;!contract 9;!contract -5"),
-    ("g18", CONTRACT, "r4 r7 s4 s5", "M(K33)",
-     "!contract 4;!contract 7;!contract -4;!contract -5"),
-    ("g20", CONTRACT, "r1 r2 s7 s8", "M(K33)",
-     "!contract 1;!contract 2;!contract -7;!contract -8"),
-    ("g21", CONTRACT, "r4 s2 s5", "M(K5)", "!contract 4;!contract -2;!contract -5"),
-    ("g22", CONTRACT, "r5 r6 r7 s6", "M(K5)",
-     "!contract 5;!contract 6;!contract 7;!contract -6"),
-    ("g23", CONTRACT, "r1 r8 s3 s4", "M(K33)",
-     "!contract 1;!contract 8;!contract -3;!contract -4"),
-    ("g24", CONTRACT, "r1 s1 s9", "M(K5)", "!contract 1;!contract -1;!contract -9"),
-    ("g25", CONTRACT, "r5 s10 s12", "M(K5)",
-     "!contract 5;!contract -10;!contract -12"),
-    ("g26", CONTRACT, "r5 r6 r7 s4", "M(K5)",
-     "!contract 5;!contract 6;!contract 7;!contract -4"),
-    ("g27", CONTRACT, "r1 r2 r3 r4 s2", "M(K5)",
-     "!contract 1;!contract 2;!contract 3;!contract 4;!contract -2"),
-    ("g28", CONTRACT, "r1 r2 r3 r4 r5 s2", "M(K5)",
+    ("g1", "M(K5)", "!contract 1;!contract -1;!contract -3"),
+    ("g2", "M(K33)", "!contract 4;!contract 5;!contract -9"),
+    ("g3", "M(K5)", "!contract 1;!contract 2;!contract 3;!contract -2"),
+    ("g4", "M(K33)", "!contract 4;!contract 5;!contract 6;!contract -6"),
+    ("g5", "M(K33)", "!contract 7;!contract 8;!contract 9;!contract -8"),
+    ("g6", "M(K33)", "!contract 6;!contract 7;!contract 8;!contract -7"),
+    ("g7", "M(K5)", "!contract 1;!contract 2;!contract -5"),
+    ("g8", "M(K5)", "!contract 4;!contract -5;!contract -6"),
+    ("g9", "M(K33)", "!contract 1;!contract 2;!contract 3;!contract -2"),
+    ("g10", "M(K5)", "!contract 1;!contract 6;!contract -1;!contract -3"),
+    ("g11", "M(K33)", "!contract 3;!contract 6;!contract -5;!contract -7"),
+    ("g12", "M(K33)", "!contract 8;!contract -1;!contract -2;!contract -3"),
+    ("g13", "M(K33)", "!contract 2;!contract 6;!contract -6;!contract -9"),
+    ("g14", "M(K33)", "!contract 7;!contract 8;!contract -2;!contract -5"),
+    ("g15", "M(K33)", "!contract 7;!contract 8;!contract 9;!contract -3"),
+    ("g16", "M(K33)", "!contract 6;!contract 7;!contract 9;!contract -5"),
+    ("g18", "M(K33)", "!contract 4;!contract 7;!contract -4;!contract -5"),
+    ("g20", "M(K33)", "!contract 1;!contract 2;!contract -7;!contract -8"),
+    ("g21", "M(K5)", "!contract 4;!contract -2;!contract -5"),
+    ("g22", "M(K5)", "!contract 5;!contract 6;!contract 7;!contract -6"),
+    ("g23", "M(K33)", "!contract 1;!contract 8;!contract -3;!contract -4"),
+    ("g24", "M(K5)", "!contract 1;!contract -1;!contract -9"),
+    ("g25", "M(K5)", "!contract 5;!contract -10;!contract -12"),
+    ("g26", "M(K5)", "!contract 5;!contract 6;!contract 7;!contract -4"),
+    ("g27", "M(K5)", "!contract 1;!contract 2;!contract 3;!contract 4;!contract -2"),
+    ("g28", "M(K5)",
      "!contract 1;!contract 2;!contract 3;!contract 4;!contract 5;!contract -2"),
-    ("g29", CONTRACT, "r1 r2 r3 r4 r5 s2", "M(K33)",
+    ("g29", "M(K33)",
      "!contract 1;!contract 2;!contract 3;!contract 4;!contract 5;!contract -2"),
-    ("r15", DELETE, "r6 r7 s8", "M*(K33)", "!delete 6;!delete 7;!delete -8"),
-    ("r16", DELETE, "r8 s1 s3 s8", "M*(K33)",
-     "!delete 8;!delete -1;!delete -3;!delete -8"),
+    ("r15", "M*(K33)", "!delete 6;!delete 7;!delete -8"),
+    ("r16", "M*(K33)", "!delete 8;!delete -1;!delete -3;!delete -8"),
 )
 
 
 def builtin_cases() -> tuple[CertificateCase, ...]:
     out = []
-    for name, kind, labels, expected, command in _BUILTIN_TABLE:
-        direct = kind == CONTRACT
+    for name, expected, command in _BUILTIN_TABLE:
+        ops = parse_signed_index_command(command)
+        direct = ops[0].kind == CONTRACT
         out.append(
             CertificateCase(
                 name=name,
                 base=name,
-                ops=tuple(MinorOp(kind, lab) for lab in labels.split()),
+                ops=ops,
                 targets=("M(K5)", "M(K33)") if direct else ("M*(K5)", "M*(K33)"),
                 expected=expected,
                 claim_kind=DIRECT if direct else DUAL,
@@ -223,7 +203,7 @@ def replay_case(case: CertificateCase) -> ReplayReport:
         verdict: str | None = None
         witness: MinorWitness | None = None
         for target_name in case.targets:
-            w = find_named_minor(host, target_name)
+            w = find_minor_witness(host, catalog.get_named(target_name))
             if w is not None:
                 verdict, witness = target_name, w
                 break
@@ -276,18 +256,20 @@ def replay_all(
 ) -> tuple[list[ReplayReport], ReplaySummary]:
     """Replay every case (the 29 built-ins by default), never aborting.
 
-    Cases are independent; ``jobs`` > 1 fans out across processes.  Reports
-    come back sorted by case name regardless of worker scheduling, and
-    verdicts do not depend on the job count.
+    Cases are independent; ``jobs`` > 1 fans out across at most
+    min(jobs, number of cases, CPU count) processes, and the replay is
+    serial when that is 1.  Reports come back sorted by case name regardless
+    of worker scheduling, and verdicts do not depend on the job count.
     """
     start = perf_counter()
     case_list = list(builtin_cases() if cases is None else cases)
-    if jobs > 1 and len(case_list) > 1:
+    workers = min(jobs, len(case_list), os.cpu_count() or 1)
+    if workers > 1:
         # Imported here: the process pool costs about 2 MB to import, and
         # only a fanned-out replay needs it.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(_replay_or_error, case_list))
     else:
         reports = [_replay_or_error(c) for c in case_list]

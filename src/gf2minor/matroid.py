@@ -468,12 +468,8 @@ def cycle_matroid(g: Graph) -> BinaryMatroid:
                     stack.append(y)
 
     # Column of a non-tree edge = its fundamental cycle within the forest.
-    cols = [path_mask[u] ^ path_mask[v] for u, v, _ in nontree]
-    rows = tuple(
-        sum(((cols[j] >> i) & 1) << j for j in range(len(cols)))
-        for i in range(len(tree))
-    )
-    a = Gf2Matrix(len(tree), len(nontree), rows)
+    cols = tuple(path_mask[u] ^ path_mask[v] for u, v, _ in nontree)
+    a = Gf2Matrix(len(nontree), len(tree), cols).transpose()
     return BinaryMatroid(
         tuple(lab for _, _, lab in tree),
         tuple(lab for _, _, lab in nontree),

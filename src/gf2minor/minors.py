@@ -44,7 +44,7 @@ from __future__ import annotations
 import logging
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 from . import catalog
@@ -87,6 +87,7 @@ class _TargetData:
     cosimple: bool  # no cocircuit of size at most 2
 
 
+@lru_cache
 def _target_data(target: BinaryMatroid) -> _TargetData:
     elements, circuits = target.elements(), tuple(target.circuit_masks())
     cycles = target.fundamental_cycles()
@@ -294,21 +295,14 @@ def find_minor_witness(
     survivor sets are taken in lexicographic order of host positions, with
     only the earliest members in host order of each parallel class of
     host / C and of its loops: those come first, and an automorphism swaps
-    them for any others.  For a cosimple
-    target a branch whose remaining elements have a coloop or a series pair
-    is cut, because restricting never removes a series pair.
+    them for any others.  For a cosimple target a branch whose remaining
+    elements have a coloop or a series pair is cut, because restricting
+    never removes a series pair.
+
+    The target's search data are cached by value (``BinaryMatroid`` is a
+    frozen, hashable value), so repeated searches for one target build them
+    once.
     """
-    _check_capacity(host, target)
-    return _find_minor(host, _target_data(target))
-
-
-def find_named_minor(host: BinaryMatroid, name: str) -> MinorWitness | None:
-    """``find_minor_witness`` on a catalog target, its search data cached."""
-    _check_capacity(host, catalog.get_named(name))
-    return _find_minor(host, _named_target(catalog.canonical_name(name)))
-
-
-def _check_capacity(host: BinaryMatroid, target: BinaryMatroid) -> None:
     if host.size > HOST_LIMIT:
         raise CapacityError(
             f"minor search hosts limited to {HOST_LIMIT} elements, got {host.size}"
@@ -318,23 +312,14 @@ def _check_capacity(host: BinaryMatroid, target: BinaryMatroid) -> None:
             f"minor search targets limited to {TARGET_LIMIT} elements, "
             f"got {target.size}"
         )
-
-
-@cache
-def _named_target(name: str) -> _TargetData:
-    """Search data of the catalog entry with canonical name ``name``."""
-    return _target_data(catalog.get_named(name))
-
-
-def _find_minor(host: BinaryMatroid, tgt: _TargetData) -> MinorWitness | None:
-    """``find_minor_witness`` past its capacity guards."""
-    return next((w for w in _minor_steps(host, tgt) if w is not None), None)
+    steps = _minor_steps(host, _target_data(target))
+    return next((w for w in steps if w is not None), None)
 
 
 def _minor_steps(
     host: BinaryMatroid, tgt: _TargetData
 ) -> Iterator[MinorWitness | None]:
-    """``_find_minor``'s walk, one step per contract set.
+    """``find_minor_witness``'s walk, one step per contract set.
 
     Yields None for each contract set whose survivor search misses, and the
     witness for one that hits, in the order ``find_minor_witness`` tries
@@ -408,7 +393,8 @@ def graphic_certificate(m: BinaryMatroid) -> Graph | tuple[str, MinorWitness]:
     if graph is not None:
         return graph
     searches = {
-        name: _minor_steps(m, _named_target(name)) for name in GRAPHICNESS_EXCLUDED
+        name: _minor_steps(m, _target_data(catalog.get_named(name)))
+        for name in GRAPHICNESS_EXCLUDED
     }
     while searches:
         for name, steps in list(searches.items()):

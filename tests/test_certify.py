@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import json
 
 import pytest
@@ -198,6 +199,44 @@ def test_jobs_do_not_change_verdicts():
         (r.case_name, r.verdict, r.witness) for r in par_reports
     ]
     assert seq_summary.failed_cases == par_summary.failed_cases
+
+
+class _InProcessPool:
+    """A ``ProcessPoolExecutor`` stand-in that records its size, maps in-process."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize(
+    "jobs, cpus, n_cases, sizes",
+    [
+        (100_000, 8, None, [8]),   # the CPU count caps the fan-out
+        (100_000, 64, 4, [4]),     # so does the number of cases
+        (3, 64, 4, [3]),           # and the jobs asked for
+        (100_000, None, 4, []),    # unknown CPU count: one, so serial
+        (100_000, 64, 1, []),      # one case: serial
+    ],
+)
+def test_replay_fan_out_is_bounded(monkeypatch, jobs, cpus, n_cases, sizes):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(_InProcessPool, "sizes", [])
+    monkeypatch.setattr("os.cpu_count", lambda: cpus)
+    cases = None if n_cases is None else builtin_cases()[:n_cases]
+    reports, summary = replay_all(cases, jobs=jobs)
+    assert _InProcessPool.sizes == sizes
+    assert summary.total == len(reports) == (n_cases or 29)
 
 
 def test_reports_sorted_naturally():

@@ -16,7 +16,6 @@ from random import Random
 
 import pytest
 
-from gf2minor import minors
 from gf2minor.audit import verify_graph, verify_witness
 from gf2minor.catalog import catalog_names, get_named
 from gf2minor.errors import CapacityError, InputError
@@ -29,6 +28,7 @@ from gf2minor.matroid import (
 )
 from gf2minor.minors import (
     GRAPHICNESS_EXCLUDED,
+    find_minor_witness,
     graphic_certificate,
 )
 
@@ -36,15 +36,13 @@ from gen import planted_host, random_graph, random_matroid
 
 
 def excluded_minor_oracle(m: BinaryMatroid, first: str | None = None) -> bool:
-    """``all(_find_minor(m, t) is None for t in the excluded minors)``.
+    """``all(find_minor_witness(m, t) is None for t in the excluded minors)``.
 
     The target ``first`` is searched first.  The verdict does not depend on
     the order, but a non-graphic input then stops after one search.
     """
     order = sorted(GRAPHICNESS_EXCLUDED, key=lambda name: name != first)
-    return all(
-        minors._find_minor(m, minors._named_target(name)) is None for name in order
-    )
+    return all(find_minor_witness(m, get_named(name)) is None for name in order)
 
 
 def certified_verdict(m: BinaryMatroid) -> tuple[bool, str | None]:

@@ -11,6 +11,7 @@ import pytest
 from gf2minor import minors
 from gf2minor.audit import MinorWitness, verify_witness
 from gf2minor.catalog import get_named
+from gf2minor.certify import replay_all
 from gf2minor.errors import CapacityError, InputError
 from gf2minor.gf2 import Gf2Matrix
 from gf2minor.matroid import (
@@ -24,6 +25,7 @@ from gf2minor.matroid import (
 from gf2minor.minors import (
     check_graphic_cocircuits,
     find_minor_witness,
+    graphic_certificate,
     has_minor,
     is_graphic,
     covering_cocircuit_witness,
@@ -542,18 +544,40 @@ def test_excluded_minors_are_not_graphic(name):
     assert not is_graphic(get_named(name))
 
 
-def test_is_graphic_builds_the_excluded_minor_data_once(monkeypatch):
-    built = []
-    real = minors._target_data
-    monkeypatch.setattr(minors, "_target_data", lambda t: built.append(t) or real(t))
-    minors._named_target.cache_clear()
+def test_is_graphic_builds_the_excluded_minor_data_once():
+    minors._target_data.cache_clear()
     # A graphic input is answered by a graph and needs no search data.
     assert is_graphic(get_named("M(K5)"))
-    assert built == []
+    assert minors._target_data.cache_info().misses == 0
     assert not is_graphic(get_named("F7"))
-    assert len(built) == 4
+    assert minors._target_data.cache_info().misses == 4
     assert not is_graphic(get_named("F7*"))
-    assert len(built) == 4
+    assert minors._target_data.cache_info().misses == 4
+
+
+def test_target_data_are_cached_by_value_for_every_caller(monkeypatch):
+    minors._target_data.cache_clear()
+    replay_all(jobs=1)  # M(K5), M(K33), M*(K5), M*(K33)
+    assert minors._target_data.cache_info().misses == 4
+    graphic_certificate(get_named("F7"))  # adds F7 and F7*
+    assert minors._target_data.cache_info().misses == 6
+    # Every cocircuit that passes the covering filters also passes the minor
+    # test, so the first search is made to miss to send the call on to a
+    # second cocircuit: its one target must still be built once.
+    real = minors._minor_steps
+    searched = []
+
+    def first_misses(host, tgt):
+        searched.append(tgt)
+        return real(host, tgt) if len(searched) > 1 else iter(())
+
+    monkeypatch.setattr(minors, "_minor_steps", first_misses)
+    m = cycle_matroid(complete_graph(4))
+    ops = [delete("e14"), delete("e24"), delete("e34")]
+    found = covering_cocircuit_witness(m, ops, {"e12", "e13"})
+    assert found == {"e12", "e13", "e24", "e34"}
+    assert len(searched) == 2
+    assert minors._target_data.cache_info().misses == 7
 
 
 def test_graphicness_capacity_guard():
