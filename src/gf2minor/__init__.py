@@ -10,9 +10,7 @@ witness or a graph that ``audit`` checks, sharing no code with the search.
 
 from .audit import MinorWitness, verify_graph, verify_witness
 from .catalog import (
-    CatalogEntry,
     catalog_names,
-    entries,
     get_named,
     parse_matrix_file,
     write_matrix_file,
@@ -34,7 +32,7 @@ from .errors import (
     PivotError,
 )
 from .gf2 import Gf2Matrix, rank_of_vectors
-from .iso import find_isomorphism, is_isomorphic
+from .iso import find_isomorphism
 from .matroid import (
     BinaryMatroid,
     Graph,
@@ -52,7 +50,6 @@ from .minors import (
     check_graphic_cocircuits,
     find_minor_witness,
     graphic_certificate,
-    has_minor,
     is_graphic,
     covering_cocircuit_witness,
 )
@@ -62,7 +59,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BinaryMatroid",
     "CapacityError",
-    "CatalogEntry",
     "CertificateCase",
     "CocircuitCheck",
     "CocircuitReport",
@@ -85,14 +81,11 @@ __all__ = [
     "contract",
     "cycle_matroid",
     "delete",
-    "entries",
     "find_isomorphism",
     "find_minor_witness",
     "get_named",
     "graphic_certificate",
-    "has_minor",
     "is_graphic",
-    "is_isomorphic",
     "covering_cocircuit_witness",
     "load_cases",
     "parse_matrix_file",

@@ -10,7 +10,6 @@ own data file.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from importlib import resources
 
 from .errors import InputError, ParseError
@@ -40,13 +39,6 @@ _ALIASES = {
     "F7": "F7",
     "F7*": "F7*",
 }
-
-
-@dataclass(frozen=True)
-class CatalogEntry:
-    name: str
-    matroid: BinaryMatroid
-    note: str
 
 
 # -- matrix file format ------------------------------------------------------------
@@ -111,7 +103,7 @@ def parse_matrix_file(text: str) -> BinaryMatroid:
 
     try:
         a = Gf2Matrix.from_rows(rows, n_cols=n)
-        return BinaryMatroid.from_standard_form(a, rowlabels, collabels)
+        return BinaryMatroid(tuple(rowlabels), tuple(collabels), a)
     except InputError as exc:
         raise ParseError(str(exc)) from exc
 
@@ -120,6 +112,9 @@ def write_matrix_file(m: BinaryMatroid, name: str = "matroid") -> str:
     """Serialize a matroid; ``parse_matrix_file`` round-trips it bit-for-bit."""
     if not name or any(ch.isspace() for ch in name):
         raise InputError(f"bad matroid name token {name!r}")
+    for lab in m.elements():
+        if any(ch.isspace() for ch in lab):
+            raise InputError(f"bad element label token {lab!r}")
     lines = [
         f"name {name}",
         f"rows {m.a.n_rows}",
@@ -181,20 +176,3 @@ def get_named(name: str) -> BinaryMatroid:
 def catalog_names() -> tuple[str, ...]:
     return _FILE_KEYS + _TARGET_NAMES
 
-
-def entries() -> tuple[CatalogEntry, ...]:
-    notes = {
-        "M(K5)": "cycle matroid of K5 (vertices 1..5, lexicographic edge order)",
-        "M(K33)": "cycle matroid of K3,3 (sides {1,2,3} and {4,5,6}, lexicographic)",
-        "M*(K5)": "dual of M(K5)",
-        "M*(K33)": "dual of M(K33)",
-        "F7": "Fano plane: all seven nonzero GF(2)^3 vectors as columns",
-        "F7*": "dual of F7",
-    }
-    out = []
-    for name in catalog_names():
-        note = notes.get(
-            name, "catalog matrix from data file (row/column sums audited)"
-        )
-        out.append(CatalogEntry(name, get_named(name), note))
-    return tuple(out)

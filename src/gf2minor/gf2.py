@@ -75,14 +75,6 @@ class Gf2Matrix:
             packed.append(bits)
         return cls(len(entries), n_cols, tuple(packed))
 
-    @classmethod
-    def identity(cls, n: int) -> Gf2Matrix:
-        return cls(n, n, tuple(1 << i for i in range(n)))
-
-    @classmethod
-    def zeros(cls, n_rows: int, n_cols: int) -> Gf2Matrix:
-        return cls(n_rows, n_cols, (0,) * n_rows)
-
     # -- access ---------------------------------------------------------------
 
     def entry(self, i: int, j: int) -> int:
@@ -101,9 +93,6 @@ class Gf2Matrix:
         for i, r in enumerate(self.rows):
             out |= ((r >> j) & 1) << i
         return out
-
-    def to_lists(self) -> list[list[int]]:
-        return [[(r >> j) & 1 for j in range(self.n_cols)] for r in self.rows]
 
     def _check_row(self, i: int) -> None:
         if not 0 <= i < self.n_rows:

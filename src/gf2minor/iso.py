@@ -104,7 +104,3 @@ def find_isomorphism(m1: BinaryMatroid, m2: BinaryMatroid) -> dict[str, str] | N
     if mapping is None:
         return None
     return {e1[p]: e2[q] for p, q in mapping.items()}
-
-
-def is_isomorphic(m1: BinaryMatroid, m2: BinaryMatroid) -> bool:
-    return find_isomorphism(m1, m2) is not None

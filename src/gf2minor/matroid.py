@@ -71,6 +71,8 @@ class Graph:
     edges: tuple[tuple[int, int, str], ...]
 
     def __post_init__(self) -> None:
+        if self.n_vertices < 0:
+            raise InputError(f"negative vertex count {self.n_vertices}")
         labels = set()
         for u, v, lab in self.edges:
             if not (0 <= u < self.n_vertices and 0 <= v < self.n_vertices):
@@ -103,15 +105,6 @@ class BinaryMatroid:
         if len(set(all_labels)) != len(all_labels):
             dupes = sorted({l for l in all_labels if all_labels.count(l) > 1})
             raise InputError(f"duplicate element labels: {dupes}")
-
-    @classmethod
-    def from_standard_form(
-        cls,
-        a: Gf2Matrix,
-        basis_labels: Iterable[str],
-        cobasis_labels: Iterable[str],
-    ) -> BinaryMatroid:
-        return cls(tuple(basis_labels), tuple(cobasis_labels), a)
 
     # -- basic queries ----------------------------------------------------------
 

@@ -365,10 +365,6 @@ def _minor_steps(
         )
 
 
-def has_minor(host: BinaryMatroid, target: BinaryMatroid) -> bool:
-    return find_minor_witness(host, target) is not None
-
-
 # -- graphicness -------------------------------------------------------------------
 
 

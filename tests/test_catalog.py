@@ -8,7 +8,6 @@ from gf2minor.catalog import (
     canonical_name,
     catalog_names,
     data_file_text,
-    entries,
     get_named,
     parse_matrix_file,
     write_matrix_file,
@@ -46,7 +45,9 @@ def test_transcription_audit_sums(name):
             _, _, kind, *vals = line.split()
             audits[kind] = [int(v) for v in vals]
     m = get_named(name)
-    lists = m.a.to_lists()
+    lists = [
+        [m.a.entry(i, j) for j in range(m.a.n_cols)] for i in range(m.a.n_rows)
+    ]
     assert audits["rowsums"] == [sum(r) for r in lists]
     assert audits["colsums"] == [sum(col) for col in zip(*lists)]
 
@@ -82,9 +83,12 @@ def test_unknown_name_rejected():
 
 
 def test_catalog_entries_complete():
-    names = [e.name for e in entries()]
-    assert names == list(catalog_names())
+    names = catalog_names()
     assert len(names) == 35  # 29 case matrices + 6 targets
+    assert len(set(names)) == 35
+    for name in names:
+        assert canonical_name(name) == name
+        assert get_named(name).size > 0
 
 
 @pytest.mark.parametrize("name", sorted(EXPECTED_DIMS) + ["M(K5)", "F7*"])
@@ -98,7 +102,7 @@ def test_empty_matroid_round_trip():
     from gf2minor.gf2 import Gf2Matrix
     from gf2minor.matroid import BinaryMatroid
 
-    empty = BinaryMatroid.from_standard_form(Gf2Matrix.zeros(0, 0), [], [])
+    empty = BinaryMatroid((), (), Gf2Matrix(0, 0, ()))
     assert parse_matrix_file(write_matrix_file(empty, name="empty")) == empty
 
 
@@ -154,12 +158,21 @@ def test_parse_skips_comments_and_blank_lines():
     ])
     m = parse_matrix_file(text)
     assert m.size == 2
-    assert m.a.to_lists() == [[1]]
+    assert (m.a.n_rows, m.a.n_cols, m.a.rows) == (1, 1, (1,))
 
 
 def test_write_matrix_file_rejects_bad_name():
     with pytest.raises(InputError):
         write_matrix_file(get_named("F7"), name="two words")
+
+
+def test_write_matrix_file_rejects_label_with_whitespace():
+    from gf2minor.gf2 import Gf2Matrix
+    from gf2minor.matroid import BinaryMatroid
+
+    m = BinaryMatroid(("a b",), ("c",), Gf2Matrix(1, 1, (1,)))
+    with pytest.raises(InputError, match="'a b'"):
+        write_matrix_file(m)
 
 
 def test_g_entries_graphic_r_entries_not():

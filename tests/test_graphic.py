@@ -132,8 +132,8 @@ def test_twenty_element_circuit_is_a_polygon_in_milliseconds():
 
 
 def test_certificate_capacity_guard():
-    big = BinaryMatroid.from_standard_form(
-        Gf2Matrix.zeros(0, 21), [], [f"s{j}" for j in range(21)]
+    big = BinaryMatroid(
+        (), tuple(f"s{j}" for j in range(21)), Gf2Matrix(0, 21, ())
     )
     with pytest.raises(CapacityError):
         graphic_certificate(big)

@@ -53,26 +53,26 @@ def test_from_standard_form_g1():
 
 
 def test_empty_matroid():
-    m = BinaryMatroid.from_standard_form(Gf2Matrix.zeros(0, 0), [], [])
+    m = BinaryMatroid((), (), Gf2Matrix(0, 0, ()))
     assert m.size == 0
     assert m.full_rank == 0
     assert m.circuits() == frozenset()
 
 
 def test_zero_column_gives_loop_and_coloop():
-    m = BinaryMatroid.from_standard_form(Gf2Matrix.zeros(1, 1), ["r1"], ["s1"])
+    m = BinaryMatroid(("r1",), ("s1",), Gf2Matrix(1, 1, (0,)))
     assert m.loops() == {"s1"}
     assert m.coloops() == {"r1"}
 
 
 def test_duplicate_labels_rejected():
     with pytest.raises(InputError):
-        BinaryMatroid.from_standard_form(Gf2Matrix.zeros(1, 1), ["e"], ["e"])
+        BinaryMatroid(("e",), ("e",), Gf2Matrix(1, 1, (0,)))
 
 
 def test_label_count_mismatch_rejected():
     with pytest.raises(InputError):
-        BinaryMatroid.from_standard_form(Gf2Matrix.zeros(2, 1), ["r1"], ["s1"])
+        BinaryMatroid(("r1",), ("s1",), Gf2Matrix(2, 1, (0, 0)))
 
 
 # -- rank oracle ----------------------------------------------------------------
@@ -122,7 +122,7 @@ def test_is_circuit_examples():
 
 
 def test_loop_is_a_one_element_circuit():
-    m = BinaryMatroid.from_standard_form(Gf2Matrix.zeros(1, 1), ["r1"], ["s1"])
+    m = BinaryMatroid(("r1",), ("s1",), Gf2Matrix(1, 1, (0,)))
     assert m.is_circuit({"s1"})
     assert not m.is_circuit({"r1"})
 
@@ -186,9 +186,10 @@ def test_circuit_axioms_on_random_matroids():
 
 
 def test_circuits_capacity_guard():
-    m = BinaryMatroid.from_standard_form(
-        Gf2Matrix.zeros(5, 20), [f"r{i}" for i in range(5)],
-        [f"s{j}" for j in range(20)],
+    m = BinaryMatroid(
+        tuple(f"r{i}" for i in range(5)),
+        tuple(f"s{j}" for j in range(20)),
+        Gf2Matrix(5, 20, (0,) * 5),
     )
     with pytest.raises(CapacityError):
         m.circuits()
@@ -368,7 +369,7 @@ def test_apply_ops_unknown_label_and_empty():
     m = get_named("g1")
     with pytest.raises(InputError):
         m.apply_ops([delete("zz")])
-    empty = BinaryMatroid.from_standard_form(Gf2Matrix.zeros(0, 0), [], [])
+    empty = BinaryMatroid((), (), Gf2Matrix(0, 0, ()))
     with pytest.raises(InputError):
         empty.apply_ops([delete("a")])
 
@@ -428,3 +429,5 @@ def test_graph_validation():
         Graph(2, ((0, 2, "a"),))
     with pytest.raises(InputError):
         Graph(2, ((0, 1, "a"), (1, 0, "a")))
+    with pytest.raises(InputError):
+        Graph(-1, ())

@@ -26,7 +26,6 @@ from gf2minor.minors import (
     check_graphic_cocircuits,
     find_minor_witness,
     graphic_certificate,
-    has_minor,
     is_graphic,
     covering_cocircuit_witness,
     _coloops,
@@ -68,14 +67,14 @@ def test_minors_never_gain_elements():
 
 
 def test_search_capacity_guards():
-    big = BinaryMatroid.from_standard_form(
-        Gf2Matrix.zeros(0, 21), [], [f"s{j}" for j in range(21)]
+    big = BinaryMatroid(
+        (), tuple(f"s{j}" for j in range(21)), Gf2Matrix(0, 21, ())
     )
     with pytest.raises(CapacityError):
         find_minor_witness(big, get_named("F7"))
     host = get_named("F7")
-    wide = BinaryMatroid.from_standard_form(
-        Gf2Matrix.zeros(0, 13), [], [f"s{j}" for j in range(13)]
+    wide = BinaryMatroid(
+        (), tuple(f"s{j}" for j in range(13)), Gf2Matrix(0, 13, ())
     )
     with pytest.raises(CapacityError):
         find_minor_witness(host, wide)
@@ -118,7 +117,7 @@ def test_witness_identical_across_hash_seeds():
 @pytest.mark.parametrize("base", ["g7", "g24", "g25"])
 def test_monotone_along_case_chain(base):
     # These case hosts contain M(K5), so the uncontracted bases must too.
-    assert has_minor(get_named(base), get_named("M(K5)"))
+    assert find_minor_witness(get_named(base), get_named("M(K5)")) is not None
 
 
 def test_duality_transport_on_r_cases():
@@ -126,9 +125,9 @@ def test_duality_transport_on_r_cases():
         base = get_named(name)
         ops = {"r15": ["r6", "r7", "s8"], "r16": ["r8", "s1", "s3", "s8"]}[name]
         host = base.apply_ops(delete(e) for e in ops)
-        direct = has_minor(host, get_named("M*(K33)"))
-        dualized = has_minor(host.dual(), get_named("M(K33)"))
-        assert direct and dualized
+        direct = find_minor_witness(host, get_named("M*(K33)"))
+        dualized = find_minor_witness(host.dual(), get_named("M(K33)"))
+        assert direct is not None and dualized is not None
 
 
 def test_duality_transport_on_all_case_hosts():
@@ -140,9 +139,9 @@ def test_duality_transport_on_all_case_hosts():
         host = case.resolve_base().apply_ops(case.ops)
         for target_name in case.targets:
             target = get_named(target_name)
-            assert has_minor(host, target) == has_minor(
-                host.dual(), target.dual()
-            ), f"{case.name} / {target_name}"
+            direct = find_minor_witness(host, target) is not None
+            dualized = find_minor_witness(host.dual(), target.dual()) is not None
+            assert direct == dualized, f"{case.name} / {target_name}"
 
 
 def test_verdicts_match_brute_force_oracle():
@@ -581,8 +580,8 @@ def test_target_data_are_cached_by_value_for_every_caller(monkeypatch):
 
 
 def test_graphicness_capacity_guard():
-    big = BinaryMatroid.from_standard_form(
-        Gf2Matrix.zeros(0, 21), [], [f"s{j}" for j in range(21)]
+    big = BinaryMatroid(
+        (), tuple(f"s{j}" for j in range(21)), Gf2Matrix(0, 21, ())
     )
     with pytest.raises(CapacityError):
         is_graphic(big)
@@ -595,7 +594,7 @@ def test_all_cocircuits_of_k4_are_graphic():
 
 
 def test_empty_matroid_has_vacuously_graphic_cocircuits():
-    empty = BinaryMatroid.from_standard_form(Gf2Matrix.zeros(0, 0), [], [])
+    empty = BinaryMatroid((), (), Gf2Matrix(0, 0, ()))
     report = check_graphic_cocircuits(empty)
     assert report.all_graphic and report.checks == ()
 

@@ -42,8 +42,9 @@ def _replay_lines() -> list[str]:
 
 def _graphic_lines() -> list[str]:
     lines = []
-    for entry in catalog.entries():
-        for side, m in (("", entry.matroid), ("*", entry.matroid.dual())):
+    for name in catalog.catalog_names():
+        base = catalog.get_named(name)
+        for side, m in (("", base), ("*", base.dual())):
             try:
                 cert = graphic_certificate(m)
             except CapacityError as exc:
@@ -53,7 +54,7 @@ def _graphic_lines() -> list[str]:
                     text = f"graph {cert.n_vertices} {list(cert.edges)}"
                 else:
                     text = f"minor {cert[0]} {_witness_text(cert[1])}"
-            lines.append(f"graphic {entry.name}{side} {text}")
+            lines.append(f"graphic {name}{side} {text}")
     return lines
 
 
