@@ -4,15 +4,27 @@ Two matroids are isomorphic iff some bijection of their ground sets maps the
 circuit set of one exactly onto the other's (circuits determine a matroid).
 ``match_circuits`` is the one kernel: it works on circuits as bitmasks over
 element positions, so ``find_isomorphism`` and the minor search's survivor
-sets share it without building label sets.  It profiles each side once,
-rejects a different circuit count or element-profile multiset, and then
-backtracks, assigning positions rarest-profile-class first and pruning as
-soon as a fully mapped circuit lands outside the other circuit set.
+sets share it without building label sets.  Its first side comes prepared by
+``prepare_side``, so the minor search prepares each target once and matches
+it against many survivor sets.
+
+The prepared side fixes the search order (positions rarest profile class
+first), the step at which each circuit is fully placed, and a key for every
+pair of positions: for each circuit size, how many circuits of that size
+contain both.  The second side's pair keys come from one pass over its
+circuits; their diagonal is the element profile, which must have the same
+multiset on both sides.  The backtracking search then drops a candidate as
+soon as its key to an already placed position differs from the first
+side's, or a fully placed circuit lands outside the other circuit set.  Any
+bijection mapping one circuit set onto the other preserves every pair key,
+so the pair test cuts only prefixes that cannot be completed: the first
+bijection found is the one the search finds without it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import dataclass
 from typing import Iterable
 
 from .matroid import BinaryMatroid, mask_positions
@@ -32,62 +44,131 @@ def element_profiles(
     return {p: tuple(sorted(cnt.items())) for p, cnt in per.items()}
 
 
-def match_circuits(
-    positions1: Iterable[int],
-    circuits1: Iterable[int],
-    positions2: Iterable[int],
-    circuits2: Iterable[int],
-) -> dict[int, int] | None:
-    """Bijection positions1 -> positions2 mapping circuits1 onto circuits2.
+def pair_keys(
+    positions: list[int], circuits: Iterable[int], width: int
+) -> list[list[int]]:
+    """keys[a][b]: the circuits containing positions[a] and positions[b].
 
-    Circuits are bitmasks over the positions.  The answer is exact for any
-    families.  Equal profile multisets are necessary: a coloop has the empty
-    profile, and summing count_k over the positions gives k times the number
-    of k-element circuits, loops included.  Positions of side 1 are assigned
-    rarest profile class first, ties in the order given; each is tried
-    against the positions of side 2 with its profile, in the order given.
+    The circuits are counted per size: the count for size k sits in the
+    ``width`` bits from bit width * k, so the keys of two pairs are equal
+    exactly when their counts are, provided every count is below
+    2 ** width; ``len(circuits).bit_length()`` bits suffice.  keys[a][a] is
+    the element profile of positions[a] in the same encoding.
+    """
+    keys = [[0] * len(positions) for _ in positions]
+    bits = [(a, 1 << p) for a, p in enumerate(positions)]
+    for c in circuits:
+        field = 1 << width * c.bit_count()
+        members = [a for a, bit in bits if c & bit]
+        for a in members:
+            row = keys[a]
+            for b in members:
+                row[b] += field
+    return keys
+
+
+@dataclass(frozen=True)
+class CircuitSide:
+    """The first side of ``match_circuits``, prepared by ``prepare_side``."""
+
+    order: tuple[int, ...]  # positions, in search order
+    n_circuits: int
+    width: int  # bits per circuit size in a pair key
+    # keys[i][j] = key(order[i], order[j]) for j < i; diagonal[i] for j = i.
+    keys: tuple[tuple[int, ...], ...]
+    diagonal: tuple[int, ...]
+    # checks[i]: the circuits, as steps, whose last position is order[i].
+    checks: tuple[tuple[tuple[int, ...], ...], ...]
+
+
+def prepare_side(positions: Iterable[int], circuits: Iterable[int]) -> CircuitSide:
+    """Search order, check schedule and pair keys of one circuit family.
+
+    Repeated circuits count once.  Positions are ordered rarest profile
+    class first, ties in the order given.
+    """
+    pos = list(positions)
+    circ = list(dict.fromkeys(circuits))
+    prof = element_profiles(pos, circ)
+    class_size = Counter(prof.values())
+    order = sorted(pos, key=lambda p: (class_size[prof[p]], prof[p]))
+    step = {p: i for i, p in enumerate(order)}
+    checks: list[list[tuple[int, ...]]] = [[] for _ in order]
+    for c in circ:
+        members = tuple(step[p] for p in mask_positions(c))
+        checks[max(members)].append(members)
+    width = len(circ).bit_length()
+    keys = pair_keys(order, circ, width)
+    diagonal = tuple(keys[i][i] for i in range(len(order)))
+    return CircuitSide(
+        order=tuple(order),
+        n_circuits=len(circ),
+        width=width,
+        keys=tuple(tuple(row[:i]) for i, row in enumerate(keys)),
+        diagonal=diagonal,
+        checks=tuple(map(tuple, checks)),
+    )
+
+
+def match_circuits(
+    side1: CircuitSide, positions2: Iterable[int], circuits2: Iterable[int]
+) -> dict[int, int] | None:
+    """Bijection side1 -> positions2 mapping side1's circuits onto circuits2.
+
+    Circuits are bitmasks over the positions; repeated circuits count once.
+    The answer is exact for any families.  Equal profile multisets are
+    necessary: a coloop has the empty profile, and summing count_k over the
+    positions gives k times the number of k-element circuits, loops
+    included.  Positions of side 1 are assigned in ``side1.order``; each is
+    tried against the positions of side 2 with its profile, in the order
+    given, and dropped when a pair key to an earlier position disagrees.
     Returns the first bijection in that order, or None.
     """
-    pos1, pos2 = list(positions1), list(positions2)
-    circ1, circ2 = list(circuits1), frozenset(circuits2)
-    if len(pos1) != len(pos2) or len(circ1) != len(circ2):
+    pos2, circ2 = list(positions2), frozenset(circuits2)
+    order = side1.order
+    if len(pos2) != len(order) or len(circ2) != side1.n_circuits:
         return None
-    prof1 = element_profiles(pos1, circ1)
-    prof2 = element_profiles(pos2, circ2)
-    if sorted(prof1.values()) != sorted(prof2.values()):
+    keys2 = pair_keys(pos2, circ2, side1.width)
+    diagonal2 = [row[b] for b, row in enumerate(keys2)]
+    if sorted(diagonal2) != sorted(side1.diagonal):
         return None
 
-    class_size = Counter(prof1.values())
-    order = sorted(pos1, key=lambda p: (class_size[prof1[p]], prof1[p]))
-    step = {p: i for i, p in enumerate(order)}
-    candidates = [[q for q in pos2 if prof2[q] == prof1[p]] for p in order]
-    # Circuits become checkable once their latest-ordered position is placed.
-    check_at: list[list[tuple[int, ...]]] = [[] for _ in order]
-    for c in circ1:
-        members = tuple(mask_positions(c))
-        check_at[max(step[p] for p in members)].append(members)
-
-    image: dict[int, int] = {}  # side-1 position -> bit of its image
-
-    def dfs(i: int, used: int) -> bool:
-        if i == len(order):
-            return True
-        p = order[i]
-        for q in candidates[i]:
-            bit = 1 << q
-            if used & bit:
+    by_profile: dict[int, list[int]] = {}
+    for b, d in enumerate(diagonal2):
+        by_profile.setdefault(d, []).append(b)
+    candidates = [by_profile[d] for d in side1.diagonal]
+    keys1, checks = side1.keys, side1.checks
+    images: list[int] = []  # indices into pos2 of the images of order[:i]
+    bits: list[int] = []  # and their bits
+    used = 0
+    # Depth-first: tries[i] walks the candidates for order[i].
+    tries = [iter(candidates[0])] if order else []
+    while tries:
+        i = len(images)
+        for b in tries[i]:
+            bit = 1 << pos2[b]
+            if used & bit or tuple(map(keys2[b].__getitem__, images)) != keys1[i]:
                 continue
-            image[p] = bit
+            images.append(b)
+            bits.append(bit)
             # Images are distinct bits, so their sum is the image mask.
-            if all(
-                sum(image[x] for x in c) in circ2 for c in check_at[i]
-            ) and dfs(i + 1, used | bit):
-                return True
-        return False
-
-    if dfs(0, 0):
-        return {p: image[p].bit_length() - 1 for p in order}
-    return None
+            if all(sum(bits[j] for j in c) in circ2 for c in checks[i]):
+                break
+            images.pop()
+            bits.pop()
+        else:
+            tries.pop()
+            if images:
+                images.pop()
+                used ^= bits.pop()
+            continue
+        used |= bit
+        if i + 1 == len(order):
+            break
+        tries.append(iter(candidates[i + 1]))
+    if len(images) < len(order):
+        return None
+    return {p: pos2[b] for p, b in zip(order, images)}
 
 
 def find_isomorphism(m1: BinaryMatroid, m2: BinaryMatroid) -> dict[str, str] | None:
@@ -98,7 +179,7 @@ def find_isomorphism(m1: BinaryMatroid, m2: BinaryMatroid) -> dict[str, str] | N
     """
     e1, e2 = m1.elements(), m2.elements()
     mapping = match_circuits(
-        sorted(range(m1.size), key=e1.__getitem__), m1.circuit_masks(),
+        prepare_side(sorted(range(m1.size), key=e1.__getitem__), m1.circuit_masks()),
         sorted(range(m2.size), key=e2.__getitem__), m2.circuit_masks(),
     )
     if mapping is None:

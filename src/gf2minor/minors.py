@@ -33,10 +33,16 @@ pruned when what is left has a series pair: restricting never removes a
 series pair, so every spanning survivor set would keep a cocircuit of size
 at most 2.  Each survivor set must then have the target's cycle-space weight
 histogram (a label-free invariant, checked with an early exit) before its
-circuits are extracted as bitmasks and handed to ``iso.match_circuits``,
-which rejects a different element-profile multiset before it searches for
-the bijection.  All enumeration guards raise CapacityError rather than
-degrade silently.
+circuits are extracted as bitmasks and handed to ``iso.match_circuits``.
+The target's side of that match is prepared once with the rest of its
+search data (``iso.prepare_side``: search order, check schedule and pair
+keys), so each survivor set pays only for its own pair keys, one pass over
+its circuits.  The kernel rejects a different element-profile multiset,
+then searches for the bijection, dropping a candidate whose pair key with
+an already placed element differs from the target's; that drops only
+prefixes no bijection completes, so the first bijection, and with it the
+witness, is unchanged.  All enumeration guards raise CapacityError rather
+than degrade silently.
 """
 
 from __future__ import annotations
@@ -51,9 +57,10 @@ from . import catalog
 # verify_witness is bound here only for bench/, which reads it at this module.
 from .audit import MinorWitness, verify_witness  # noqa: F401
 from .errors import CapacityError, InputError, MatroidError
+from .iso import CircuitSide, match_circuits, prepare_side
 # element_profiles is bound here for bench/tracer.py, which wraps it in this
-# module; the search itself reaches it through match_circuits.
-from .iso import element_profiles, match_circuits  # noqa: F401
+# module; the search reaches it only through iso.prepare_side.
+from .iso import element_profiles  # noqa: F401
 from .matroid import (
     BinaryMatroid,
     Graph,
@@ -81,15 +88,14 @@ class _TargetData:
     n_coloops: int
     n_loops: int
     max_parallel: int  # size of the largest parallel class of non-loops
-    positions: tuple[int, ...]  # of elements, in label order
-    circuits: tuple[int, ...]  # bitmasks over positions
+    side: CircuitSide  # the circuits for match_circuits; positions in label order
     histogram: tuple[int, ...]
     cosimple: bool  # no cocircuit of size at most 2
 
 
 @lru_cache
 def _target_data(target: BinaryMatroid) -> _TargetData:
-    elements, circuits = target.elements(), tuple(target.circuit_masks())
+    elements = target.elements()
     cycles = target.fundamental_cycles()
     everything = (1 << target.size) - 1
     classes = Counter(filter(None, map(target.full_column, elements)))
@@ -99,8 +105,7 @@ def _target_data(target: BinaryMatroid) -> _TargetData:
         n_coloops=_coloops(cycles, everything),
         n_loops=len(target.loops()),
         max_parallel=max(classes.values(), default=0),
-        positions=tuple(_by_label(elements, everything)),
-        circuits=circuits,
+        side=prepare_side(_by_label(elements, everything), target.circuit_masks()),
         histogram=weight_histogram(cycles),
         cosimple=not _has_small_cocircuit(cycles, everything),
     )
@@ -246,8 +251,7 @@ def _survivor_search(
         if not has_weight_histogram(vectors, tgt.histogram):
             return None
         return match_circuits(
-            tgt.positions, tgt.circuits,
-            _by_label(elems, smask), minimal_supports(vectors),
+            tgt.side, _by_label(elems, smask), minimal_supports(vectors)
         )
 
     def walk(i: int, need: int, vectors: list[int], smask: int, alive: int):

@@ -156,3 +156,62 @@ def has_minor_brute_force(host, target) -> bool:
                                          t_elems, t_circuits):
                 return True
     return False
+
+
+def match_circuits_reference(positions1, circuits1, positions2, circuits2):
+    """The circuit-bijection search without pair-key pruning.
+
+    Circuits are bitmasks over the positions, and repeated circuits count
+    once on either side.  Side-1 positions are assigned rarest
+    (circuit size, count) profile class first, ties in the order given;
+    each is tried against the side-2 positions with its profile, in the
+    order given, and a circuit is checked once all its positions are placed.
+    Returns the first bijection in that order, or None; ``iso.match_circuits``
+    must return exactly this one.
+    """
+
+    def members(c):
+        return [p for p in range(c.bit_length()) if c >> p & 1]
+
+    def profiles(positions, circuits):
+        per = {p: {} for p in positions}
+        for c in circuits:
+            size = len(members(c))
+            for p in members(c):
+                per[p][size] = per[p].get(size, 0) + 1
+        return {p: tuple(sorted(cnt.items())) for p, cnt in per.items()}
+
+    pos1, pos2 = list(positions1), list(positions2)
+    circ1, circ2 = list(dict.fromkeys(circuits1)), frozenset(circuits2)
+    if len(pos1) != len(pos2) or len(circ1) != len(circ2):
+        return None
+    prof1, prof2 = profiles(pos1, circ1), profiles(pos2, circ2)
+    if sorted(prof1.values()) != sorted(prof2.values()):
+        return None
+    class_size = {}
+    for prof in prof1.values():
+        class_size[prof] = class_size.get(prof, 0) + 1
+    order = sorted(pos1, key=lambda p: (class_size[prof1[p]], prof1[p]))
+    step = {p: i for i, p in enumerate(order)}
+    candidates = [[q for q in pos2 if prof2[q] == prof1[p]] for p in order]
+    check_at = [[] for _ in order]
+    for c in circ1:
+        check_at[max(step[p] for p in members(c))].append(members(c))
+    image = {}
+
+    def dfs(i, used):
+        if i == len(order):
+            return True
+        for q in candidates[i]:
+            if q in used:
+                continue
+            image[order[i]] = q
+            if all(
+                sum(1 << image[x] for x in c) in circ2 for c in check_at[i]
+            ) and dfs(i + 1, used | {q}):
+                return True
+        return False
+
+    if dfs(0, frozenset()):
+        return {p: image[p] for p in order}
+    return None

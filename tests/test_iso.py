@@ -7,13 +7,17 @@ from random import Random
 
 import pytest
 
+from gf2minor import minors
 from gf2minor.catalog import catalog_names, get_named
+from gf2minor.certify import replay_all
 from gf2minor.errors import CapacityError
 from gf2minor.gf2 import Gf2Matrix
 from gf2minor.iso import (
     element_profiles,
     find_isomorphism,
     match_circuits,
+    pair_keys,
+    prepare_side,
 )
 from gf2minor.matroid import (
     BinaryMatroid,
@@ -32,6 +36,7 @@ from oracles import (
     bijection_maps_circuits,
     circuits_by_enumeration,
     isomorphic_all_bijections,
+    match_circuits_reference,
 )
 
 
@@ -92,7 +97,9 @@ def test_circuit_signature_of_masked_cycles_matches_the_built_minor():
         assert {mask_to_labels(m, elems) for m in circuits} == minor.circuits()
         minor_elems = minor.elements()
         mapping = match_circuits(
-            sorted(mask_positions(smask), key=elems.__getitem__), circuits,
+            prepare_side(
+                sorted(mask_positions(smask), key=elems.__getitem__), circuits
+            ),
             sorted(range(minor.size), key=minor_elems.__getitem__),
             minor.circuit_masks(),
         )
@@ -187,15 +194,15 @@ def test_agreement_with_all_bijections_oracle():
 def test_match_circuits_on_raw_families():
     tri1 = [0b111]
     tri2 = [0b111000]
-    mapping = match_circuits([0, 1, 2], tri1, [3, 4, 5], tri2)
+    mapping = match_circuits(prepare_side([0, 1, 2], tri1), [3, 4, 5], tri2)
     assert mapping is not None and sorted(mapping) == [0, 1, 2]
     assert sorted(mapping.values()) == [3, 4, 5]
-    assert match_circuits([0, 1, 2], tri1, [3, 4, 5], [0b11000]) is None
+    assert match_circuits(prepare_side([0, 1, 2], tri1), [3, 4, 5], [0b11000]) is None
     # Same circuit sizes, different profiles (2 is on both triangles and 5
     # is a coloop): only the profile comparison or the search can say no.
     two = [0b000111, 0b111000]
     bowtie = [0b000111, 0b011100]
-    assert match_circuits(range(6), two, range(6), bowtie) is None
+    assert match_circuits(prepare_side(range(6), two), range(6), bowtie) is None
 
 
 def _switched(rng: Random, family: set[int]) -> set[int]:
@@ -243,7 +250,7 @@ def test_match_circuits_agrees_with_all_bijections_oracle():
             fam2 = {rng.randrange(1, 1 << n) for _ in range(len(fam1))}
         order2 = list(range(n))
         rng.shuffle(order2)
-        mapping = match_circuits(range(n), fam1, order2, fam2)
+        mapping = match_circuits(prepare_side(range(n), fam1), order2, fam2)
         expected = isomorphic_all_bijections(
             range(n), as_sets(fam1), range(n), as_sets(fam2)
         )
@@ -260,3 +267,165 @@ def test_match_circuits_agrees_with_all_bijections_oracle():
     assert verdicts[True] and verdicts[False]
     # The search itself, not only the profile comparison, must say no.
     assert equal_profiles_rejected
+
+
+def test_repeated_circuits_count_once_on_either_side():
+    once, twice = [0b11], [0b11, 0b11]
+    assert match_circuits(prepare_side([0, 1], twice), [0, 1], once) == {0: 0, 1: 1}
+    assert match_circuits(prepare_side([0, 1], once), [0, 1], twice) == {0: 0, 1: 1}
+
+
+def _random_positions(rng: Random, n: int) -> list[int]:
+    """``n`` distinct positions in shuffled order, many of them >= 32."""
+    return rng.sample(range(80), n)
+
+
+def _moved(family, src: list[int], dst: list[int]) -> set[int]:
+    """``family`` with position src[i] renamed dst[i]."""
+    to = dict(zip(src, dst))
+    return {sum(1 << to[p] for p in mask_positions(c)) for c in family}
+
+
+def test_match_circuits_returns_the_reference_bijection_on_raw_families():
+    rng = Random(1212)
+    verdicts = Counter()
+    for _ in range(400):
+        n = rng.randint(1, 9)
+        pos1 = _random_positions(rng, n)
+        if rng.random() < 0.5:
+            m = random_matroid(rng, n, min_elements=n)
+            fam1 = _moved(m.circuit_masks(), list(range(n)), pos1)
+        else:
+            fam1 = _moved(
+                {rng.randrange(1, 1 << n) for _ in range(rng.randint(1, 10))},
+                list(range(n)), pos1,
+            )
+        pos2 = _random_positions(rng, n)
+        shuffled = pos2[:]
+        rng.shuffle(shuffled)
+        roll = rng.random()
+        if roll < 0.4:
+            fam2 = _moved(fam1, pos1, shuffled)
+        elif roll < 0.8:
+            fam2 = _moved(_switched(rng, fam1), pos1, shuffled)
+        else:
+            fam2 = _moved(
+                {rng.randrange(1, 1 << n) for _ in range(len(fam1))},
+                list(range(n)), pos2,
+            )
+        got = match_circuits(prepare_side(pos1, fam1), pos2, fam2)
+        assert got == match_circuits_reference(pos1, fam1, pos2, fam2)
+        verdicts[got is not None] += 1
+    assert verdicts[True] > 50 and verdicts[False] > 50
+
+
+def test_find_isomorphism_returns_the_reference_bijection():
+    rng = Random(3131)
+    found = 0
+    for i in range(120):
+        m1 = random_matroid(rng, 9)
+        m2 = relabeled_copy(rng, m1) if i % 3 else random_matroid(rng, 9)
+        e1, e2 = m1.elements(), m2.elements()
+        expected = match_circuits_reference(
+            sorted(range(m1.size), key=e1.__getitem__), m1.circuit_masks(),
+            sorted(range(m2.size), key=e2.__getitem__), m2.circuit_masks(),
+        )
+        if expected is not None:
+            expected = {e1[p]: e2[q] for p, q in expected.items()}
+            found += 1
+        assert find_isomorphism(m1, m2) == expected
+    assert found >= 80  # every relabeled copy
+
+
+def test_replay_survivor_sets_get_the_reference_bijection(monkeypatch):
+    # The side-1 data behind each prepared target the replays search for.
+    raw = {}
+    for name in ("M(K5)", "M(K33)", "M*(K5)", "M*(K33)"):
+        target = get_named(name)
+        elems = target.elements()
+        positions = sorted(range(target.size), key=elems.__getitem__)
+        raw[minors._target_data(target).side] = (positions, target.circuit_masks())
+    calls = []
+    kernel = minors.match_circuits
+
+    def checked(side1, positions2, circuits2):
+        positions2, circuits2 = list(positions2), list(circuits2)
+        got = kernel(side1, positions2, circuits2)
+        assert got == match_circuits_reference(*raw[side1], positions2, circuits2)
+        calls.append(got is not None)
+        return got
+
+    monkeypatch.setattr(minors, "match_circuits", checked)
+    replay_all(jobs=1)
+    assert len(calls) >= 28 and sum(calls) >= 28
+
+
+def _pair_counts(positions, circuits) -> dict[tuple[int, int], Counter]:
+    """Circuits containing both positions of each pair, counted per size."""
+    counts = {(x, y): Counter() for x in positions for y in positions}
+    for c in circuits:
+        for x in mask_positions(c):
+            for y in mask_positions(c):
+                counts[x, y][c.bit_count()] += 1
+    return counts
+
+
+def _decoded(key: int, width: int) -> Counter:
+    field = (1 << width) - 1
+    return Counter({
+        k: key >> width * k & field
+        for k in range(key.bit_length() // width + 1)
+        if key >> width * k & field
+    })
+
+
+def test_pair_keys_hold_every_count_in_its_own_field():
+    # Pair {0, 1} lies in every circuit of a size: its count equals the
+    # number of circuits, the largest a field has to hold.
+    through_pair = [0b11 | 1 << j for j in range(2, 10)]  # 8 triangles
+    mixed = through_pair[:4] + [0b11 | 0b11 << j for j in (2, 4, 6, 8)]
+    rng = Random(4545)
+    randoms = [
+        {rng.randrange(1, 1 << 9) for _ in range(rng.randint(1, 40))}
+        for _ in range(40)
+    ]
+    for family in [through_pair, mixed] + randoms:
+        width = len(family).bit_length()
+        keys = pair_keys(list(range(10)), family, width)
+        counts = _pair_counts(range(10), family)
+        for x in range(10):
+            for y in range(10):
+                assert _decoded(keys[x][y], width) == counts[x, y]
+    assert pair_keys([0, 1], through_pair, 4)[0][1] == 8 << 4 * 3
+
+
+def test_families_differing_only_in_one_pair_count_are_told_apart():
+    # Four circuits each, so 3-bit fields.  Pair {0, 1} lies in all four
+    # triangles of ``many`` (count 4 at size 3) and in one 4-circuit of
+    # ``one``; with 2-bit fields the count 4 would carry into the size-4
+    # field and the two keys would be equal.
+    many = [0b000111, 0b001011, 0b010011, 0b100011]
+    one = [0b001111, 0b010100, 0b101000, 0b110000]
+    assert pair_keys([0, 1], many, 3)[0][1] == 4 << 9
+    assert pair_keys([0, 1], one, 3)[0][1] == 1 << 12
+    assert 4 << 2 * 3 == 1 << 2 * 4
+    # Equal profile multisets, but pair {0, 1} lies in two triangles of
+    # ``a`` and no pair of ``b`` does: no bijection.
+    a = [0b000111, 0b001011, 0b110100]
+    b = [0b000111, 0b011001, 0b101010]
+    assert sorted(element_profiles(range(6), a).values()) == sorted(
+        element_profiles(range(6), b).values()
+    )
+    for fam1, fam2 in ((a, b), (b, a), (many, one)):
+        assert match_circuits(prepare_side(range(6), fam1), range(6), fam2) is None
+        assert match_circuits_reference(range(6), fam1, range(6), fam2) is None
+
+
+def test_match_circuits_on_positions_beyond_a_fixed_shift():
+    fam1 = [1 << 33 | 1 << 40 | 1 << 70, 1 << 40 | 1 << 71]
+    fam2 = [1 << 5 | 1 << 64, 1 << 5 | 1 << 32 | 1 << 99]
+    pos1, pos2 = [33, 40, 70, 71], [99, 32, 5, 64]
+    got = match_circuits(prepare_side(pos1, fam1), pos2, fam2)
+    assert got == match_circuits_reference(pos1, fam1, pos2, fam2)
+    assert got is not None and got[40] == 5 and got[71] == 64
+    assert {got[33], got[70]} == {32, 99}
