@@ -351,18 +351,33 @@ def mask_to_labels(mask: int, elems: tuple[str, ...]) -> frozenset[str]:
     return frozenset(elems[i] for i in mask_positions(mask))
 
 
-def minimal_supports(basis: list[int]) -> list[int]:
+def minimal_supports(basis: list[int],
+                     histogram: tuple[int, ...] | None = None) -> list[int] | None:
     """Inclusion-minimal supports among all nonzero XOR combinations of basis.
 
     The basis vectors must be linearly independent (true for fundamental
-    cycle vectors, which each own a private bit).
+    cycle vectors, which each own a private bit).  With ``histogram`` the
+    answer is None unless it is ``weight_histogram(basis)``; the walk stops
+    at the first weight that occurs too often, usually after a few XORs.
     """
     k = len(basis)
+    if histogram is not None:
+        support = 0
+        for v in basis:
+            support |= v
+        if support.bit_count() + 1 != len(histogram) or 1 << k != sum(histogram) + 1:
+            return None
+        left = list(histogram)
     supports = []
     acc = 0
     for g in range(1, 1 << k):
         acc ^= basis[(g & -g).bit_length() - 1]
         supports.append(acc)
+        if histogram is not None:
+            w = acc.bit_count()
+            left[w] -= 1
+            if left[w] < 0:
+                return None
     supports.sort(key=lambda s: s.bit_count())
     minimal: list[int] = []
     for s in supports:
@@ -390,29 +405,20 @@ def weight_histogram(basis: list[int]) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def has_weight_histogram(basis: list[int], histogram: tuple[int, ...]) -> bool:
-    """``weight_histogram(basis) == histogram``, stopping at the first excess.
+def equal_columns(vectors: list[int], ground: int) -> list[int]:
+    """Classes of two or more positions of ``ground`` with equal columns.
 
-    The span is walked in the same Gray-code order, and the walk stops as
-    soon as some weight occurs more often than ``histogram`` allows; a basis
-    whose histogram differs is usually rejected after a few XORs.
+    A column is the set of ``vectors`` containing the position: over a cycle
+    basis the classes are series classes, over cocycle rows parallel ones.
+    ``ground`` is split on each vector, a class of one position is dropped
+    at once, and the scan stops when none is left.  Masks, in no order.
     """
-    support = 0
-    for v in basis:
-        support |= v
-    if support.bit_count() + 1 != len(histogram):
-        return False
-    if 1 << len(basis) != sum(histogram) + 1:
-        return False
-    counts = [0] * len(histogram)
-    acc = 0
-    for g in range(1, 1 << len(basis)):
-        acc ^= basis[(g & -g).bit_length() - 1]
-        w = acc.bit_count()
-        counts[w] += 1
-        if counts[w] > histogram[w]:
-            return False
-    return True
+    classes = [ground] if ground & (ground - 1) else []
+    for v in vectors:
+        classes = [p for c in classes for p in (c & v, c & ~v) if p & (p - 1)]
+        if not classes:
+            break
+    return classes
 
 
 def cycle_matroid(g: Graph) -> BinaryMatroid:

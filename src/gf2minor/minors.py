@@ -10,6 +10,8 @@ target's standard form, sharing no code with the search.
 ``Graph`` from ``realize.realize``, or, when no graph exists, the first of
 Tutte's excluded minors found by running the four searches round-robin.
 ``audit.verify_graph`` checks the graph; ``is_graphic`` is the bare verdict.
+``check_graphic_cocircuits`` realizes each m \\ Y from m's fundamental
+circuits with Y eliminated, and builds m \\ Y only when that fails.
 
 Search shape: every minor arises as host / C \\ D with C independent of size
 rank(host) - rank(target) and D coindependent.  Since host / C depends only
@@ -29,11 +31,11 @@ earliest members of each, at most the target's largest class or loop count,
 which come first, so the first hit is unchanged.  The walk is pruned as soon
 as what is left stops spanning host / C or has more coloops than the target.
 For a cosimple target (no cocircuit of size at most 2) a branch is also
-pruned when what is left has a series pair: restricting never removes a
-series pair, so every spanning survivor set would keep a cocircuit of size
-at most 2.  Each survivor set must then have the target's cycle-space weight
-histogram (a label-free invariant, checked with an early exit) before its
-circuits are extracted as bitmasks and handed to ``iso.match_circuits``.
+pruned when what is left has a series pair (``matroid.equal_columns``):
+restricting never removes one, so every spanning survivor set would keep a
+cocircuit of size at most 2.  One walk over each survivor set's cycle space
+extracts its circuits for ``iso.match_circuits``, stopping as soon as some
+weight occurs more often than in the target's (a label-free invariant).
 The target's side of that match is prepared once with the rest of its
 search data (``iso.prepare_side``: search order, check schedule and pair
 keys), so each survivor set pays only for its own pair keys, one pass over
@@ -65,12 +67,12 @@ from .matroid import (
     BinaryMatroid,
     Graph,
     MinorOp,
-    has_weight_histogram,
+    equal_columns,
     mask_positions,
     minimal_supports,
     weight_histogram,
 )
-from .realize import realize
+from .realize import realize, realize_cycles
 
 logger = logging.getLogger(__name__)
 
@@ -107,7 +109,7 @@ def _target_data(target: BinaryMatroid) -> _TargetData:
         max_parallel=max(classes.values(), default=0),
         side=prepare_side(_by_label(elements, everything), target.circuit_masks()),
         histogram=weight_histogram(cycles),
-        cosimple=not _has_small_cocircuit(cycles, everything),
+        cosimple=not (_coloops(cycles, everything) or equal_columns(cycles, everything)),
     )
 
 
@@ -185,27 +187,6 @@ def _coloops(vectors: list[int], alive: int) -> int:
     return (alive & ~support).bit_count()
 
 
-def _has_small_cocircuit(vectors: list[int], alive: int) -> bool:
-    """Whether M|alive has a coloop or a series pair, a cocircuit of size <= 2.
-
-    ``vectors`` span the cycle space of M|alive.  An element's column is the
-    set of vectors that contain it: it is 0 exactly for a coloop, and two
-    other elements are in series exactly when their columns are equal, since
-    then every cycle meets both or neither.  Classes of equal columns are
-    found by splitting ``alive`` on each vector in turn; a class of one
-    element can split no further and is dropped, so the scan stops as soon
-    as every class is a singleton.
-    """
-    if _coloops(vectors, alive):
-        return True
-    classes = [alive] if alive else []
-    for v in vectors:
-        classes = [p for c in classes for p in (c & v, c & ~v) if p & (p - 1)]
-        if not classes:
-            return False
-    return bool(classes)
-
-
 def _survivor_search(
     cycles: list[int], pool: list[int], prev: list[int], tgt: _TargetData,
     elems: tuple[str, ...],
@@ -243,16 +224,15 @@ def _survivor_search(
             return None
 
     def dead(vectors: list[int], alive: int) -> bool:
-        if tgt.cosimple:
-            return _has_small_cocircuit(vectors, alive)
+        if tgt.cosimple:  # a coloop or a series pair (equal columns)
+            return bool(_coloops(vectors, alive) or equal_columns(vectors, alive))
         return _coloops(vectors, alive) > tgt.n_coloops
 
     def test(vectors: list[int], smask: int):
-        if not has_weight_histogram(vectors, tgt.histogram):
+        circuits = minimal_supports(vectors, tgt.histogram)
+        if circuits is None:
             return None
-        return match_circuits(
-            tgt.side, _by_label(elems, smask), minimal_supports(vectors)
-        )
+        return match_circuits(tgt.side, _by_label(elems, smask), circuits)
 
     def walk(i: int, need: int, vectors: list[int], smask: int, alive: int):
         if need == n_pool - i:  # every remaining element survives
@@ -290,22 +270,11 @@ def find_minor_witness(
 ) -> MinorWitness | None:
     """Search for a minor of ``host`` isomorphic to ``target``.
 
-    Deterministic: the returned witness is the first hit in canonical
-    enumeration order.  Contract sets C are taken as combinations of
-    host.elements() positions in lexicographic order, each of size
-    rank(host) - rank(target) and each the greedy (lexicographically first)
-    basis of its closure: host / C depends only on cl(C), and if C hits, so
-    does the greedy basis C' of cl(C), which comes first.  Within each C,
-    survivor sets are taken in lexicographic order of host positions, with
-    only the earliest members in host order of each parallel class of
-    host / C and of its loops: those come first, and an automorphism swaps
-    them for any others.  For a cosimple target a branch whose remaining
-    elements have a coloop or a series pair is cut, because restricting
-    never removes a series pair.
-
-    The target's search data are cached by value (``BinaryMatroid`` is a
-    frozen, hashable value), so repeated searches for one target build them
-    once.
+    Deterministic: the returned witness is the first hit in the canonical
+    order the module docstring sets out (greedy contract sets, then
+    class-prefix survivor sets, both lexicographic in host positions).  The
+    target's search data are cached by value (``BinaryMatroid`` is a frozen,
+    hashable value), so repeated searches for one target build them once.
     """
     if host.size > HOST_LIMIT:
         raise CapacityError(
@@ -434,10 +403,32 @@ def _canonical_sets(sets: Iterable[frozenset[str]]) -> list[frozenset[str]]:
 
 
 def check_graphic_cocircuits(m: BinaryMatroid) -> CocircuitReport:
-    """For every cocircuit Y, report whether m \\ Y is graphic."""
+    """For every cocircuit Y, report whether m \\ Y is graphic.
+
+    m \\ Y is realized from m's fundamental circuits with Y eliminated, as
+    the survivor search deletes; m \\ Y is built, and ``is_graphic`` finds
+    its excluded minor, only when that realization fails.
+    """
+    elems = m.elements()
+    cycles = m.fundamental_cycles()
     checks = []
     for y in _canonical_sets(m.cocircuits()):
-        checks.append(CocircuitCheck(y, is_graphic(m.delete_all(y))))
+        if m.size - len(y) > HOST_LIMIT:
+            raise CapacityError(
+                f"graphicness test limited to {HOST_LIMIT} elements, got {m.size - len(y)}"
+            )
+        # Each eliminated vector keeps its own cobasis bit and the pivot's
+        # bit joins the basis, so the vectors stay fundamental circuits, as
+        # realize_cycles requires.  An element in none of them (None) is a
+        # coloop of what is left, and deleting it changes nothing.
+        vectors, rest = cycles, (1 << m.size) - 1
+        for p, e in enumerate(elems):
+            if e in y:
+                rest ^= 1 << p
+                reduced = _eliminate(vectors, 1 << p)
+                vectors = vectors if reduced is None else reduced
+        graphic = realize_cycles(vectors, rest) is not None or is_graphic(m.delete_all(y))
+        checks.append(CocircuitCheck(y, graphic))
     return CocircuitReport(
         checks=tuple(checks),
         all_graphic=all(c.graphic for c in checks),

@@ -1,10 +1,12 @@
 """Graph realization of binary matroids: a graph whose cycle matroid is M.
 
-``realize`` works per connected component, on bitmasks over the positions of
-``elements()``.  Elements in series are contracted to one edge and
-subdivided back afterwards; the cosimple rest of rank r >= 2 is graphic
-exactly when r + 1 of its cocircuits, the vertex stars, cover every element
-twice and have rank r.  It answers None for a matroid that is not graphic;
+``realize_cycles`` realizes M|ground from fundamental circuits given as
+bitmasks over positions, per connected component; ``realize`` runs it on a
+matroid's own and attaches the labels of ``elements()``.  Elements in series
+(equal columns over the cycle basis, ``matroid.equal_columns``) are
+contracted to one edge and subdivided back afterwards; the cosimple rest of
+rank r >= 2 is graphic exactly when r + 1 of its cocircuits, the vertex
+stars, cover every element twice and have rank r.  None means not graphic;
 ``minors.graphic_certificate`` then finds an excluded minor instead.  Only
 bitmask elimination is used here, never the rank routine of ``audit``, so
 that ``audit.verify_graph`` shares no code with the realization it checks.
@@ -12,7 +14,7 @@ that ``audit.verify_graph`` shares no code with the realization it checks.
 
 from __future__ import annotations
 
-from .matroid import BinaryMatroid, Graph, mask_positions, minimal_supports
+from .matroid import BinaryMatroid, Graph, equal_columns, mask_positions, minimal_supports
 
 
 def _reduced_echelon(vectors: list[int]) -> list[int]:
@@ -33,19 +35,6 @@ def _reduced_echelon(vectors: list[int]) -> list[int]:
             basis = [b ^ v if b & low else b for b in basis]
             basis.append(v)
     return basis
-
-
-def _equal_columns(vectors: list[int], ground: int) -> list[list[int]]:
-    """The positions of ``ground`` grouped by their column over ``vectors``.
-
-    A position's column is the set of vectors that contain it.  Groups come
-    in order of their first position, and each lists its positions in order.
-    """
-    groups: dict[int, list[int]] = {}
-    for p in mask_positions(ground):
-        col = sum(1 << j for j, v in enumerate(vectors) if v >> p & 1)
-        groups.setdefault(col, []).append(p)
-    return list(groups.values())
 
 
 def _components(circuits: list[int], ground: int) -> list[int]:
@@ -112,14 +101,13 @@ def _stars(cycles: list[int], ground: int, rank: int) -> list[int] | None:
         1 << f | sum(b & -b for b in basis if b >> f & 1)
         for f in mask_positions(ground & ~pivots)
     ]
-    parallel = {}
-    for cls in _equal_columns(rows, ground):
-        mask = sum(1 << p for p in cls)
-        parallel.update(dict.fromkeys(cls, mask))
+    # Each element's parallel class by its bit; a missing one is alone.
+    parallel = {1 << p: c for c in equal_columns(rows, ground) for p in mask_positions(c)}
 
     def meets_in_a_class(y: int, star: int) -> bool:
         common = y & star
-        return not common or common == parallel[(common & -common).bit_length() - 1]
+        low = common & -common
+        return common == parallel.get(low, low)
 
     cocircuits = minimal_supports(rows)
     need = rank + 1
@@ -193,11 +181,9 @@ def _realize_component(
     is a one-vertex loop, a polygon is one class around such a loop, and a
     rank-1 rest is a bundle of parallel edges (a coloop is a bundle of one).
     """
-    series = _equal_columns(cycles, comp)
-    contracted = 0
-    for cls in series:
-        for p in cls[1:]:
-            contracted |= 1 << p
+    # Series classes by their lowest bit; a missing key is a class of one.
+    series = {cls & -cls: cls for cls in equal_columns(cycles, comp)}
+    contracted = sum(cls & (cls - 1) for cls in series.values())  # classes are disjoint
     ground = comp & ~contracted
     cycles = [v & ~contracted for v in cycles]
     rank = ground.bit_count() - len(cycles)
@@ -215,29 +201,45 @@ def _realize_component(
             for p in mask_positions(ground)
         }
     edges = []
-    for cls in series:
-        u, v = ends[cls[0]]
-        path = [u, *range(n, n + len(cls) - 1), v]
-        n += len(cls) - 1
-        edges += [(p, *sorted(path[i:i + 2])) for i, p in enumerate(cls)]
+    for first in mask_positions(ground):
+        cls = series.get(1 << first, 1 << first)
+        u, v = ends[first]
+        path = [u, *range(n, n + cls.bit_count() - 1), v]
+        n += len(path) - 2
+        edges += [(p, *sorted(path[i:i + 2])) for i, p in enumerate(mask_positions(cls))]
     return n, edges
 
 
-def realize(m: BinaryMatroid) -> Graph | None:
-    """A graph whose cycle matroid is ``m``, or None if ``m`` is not graphic.
+def realize_cycles(
+    cycles: list[int], ground: int
+) -> tuple[int, list[tuple[int, int, int]]] | None:
+    """Graph of M|ground as a vertex count and sorted (position, u, v) edges.
 
+    ``cycles`` are fundamental circuits of M|ground with respect to some
+    basis, as ``_components`` requires; None if M|ground is not graphic.
     Each connected component gets vertices of its own, so the graph is the
-    disjoint union of its components' graphs; edges follow elements().
+    disjoint union of its components' graphs.
     """
-    cycles = m.fundamental_cycles()
     edges: list[tuple[int, int, int]] = []
     n = 0
-    for comp in _components(cycles, (1 << m.size) - 1):
+    for comp in _components(cycles, ground):
         part = _realize_component([v for v in cycles if v & comp], comp)
         if part is None:
             return None
         n_comp, comp_edges = part
         edges += [(p, u + n, v + n) for p, u, v in comp_edges]
         n += n_comp
+    return n, sorted(edges)
+
+
+def realize(m: BinaryMatroid) -> Graph | None:
+    """A graph whose cycle matroid is ``m``, or None if ``m`` is not graphic.
+
+    Edges follow elements(); see ``realize_cycles``.
+    """
+    found = realize_cycles(m.fundamental_cycles(), (1 << m.size) - 1)
+    if found is None:
+        return None
+    n, edges = found
     elems = m.elements()
-    return Graph(n, tuple((u, v, elems[p]) for p, u, v in sorted(edges)))
+    return Graph(n, tuple((u, v, elems[p]) for p, u, v in edges))

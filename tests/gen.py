@@ -72,3 +72,18 @@ def planted_host(rng: Random, target: BinaryMatroid, extra: int) -> BinaryMatroi
         tuple(f"y{j + 1}" for j in range(c + extra_cols)),
         Gf2Matrix(k + extra_rows, c + extra_cols, tuple(rows)),
     ))
+
+
+def coloop_host_of_22_elements() -> BinaryMatroid:
+    """22 elements of rank 3 whose only coloop, x3, is a cocircuit of its own.
+
+    Deleting it leaves 21 elements, one more than the graphicness test takes.
+    """
+    cols = [j % 4 for j in range(19)]
+    rows = tuple(
+        sum((c >> i & 1) << j for j, c in enumerate(cols)) for i in range(3)
+    )
+    return BinaryMatroid(
+        ("x1", "x2", "x3"), tuple(f"y{j + 1}" for j in range(19)),
+        Gf2Matrix(3, 19, rows),
+    )

@@ -215,3 +215,17 @@ def match_circuits_reference(positions1, circuits1, positions2, circuits2):
     if dfs(0, frozenset()):
         return {p: image[p] for p in order}
     return None
+
+
+def equal_columns_reference(vectors, ground):
+    """The positions of ``ground`` grouped by their column over ``vectors``.
+
+    A position's column is the set of vectors that contain it.  Groups come
+    in order of their first position, and each lists its positions in order.
+    """
+    groups = {}
+    for p in range(ground.bit_length()):
+        if ground >> p & 1:
+            col = sum(1 << j for j, v in enumerate(vectors) if v >> p & 1)
+            groups.setdefault(col, []).append(p)
+    return list(groups.values())

@@ -12,6 +12,8 @@ import pytest
 from gf2minor.catalog import get_named, parse_matrix_file, write_matrix_file
 from gf2minor.cli import execute_command, main
 
+from gen import coloop_host_of_22_elements
+
 
 def run(capsys, *argv):
     code = execute_command(list(argv))
@@ -218,6 +220,16 @@ def test_cocircuits_check_graphic(capsys):
     )
     assert code == 0
     assert "all cocircuits graphic: yes" in out
+
+
+def test_cocircuits_check_graphic_capacity_guard_exits_2(tmp_path, capsys):
+    path = tmp_path / "big.mat"
+    path.write_text(write_matrix_file(coloop_host_of_22_elements()))
+    code, _, err = run(
+        capsys, "cocircuits", "--matroid", str(path), "--check-graphic"
+    )
+    assert code == 2
+    assert "graphicness test limited to 20 elements, got 21" in err
 
 
 def test_dual_round_trip(tmp_path, capsys):

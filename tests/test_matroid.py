@@ -23,7 +23,7 @@ from gf2minor.matroid import (
     contract,
     cycle_matroid,
     delete,
-    has_weight_histogram,
+    equal_columns,
     mask_to_labels,
     minimal_supports,
     weight_histogram,
@@ -33,6 +33,7 @@ from gen import random_graph, random_matroid, relabeled_copy
 from oracles import (
     circuits_by_enumeration,
     dense_columns,
+    equal_columns_reference,
     graph_circuits,
     subset_rank,
 )
@@ -252,9 +253,36 @@ def test_early_exit_histogram_check_agrees_with_the_full_histogram():
     for _ in range(60):
         basis = random_matroid(rng, 9).fundamental_cycles()
         own = weight_histogram(basis)
-        assert has_weight_histogram(basis, own)
+        assert minimal_supports(basis, own) == minimal_supports(basis)
         for other in hists:
-            assert has_weight_histogram(basis, other) == (own == other)
+            assert (minimal_supports(basis, other) is not None) == (own == other)
+
+
+def test_equal_columns_matches_the_grouping_reference():
+    # Over a cycle basis the classes are series classes, over cocycle rows
+    # parallel classes; either way they are the groups of two or more
+    # positions with equal columns, whatever the ground's gaps.
+    rng = Random(0xC1A55)
+    cases = [([], 0), ([0b101], 0), ([0b101], 0b100), ([], 0b1011)]
+    for _ in range(60):
+        m = random_matroid(rng, 12)
+        full = (1 << m.size) - 1
+        for vectors in (m.fundamental_cycles(), m.dual().fundamental_cycles()):
+            outside = full  # in no vector: the coloops (over cocycle rows, loops)
+            for v in vectors:
+                outside &= ~v
+            cases += [
+                (vectors, full),
+                (vectors, full & rng.getrandbits(m.size)),
+                (vectors, outside),
+                (vectors, full & 1 << rng.randrange(m.size + 1)),
+            ]
+    for vectors, ground in cases:
+        expected = [
+            sum(1 << p for p in cls)
+            for cls in equal_columns_reference(vectors, ground) if len(cls) > 1
+        ]
+        assert sorted(equal_columns(vectors, ground)) == sorted(expected)
 
 
 # -- duality --------------------------------------------------------------------

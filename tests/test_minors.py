@@ -9,7 +9,7 @@ from random import Random
 import pytest
 
 from gf2minor import minors
-from gf2minor.audit import MinorWitness, verify_witness
+from gf2minor.audit import MinorWitness, verify_graph, verify_witness
 from gf2minor.catalog import get_named
 from gf2minor.certify import replay_all
 from gf2minor.errors import CapacityError, InputError
@@ -21,6 +21,7 @@ from gf2minor.matroid import (
     contract,
     cycle_matroid,
     delete,
+    equal_columns,
 )
 from gf2minor.minors import (
     check_graphic_cocircuits,
@@ -31,10 +32,17 @@ from gf2minor.minors import (
     _coloops,
     _contract_sets,
     _eliminate,
-    _has_small_cocircuit,
 )
+from gf2minor.realize import _components, realize_cycles
 
-from gen import planted_host, random_matroid, random_simple_graph, relabeled_copy
+from gen import (
+    coloop_host_of_22_elements,
+    planted_host,
+    random_graph,
+    random_matroid,
+    random_simple_graph,
+    relabeled_copy,
+)
 from oracles import has_minor_brute_force
 
 
@@ -293,9 +301,9 @@ def test_survivor_walk_tests_one_set_per_class_count_vector(monkeypatch):
     host = with_columns(free, [1] * 5 + [2, 4, 7, 0, 0, 0])
     target = with_columns(free, [1, 3, 0])
     calls = []
-    real = minors.has_weight_histogram
+    real = minors.minimal_supports
     monkeypatch.setattr(
-        minors, "has_weight_histogram", lambda *a: calls.append(a) or real(*a)
+        minors, "minimal_supports", lambda *a: calls.append(a) or real(*a)
     )
     assert find_minor_witness(host, target) is None
     classes = Counter(map(host.full_column, host.elements()))
@@ -352,6 +360,11 @@ def test_contract_set_walk_finds_parallel_classes_of_the_contraction():
                     assert (reduced[i] == reduced[j]) == parallel
 
 
+def has_small_cocircuit(vectors: list[int], alive: int) -> bool:
+    """The survivor walk's test for a coloop or a series pair of M|alive."""
+    return bool(_coloops(vectors, alive) or equal_columns(vectors, alive))
+
+
 def test_small_cocircuit_check_matches_the_dual_circuits():
     # M|alive has a coloop or a series pair exactly when its dual has a
     # circuit of size at most 2; the cycle space of the restriction is the
@@ -371,9 +384,9 @@ def test_small_cocircuit_check_matches_the_dual_circuits():
         restricted = m.delete_all(e for i, e in enumerate(elems) if not alive >> i & 1)
         expected = any(len(c) <= 2 for c in restricted.dual().circuits())
         assert _coloops(vectors, alive) == len(restricted.coloops())
-        assert _has_small_cocircuit(vectors, alive) == expected
+        assert has_small_cocircuit(vectors, alive) == expected
         full = (1 << restricted.size) - 1
-        assert _has_small_cocircuit(restricted.fundamental_cycles(), full) == expected
+        assert has_small_cocircuit(restricted.fundamental_cycles(), full) == expected
         answers.add(expected)
     assert answers == {True, False}
 
@@ -602,6 +615,101 @@ def test_empty_matroid_has_vacuously_graphic_cocircuits():
 def test_dual_g18_has_a_nongraphic_cocircuit():
     report = check_graphic_cocircuits(get_named("g18").dual())
     assert not report.all_graphic
+
+
+def deletion_cycles(m: BinaryMatroid, y) -> tuple[list[int], int, int]:
+    """Y eliminated from m's fundamental circuits, as the check deletes it.
+
+    Returns the vectors, the mask of the elements left, and how many
+    elements of Y were coloops of what was left when their turn came (no
+    vector had their bit).
+    """
+    vectors, rest, coloops = m.fundamental_cycles(), (1 << m.size) - 1, 0
+    for p, e in enumerate(m.elements()):
+        if e in y:
+            rest ^= 1 << p
+            reduced = _eliminate(vectors, 1 << p)
+            coloops += reduced is None
+            vectors = vectors if reduced is None else reduced
+    return vectors, rest, coloops
+
+
+def assert_cocircuit_checks_match_deletion(m: BinaryMatroid) -> Counter:
+    """Compare ``check_graphic_cocircuits`` with is_graphic(m.delete_all(Y)).
+
+    Every graphic m \\ Y must also be realized, from m's eliminated
+    fundamental circuits and labelled from m, by a graph that
+    ``verify_graph`` accepts for m.delete_all(Y).  Returns counts of the
+    cases met: singleton cocircuits, deletions that leave more than one
+    component of two or more elements, and deletions that are not graphic.
+    """
+    ys = sorted(m.cocircuits(), key=lambda s: (len(s), sorted(s)))
+    report = check_graphic_cocircuits(m)
+    assert [c.cocircuit for c in report.checks] == ys
+    expected = [is_graphic(m.delete_all(y)) for y in ys]
+    assert [c.graphic for c in report.checks] == expected
+    assert report.all_graphic == all(expected)
+    seen = Counter()
+    elems = m.elements()
+    for y, graphic in zip(ys, expected):
+        vectors, rest, coloops = deletion_cycles(m, y)
+        # E - Y is a hyperplane, so exactly one deletion lowers the rank.
+        assert coloops == 1
+        seen["singleton"] += len(y) == 1
+        blocks = [c for c in _components(vectors, rest) if c & (c - 1)]
+        seen["blocks"] += len(blocks) > 1
+        seen["not graphic"] += not graphic
+        found = realize_cycles(vectors, rest)
+        assert (found is not None) == graphic
+        if graphic:
+            n, edges = found
+            g = Graph(n, tuple((u, v, elems[p]) for p, u, v in edges))
+            assert verify_graph(m.delete_all(y), g)
+    return seen
+
+
+@pytest.mark.parametrize("name", ["g29", "r15", "r16", "g18*"])
+def test_cocircuit_checks_match_deletion_on_catalog_entries(name):
+    m = get_named(name.rstrip("*"))
+    assert_cocircuit_checks_match_deletion(m.dual() if name.endswith("*") else m)
+
+
+def test_cocircuit_checks_match_deletion_on_random_matroids():
+    rng = Random(0xDE1E7E)
+    seen = Counter()
+    for _ in range(15):
+        m = random_matroid(rng, 16, min_elements=12)
+        seen += assert_cocircuit_checks_match_deletion(m)
+    assert seen["not graphic"] and seen["singleton"] and seen["blocks"]
+
+
+def test_cocircuit_checks_match_deletion_on_duals_of_multigraphs():
+    # Two random multigraphs glued at a cut vertex, plus a loop (a coloop
+    # of the dual, so a cocircuit of its own) and a pendant bridge (a loop
+    # of the dual).  Parallel edges are series pairs of the dual, whose
+    # second element is a coloop once the first is eliminated.  Deleting a
+    # cocircuit of the dual contracts a cycle of the graph, which can leave
+    # several blocks.
+    rng = Random(0xB10C5)
+    seen = Counter()
+    for _ in range(20):
+        g1, g2 = random_graph(rng, 4, 7), random_graph(rng, 4, 7)
+        shift = g1.n_vertices - 1
+        edges = list(g1.edges) + [
+            (u + shift, v + shift, f"f{i}") for i, (u, v, _) in enumerate(g2.edges)
+        ]
+        n = shift + g2.n_vertices
+        edges += [(0, 0, "loop"), (n - 1, n, "bridge")]
+        m = cycle_matroid(Graph(n + 1, tuple(edges))).dual()
+        seen += assert_cocircuit_checks_match_deletion(m)
+    assert seen["singleton"] and seen["blocks"]
+
+
+def test_cocircuit_check_capacity_guard():
+    m = coloop_host_of_22_elements()  # deleting Y = {x3} leaves 21
+    with pytest.raises(CapacityError) as err:
+        check_graphic_cocircuits(m)
+    assert str(err.value) == "graphicness test limited to 20 elements, got 21"
 
 
 # -- covering_cocircuit_witness ---------------------------------------------------------------
