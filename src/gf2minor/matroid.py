@@ -421,6 +421,43 @@ def equal_columns(vectors: list[int], ground: int) -> list[int]:
     return classes
 
 
+def eliminate(vectors: list[int], bit: int) -> list[int] | None:
+    """Basis of the vectors in span(vectors) that avoid ``bit``.
+
+    None when no vector has the bit: the element is then a coloop of the
+    current restriction, and deleting it would lower the rank.
+    """
+    pivot = 0
+    out = []
+    for v in vectors:
+        if v & bit:
+            if pivot:
+                out.append(v ^ pivot)
+            else:
+                pivot = v
+        else:
+            out.append(v)
+    return out if pivot else None
+
+
+def delete_cycles(vectors: list[int], mask: int) -> tuple[list[int], int]:
+    """A basis of the cycle space of M \\ mask, and its coloops among mask.
+
+    ``vectors`` span the cycle space of M; the bits of ``mask`` are
+    eliminated lowest first.  An element that no vector has when its turn
+    comes is a coloop of what is left: deleting it leaves the vectors as
+    they are, and it is counted, so the count is r(M) - r(M \\ mask).
+    Fundamental circuits stay fundamental circuits: the pivot's cobasis bit
+    joins the basis, and each vector it is added to keeps its own.
+    """
+    lost = 0
+    for p in mask_positions(mask):
+        reduced = eliminate(vectors, 1 << p)
+        lost += reduced is None
+        vectors = vectors if reduced is None else reduced
+    return vectors, lost
+
+
 def cycle_matroid(g: Graph) -> BinaryMatroid:
     """Cycle matroid of a graph: independent sets are the acyclic edge sets.
 

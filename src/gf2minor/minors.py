@@ -10,8 +10,8 @@ target's standard form, sharing no code with the search.
 ``Graph`` from ``realize.realize``, or, when no graph exists, the first of
 Tutte's excluded minors found by running the four searches round-robin.
 ``audit.verify_graph`` checks the graph; ``is_graphic`` is the bare verdict.
-``check_graphic_cocircuits`` realizes each m \\ Y from m's fundamental
-circuits with Y eliminated, and builds m \\ Y only when that fails.
+``check_graphic_cocircuits`` deletes each Y from m's fundamental circuits
+(``matroid.delete_cycles``) to realize m \\ Y, building it only on failure.
 
 Search shape: every minor arises as host / C \\ D with C independent of size
 rank(host) - rank(target) and D coindependent.  Since host / C depends only
@@ -67,6 +67,8 @@ from .matroid import (
     BinaryMatroid,
     Graph,
     MinorOp,
+    delete_cycles,
+    eliminate,
     equal_columns,
     mask_positions,
     minimal_supports,
@@ -101,40 +103,22 @@ def _target_data(target: BinaryMatroid) -> _TargetData:
     cycles = target.fundamental_cycles()
     everything = (1 << target.size) - 1
     classes = Counter(filter(None, map(target.full_column, elements)))
+    n_coloops = _coloops(cycles, everything)
     return _TargetData(
         elements=elements,
         rank=target.full_rank,
-        n_coloops=_coloops(cycles, everything),
+        n_coloops=n_coloops,
         n_loops=len(target.loops()),
         max_parallel=max(classes.values(), default=0),
         side=prepare_side(_by_label(elements, everything), target.circuit_masks()),
         histogram=weight_histogram(cycles),
-        cosimple=not (_coloops(cycles, everything) or equal_columns(cycles, everything)),
+        cosimple=not (n_coloops or equal_columns(cycles, everything)),
     )
 
 
 def _by_label(elems: tuple[str, ...], mask: int) -> list[int]:
     """Positions of the set bits of ``mask``, in label order."""
     return sorted(mask_positions(mask), key=elems.__getitem__)
-
-
-def _eliminate(vectors: list[int], bit: int) -> list[int] | None:
-    """Basis of the vectors in span(vectors) that avoid ``bit``.
-
-    None when no vector has the bit: the element is then a coloop of the
-    current restriction, and deleting it would lower the rank.
-    """
-    pivot = 0
-    out = []
-    for v in vectors:
-        if v & bit:
-            if pivot:
-                out.append(v ^ pivot)
-            else:
-                pivot = v
-        else:
-            out.append(v)
-    return out if pivot else None
 
 
 def _contract_sets(columns: list[int], c_size: int):
@@ -218,10 +202,9 @@ def _survivor_search(
     support = 0
     for v in cycles:
         support |= v
-    for idx in mask_positions(support & ~alive):
-        cycles = _eliminate(cycles, 1 << idx)
-        if cycles is None:
-            return None
+    cycles, lost = delete_cycles(cycles, support & ~alive)
+    if lost:
+        return None
 
     def dead(vectors: list[int], alive: int) -> bool:
         if tgt.cosimple:  # a coloop or a series pair (equal columns)
@@ -242,17 +225,16 @@ def _survivor_search(
                 smask |= 1 << pool[j]
             return test(vectors, smask)
         if need == 0:  # every remaining element is deleted
-            for idx in pool[i:]:
-                vectors = _eliminate(vectors, 1 << idx)
-                if vectors is None:
-                    return None
+            vectors, lost = delete_cycles(vectors, alive & ~smask)
+            if lost:
+                return None
             return test(vectors, smask)
         bit = 1 << pool[i]
         if smask & prev[i] == prev[i]:
             found = walk(i + 1, need - 1, vectors, smask | bit, alive)
             if found is not None:
                 return found
-        vectors = _eliminate(vectors, bit)
+        vectors = eliminate(vectors, bit)
         if vectors is None:
             return None
         alive ^= bit
@@ -405,9 +387,9 @@ def _canonical_sets(sets: Iterable[frozenset[str]]) -> list[frozenset[str]]:
 def check_graphic_cocircuits(m: BinaryMatroid) -> CocircuitReport:
     """For every cocircuit Y, report whether m \\ Y is graphic.
 
-    m \\ Y is realized from m's fundamental circuits with Y eliminated, as
-    the survivor search deletes; m \\ Y is built, and ``is_graphic`` finds
-    its excluded minor, only when that realization fails.
+    m \\ Y is realized from m's fundamental circuits with Y deleted by
+    ``delete_cycles``, as in the survivor search; m \\ Y is built, and
+    ``is_graphic`` finds its excluded minor, only when that fails.
     """
     elems = m.elements()
     cycles = m.fundamental_cycles()
@@ -417,18 +399,10 @@ def check_graphic_cocircuits(m: BinaryMatroid) -> CocircuitReport:
             raise CapacityError(
                 f"graphicness test limited to {HOST_LIMIT} elements, got {m.size - len(y)}"
             )
-        # Each eliminated vector keeps its own cobasis bit and the pivot's
-        # bit joins the basis, so the vectors stay fundamental circuits, as
-        # realize_cycles requires.  An element in none of them (None) is a
-        # coloop of what is left, and deleting it changes nothing.
-        vectors, rest = cycles, (1 << m.size) - 1
-        for p, e in enumerate(elems):
-            if e in y:
-                rest ^= 1 << p
-                reduced = _eliminate(vectors, 1 << p)
-                vectors = vectors if reduced is None else reduced
-        graphic = realize_cycles(vectors, rest) is not None or is_graphic(m.delete_all(y))
-        checks.append(CocircuitCheck(y, graphic))
+        ymask = sum(1 << p for p, e in enumerate(elems) if e in y)
+        vectors, _ = delete_cycles(cycles, ymask)
+        graphic = realize_cycles(vectors, (1 << m.size) - 1 & ~ymask) is not None
+        checks.append(CocircuitCheck(y, graphic or is_graphic(m.delete_all(y))))
     return CocircuitReport(
         checks=tuple(checks),
         all_graphic=all(c.graphic for c in checks),

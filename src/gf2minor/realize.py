@@ -8,33 +8,31 @@ contracted to one edge and subdivided back afterwards; the cosimple rest of
 rank r >= 2 is graphic exactly when r + 1 of its cocircuits, the vertex
 stars, cover every element twice and have rank r.  None means not graphic;
 ``minors.graphic_certificate`` then finds an excluded minor instead.  Only
-bitmask elimination is used here, never the rank routine of ``audit``, so
-that ``audit.verify_graph`` shares no code with the realization it checks.
+bitmask elimination (``matroid.delete_cycles`` for the forced stars) is used
+here, never the rank routine of ``audit``, so that ``audit.verify_graph``
+shares no code with the realization it checks.
 """
 
 from __future__ import annotations
 
-from .matroid import BinaryMatroid, Graph, equal_columns, mask_positions, minimal_supports
+from .matroid import (
+    BinaryMatroid, Graph, delete_cycles, equal_columns, mask_positions, minimal_supports,
+)
 
 
-def _reduced_echelon(vectors: list[int]) -> list[int]:
-    """Reduced echelon basis of span(vectors).
+def _extend(basis: list[int], v: int) -> list[int] | None:
+    """Reduced echelon ``basis`` extended by v; None if v is in its span.
 
-    Each basis vector owns its lowest set bit, its pivot, which no other
-    basis vector contains.  For a cycle space the vectors are therefore the
-    fundamental circuits of the pivot elements with respect to the basis
-    formed by the other elements.
+    Each basis vector owns its lowest set bit, its pivot: over a cycle space
+    it is the fundamental circuit of its pivot for the non-pivot basis.
     """
-    basis: list[int] = []
-    for v in vectors:
-        for b in basis:
-            if v & (b & -b):
-                v ^= b
-        if v:
-            low = v & -v
-            basis = [b ^ v if b & low else b for b in basis]
-            basis.append(v)
-    return basis
+    for b in basis:
+        if v & (b & -b):
+            v ^= b
+    if not v:
+        return None
+    low = v & -v
+    return [b ^ v if b & low else b for b in basis] + [v]
 
 
 def _components(circuits: list[int], ground: int) -> list[int]:
@@ -60,28 +58,19 @@ def _components(circuits: list[int], ground: int) -> list[int]:
     return sorted(comps, key=lambda comp: comp & -comp)
 
 
-def _insert(span: dict[int, int], v: int) -> dict[int, int] | None:
-    """``span`` (leading bit -> vector) extended by v; None if v is in it."""
-    while v:
-        lead = v.bit_length() - 1
-        if lead not in span:
-            return {**span, lead: v}
-        v ^= span[lead]
-    return None
-
-
 def _stars(cycles: list[int], ground: int, rank: int) -> list[int] | None:
     """Vertex stars of a graph realizing M|ground, or None if none does.
 
     M|ground is connected, of rank at least 2, and has no cocircuit of size
-    at most 2; ``cycles`` is a basis of its cycle space.  By Whitney a
+    at most 2; ``cycles`` are fundamental circuits of it.  By Whitney a
     realization G can be taken 2-connected, and its rank + 1 vertex stars
     are then cocircuits that cover every element twice and have rank
     ``rank``.  Conversely such a family is the star family of a graph whose
     cut space, hence whose cycle matroid, is M's.
 
     A cocircuit Y with M \\ Y connected is a star of every such G: a bond
-    whose two sides both have an edge leaves two components.  These forced
+    whose two sides both have an edge leaves two components (read off
+    ``cycles`` with Y deleted, still fundamental circuits).  These forced
     stars are taken first, and the rest are found by an exact depth-first
     search that branches on the open element with the fewest candidates.
     A candidate fits the remaining demand, meets each chosen star in nothing
@@ -92,7 +81,9 @@ def _stars(cycles: list[int], ground: int, rank: int) -> list[int] | None:
     size = ground.bit_count()
     if 2 * size < 3 * (rank + 1):
         return None  # every vertex of G would need degree 3 or more
-    basis = _reduced_echelon(cycles)
+    basis: list[int] = []
+    for v in cycles:
+        basis = _extend(basis, v) or basis
     pivots = 0
     for b in basis:
         pivots |= b & -b
@@ -112,18 +103,15 @@ def _stars(cycles: list[int], ground: int, rank: int) -> list[int] | None:
     cocircuits = minimal_supports(rows)
     need = rank + 1
     chosen: list[int] = []
-    span: dict[int, int] = {}
+    span: list[int] = []
     once = twice = 0
     for y in cocircuits:
-        # Deleting Y projects the cocycle space onto the rest; its reduced
-        # echelon basis is fundamental cocircuits, as good as circuits here.
-        rest = _reduced_echelon([row & ~y for row in rows])
-        if len(_components(rest, ground & ~y)) > 1:
+        if len(_components(delete_cycles(cycles, y)[0], ground & ~y)) > 1:
             continue
         if len(chosen) == need or y & twice:
             return None
         if len(chosen) < rank:
-            grown = _insert(span, y)
+            grown = _extend(span, y)
             if grown is None:
                 return None
             span = grown
@@ -145,7 +133,7 @@ def _stars(cycles: list[int], ground: int, rank: int) -> list[int] | None:
                 best = hits
         last = len(chosen) == rank
         for i, y in enumerate(best):
-            grown = span if last else _insert(span, y)
+            grown = span if last else _extend(span, y)
             if grown is None:
                 continue
             covered = twice | once & y
@@ -173,10 +161,10 @@ def _realize_component(
 ) -> tuple[int, list[tuple[int, int, int]]] | None:
     """Graph of the connected M|comp: vertex count, (position, u, v) edges.
 
-    ``cycles`` is a basis of the cycle space of M|comp.  Elements with equal
-    columns over it are in series.  All of such a class but its first
-    element are contracted by clearing their bits, which keeps the basis
-    independent; the cosimple rest is realized, and the first element's
+    ``cycles`` are fundamental circuits of M|comp.  Elements with equal
+    columns over them are in series.  All of such a class but its first
+    element are contracted by clearing their bits, which leaves each vector
+    a private bit; the cosimple rest is realized, and the first element's
     edge is then subdivided into the class's path, in host order.  A loop
     is a one-vertex loop, a polygon is one class around such a loop, and a
     rank-1 rest is a bundle of parallel edges (a coloop is a bundle of one).

@@ -229,3 +229,45 @@ def equal_columns_reference(vectors, ground):
             col = sum(1 << j for j, v in enumerate(vectors) if v >> p & 1)
             groups.setdefault(col, []).append(p)
     return list(groups.values())
+
+
+def reduced_echelon_reference(vectors):
+    """Reduced echelon basis of span(vectors), built vector by vector.
+
+    Each basis vector owns its lowest set bit, its pivot, which no other
+    basis vector contains.  A vector is reduced by the basis so far; if
+    anything is left, it clears its pivot from the others and is appended.
+    """
+    basis = []
+    for v in vectors:
+        for b in basis:
+            if v & (b & -b):
+                v ^= b
+        if v:
+            low = v & -v
+            basis = [b ^ v if b & low else b for b in basis]
+            basis.append(v)
+    return basis
+
+
+def components_reference(elements, circuits):
+    """Connected components of a matroid, from all its circuits, by union-find.
+
+    Two elements lie in one component when some circuit contains both; an
+    element in no circuit is a component of its own.  A set of frozensets.
+    """
+    parent = {e: e for e in elements}
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for c in circuits:
+        first, *rest = c
+        for e in rest:
+            parent[find(e)] = find(first)
+    groups = {}
+    for e in elements:
+        groups.setdefault(find(e), set()).add(e)
+    return {frozenset(g) for g in groups.values()}

@@ -88,17 +88,46 @@ def test_audit_holds_no_module_level_state():
     assert all(isinstance(node, kinds) for node in body[1:])
 
 
+def _named(tree: ast.AST) -> set[str]:
+    """Every name, attribute and imported name that occurs in ``tree``."""
+    named = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.alias):
+            named.update((node.name, node.asname))
+    return named
+
+
 def test_search_modules_never_name_the_audits_rank_routine():
-    for module in ("minors", "realize", "iso"):
-        named = set()
-        for node in ast.walk(_tree(module)):
-            if isinstance(node, ast.Name):
-                named.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                named.add(node.attr)
-            elif isinstance(node, ast.alias):
-                named.update((node.name, node.asname))
-        assert "rank_of_vectors" not in named, module
+    search = ("minors", "realize", "iso")
+    for module in search:
+        assert "rank_of_vectors" not in _named(_tree(module)), module
+    # matroid.py imports the routine for BinaryMatroid.rank, so each of its
+    # functions that the search imports, and each that those call, must
+    # not name it either.
+    functions = {
+        node.name: node for node in _tree("matroid").body
+        if isinstance(node, ast.FunctionDef)
+    }
+    todo = {
+        alias.name
+        for module in search
+        for node in ast.walk(_tree(module))
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        and node.module == "matroid"
+        for alias in node.names
+    } & functions.keys()
+    assert {"eliminate", "delete_cycles", "minimal_supports"} <= todo
+    checked = set()
+    while todo:
+        name = todo.pop()
+        checked.add(name)
+        named = _named(functions[name])
+        assert "rank_of_vectors" not in named, name
+        todo |= (named & functions.keys()) - checked
 
 
 def test_audit_survives_a_corrupted_circuit_kernel(monkeypatch):

@@ -12,6 +12,7 @@ search's answers for the 9- and 10-element targets M*(K5) and M*(K33).
 from __future__ import annotations
 
 import time
+from collections import Counter
 from random import Random
 
 import pytest
@@ -31,8 +32,10 @@ from gf2minor.minors import (
     find_minor_witness,
     graphic_certificate,
 )
+from gf2minor.realize import _extend
 
 from gen import planted_host, random_graph, random_matroid
+from oracles import reduced_echelon_reference
 
 
 def excluded_minor_oracle(m: BinaryMatroid, first: str | None = None) -> bool:
@@ -100,6 +103,39 @@ def test_planted_excluded_minors_are_not_graphic(name):
         verdict, found = certified_verdict(host)
         assert not verdict
         assert not excluded_minor_oracle(host, first=found)
+
+
+# -- the span step -------------------------------------------------------------------
+
+
+def test_extend_fold_matches_the_reduced_echelon_reference():
+    # Folding _extend over a list gives the reference's basis, vectors and
+    # order alike, so the cocycle rows of _stars cannot drift; None comes
+    # exactly when the rank does not grow, and the basis passed in, which
+    # the star search shares between branches, is left as it was.
+    rng = Random(0xEC4E1)
+    outcomes = Counter()
+    for _ in range(300):
+        width = rng.randint(1, 12)
+        vectors = []
+        for _ in range(rng.randint(0, 10)):
+            v = rng.getrandbits(width)
+            if vectors and rng.random() < 0.3:  # a sum of earlier ones, or 0
+                v = 0
+                for w in rng.sample(vectors, rng.randint(1, len(vectors))):
+                    v ^= w
+            vectors.append(v)
+        basis = []
+        for i, v in enumerate(vectors):
+            before = list(basis)
+            grown = _extend(basis, v)
+            assert basis == before
+            expected = reduced_echelon_reference(vectors[:i + 1])
+            assert (grown is None) == (len(expected) == len(before))
+            outcomes[grown is None] += 1
+            basis = grown or basis
+            assert basis == expected
+    assert outcomes[True] and outcomes[False]
 
 
 # -- edge cases -------------------------------------------------------------------

@@ -23,15 +23,18 @@ from gf2minor.matroid import (
     contract,
     cycle_matroid,
     delete,
+    delete_cycles,
     equal_columns,
     mask_to_labels,
     minimal_supports,
     weight_histogram,
 )
+from gf2minor.realize import _components
 
 from gen import random_graph, random_matroid, relabeled_copy
 from oracles import (
     circuits_by_enumeration,
+    components_reference,
     dense_columns,
     equal_columns_reference,
     graph_circuits,
@@ -283,6 +286,38 @@ def test_equal_columns_matches_the_grouping_reference():
             for cls in equal_columns_reference(vectors, ground) if len(cls) > 1
         ]
         assert sorted(equal_columns(vectors, ground)) == sorted(expected)
+
+
+def test_delete_cycles_matches_deletion():
+    # For random masks and for every cocircuit, the vectors left must be
+    # fundamental circuits of m \ mask: the same circuits, one private bit
+    # each, and the same components; the count is the rank lost.
+    rng = Random(0xDE1C7)
+    seen = Counter()
+    for _ in range(60):
+        m = random_matroid(rng, 10)
+        elems = m.elements()
+        full = (1 << m.size) - 1
+        masks = [full & rng.getrandbits(m.size) for _ in range(4)]
+        masks += [sum(1 << elems.index(e) for e in y) for y in m.cocircuits()]
+        for mask in masks:
+            vectors, lost = delete_cycles(m.fundamental_cycles(), mask)
+            rest = m.delete_all(mask_to_labels(mask, elems))
+            circuits = {mask_to_labels(s, elems) for s in minimal_supports(vectors)}
+            assert circuits == rest.circuits()
+            assert lost == m.full_rank - m.rank(rest.elements())
+            for i, v in enumerate(vectors):
+                others = 0
+                for w in vectors[:i] + vectors[i + 1:]:
+                    others |= w
+                assert v & ~others
+            comps = {mask_to_labels(c, elems) for c in _components(vectors, full & ~mask)}
+            assert comps == components_reference(rest.elements(), rest.circuits())
+            seen["coloop deleted"] += lost > 0
+            seen["several components"] += len(comps) > 1
+        seen["loops"] += bool(m.loops())
+        seen["coloops"] += bool(m.coloops())
+    assert all(seen[k] for k in ("coloop deleted", "several components", "loops", "coloops"))
 
 
 # -- duality --------------------------------------------------------------------

@@ -21,6 +21,7 @@ from gf2minor.matroid import (
     contract,
     cycle_matroid,
     delete,
+    delete_cycles,
     equal_columns,
 )
 from gf2minor.minors import (
@@ -31,7 +32,6 @@ from gf2minor.minors import (
     covering_cocircuit_witness,
     _coloops,
     _contract_sets,
-    _eliminate,
 )
 from gf2minor.realize import _components, realize_cycles
 
@@ -374,13 +374,8 @@ def test_small_cocircuit_check_matches_the_dual_circuits():
     for _ in range(80):
         m = random_matroid(rng, 9, min_elements=1)
         elems = m.elements()
-        alive, vectors = 0, m.fundamental_cycles()
-        for idx in range(m.size):
-            if rng.random() < 0.7:
-                alive |= 1 << idx
-            else:  # deleting a coloop (None) leaves the cycle space as it is
-                reduced = _eliminate(vectors, 1 << idx)
-                vectors = vectors if reduced is None else reduced
+        alive = sum(1 << idx for idx in range(m.size) if rng.random() < 0.7)
+        vectors, _ = delete_cycles(m.fundamental_cycles(), (1 << m.size) - 1 & ~alive)
         restricted = m.delete_all(e for i, e in enumerate(elems) if not alive >> i & 1)
         expected = any(len(c) <= 2 for c in restricted.dual().circuits())
         assert _coloops(vectors, alive) == len(restricted.coloops())
@@ -624,14 +619,9 @@ def deletion_cycles(m: BinaryMatroid, y) -> tuple[list[int], int, int]:
     elements of Y were coloops of what was left when their turn came (no
     vector had their bit).
     """
-    vectors, rest, coloops = m.fundamental_cycles(), (1 << m.size) - 1, 0
-    for p, e in enumerate(m.elements()):
-        if e in y:
-            rest ^= 1 << p
-            reduced = _eliminate(vectors, 1 << p)
-            coloops += reduced is None
-            vectors = vectors if reduced is None else reduced
-    return vectors, rest, coloops
+    ymask = sum(1 << p for p, e in enumerate(m.elements()) if e in y)
+    vectors, coloops = delete_cycles(m.fundamental_cycles(), ymask)
+    return vectors, (1 << m.size) - 1 & ~ymask, coloops
 
 
 def assert_cocircuit_checks_match_deletion(m: BinaryMatroid) -> Counter:
