@@ -359,6 +359,18 @@ def minimal_supports(basis: list[int],
     cycle vectors, which each own a private bit).  With ``histogram`` the
     answer is None unless it is ``weight_histogram(basis)``; the walk stops
     at the first weight that occurs too often, usually after a few XORs.
+    Lightest first, as ``lightest_minimal`` yields them.
+    """
+    vectors = span_vectors(basis, histogram)
+    return None if vectors is None else list(lightest_minimal(vectors))
+
+
+def span_vectors(basis: list[int],
+                 histogram: tuple[int, ...] | None = None) -> list[int] | None:
+    """Every nonzero XOR combination of ``basis``, in Gray-code order.
+
+    With ``histogram`` the answer is None unless it counts the combinations
+    per weight (see ``minimal_supports``).
     """
     k = len(basis)
     if histogram is not None:
@@ -368,22 +380,32 @@ def minimal_supports(basis: list[int],
         if support.bit_count() + 1 != len(histogram) or 1 << k != sum(histogram) + 1:
             return None
         left = list(histogram)
-    supports = []
+    vectors = []
     acc = 0
     for g in range(1, 1 << k):
         acc ^= basis[(g & -g).bit_length() - 1]
-        supports.append(acc)
+        vectors.append(acc)
         if histogram is not None:
             w = acc.bit_count()
             left[w] -= 1
             if left[w] < 0:
                 return None
-    supports.sort(key=lambda s: s.bit_count())
+    return vectors
+
+
+def lightest_minimal(vectors: list[int]) -> Iterator[int]:
+    """The inclusion-minimal supports among ``vectors``, lightest first.
+
+    ``vectors`` is sorted in place by weight, stably, so ties keep their
+    order; each minimal support is yielded as soon as it is found, and a
+    caller that stops early skips the minimality test on the rest.
+    """
+    vectors.sort(key=int.bit_count)
     minimal: list[int] = []
-    for s in supports:
+    for s in vectors:
         if not any(m & s == m for m in minimal):
             minimal.append(s)
-    return minimal
+            yield s
 
 
 def weight_histogram(basis: list[int]) -> tuple[int, ...]:
@@ -398,10 +420,8 @@ def weight_histogram(basis: list[int]) -> tuple[int, ...]:
     for v in basis:
         support |= v
     counts = [0] * (support.bit_count() + 1)
-    acc = 0
-    for g in range(1, 1 << len(basis)):
-        acc ^= basis[(g & -g).bit_length() - 1]
-        counts[acc.bit_count()] += 1
+    for v in span_vectors(basis):
+        counts[v.bit_count()] += 1
     return tuple(counts)
 
 

@@ -6,7 +6,9 @@ matroid's own and attaches the labels of ``elements()``.  Elements in series
 (equal columns over the cycle basis, ``matroid.equal_columns``) are
 contracted to one edge and subdivided back afterwards; the cosimple rest of
 rank r >= 2 is graphic exactly when r + 1 of its cocircuits, the vertex
-stars, cover every element twice and have rank r.  None means not graphic;
+stars, cover every element twice and have rank r.  Cocircuits are read
+lazily, lightest first, and the search stops at the first complete family
+of forced stars, usually after about r + 1 of them.  None means not graphic;
 ``minors.graphic_certificate`` then finds an excluded minor instead.  Only
 bitmask elimination (``matroid.delete_cycles`` for the forced stars) is used
 here, never the rank routine of ``audit``, so that ``audit.verify_graph``
@@ -16,7 +18,8 @@ shares no code with the realization it checks.
 from __future__ import annotations
 
 from .matroid import (
-    BinaryMatroid, Graph, delete_cycles, equal_columns, mask_positions, minimal_supports,
+    BinaryMatroid, Graph, delete_cycles, equal_columns, lightest_minimal, mask_positions,
+    span_vectors,
 )
 
 
@@ -71,12 +74,22 @@ def _stars(cycles: list[int], ground: int, rank: int) -> list[int] | None:
     A cocircuit Y with M \\ Y connected is a star of every such G: a bond
     whose two sides both have an edge leaves two components (read off
     ``cycles`` with Y deleted, still fundamental circuits).  These forced
-    stars are taken first, and the rest are found by an exact depth-first
-    search that branches on the open element with the fewest candidates.
-    A candidate fits the remaining demand, meets each chosen star in nothing
-    or in one whole parallel class (the edges joining two vertices), and is
-    independent of the chosen stars unless it is the last: any ``rank`` of
-    the stars of a connected graph are independent.
+    stars are taken first, from the cocircuits read lightest first, and the
+    reading stops once ``rank`` + 1 are found.  That changes no answer.  A
+    star family holds every forced star and has ``rank`` + 1 members, so it
+    can only be the family found.  If that family covers every element
+    twice (no element three times, its first ``rank`` independent), it is
+    the star family of a 2-connected graph G with M(G) = M, and a later
+    forced cocircuit, a bond of G with no edge on one side, would be a
+    vertex star of G, so already in the family.
+
+    When the forced stars fall short, every cocircuit is read and the rest
+    are found by an exact depth-first search that branches on the open
+    element with the fewest candidates.  A candidate fits the remaining
+    demand, meets each chosen star in nothing or in one whole parallel
+    class (the edges joining two vertices), and is independent of the
+    chosen stars unless it is the last: any ``rank`` of the stars of a
+    connected graph are independent.
     """
     size = ground.bit_count()
     if 2 * size < 3 * (rank + 1):
@@ -100,15 +113,17 @@ def _stars(cycles: list[int], ground: int, rank: int) -> list[int] | None:
         low = common & -common
         return common == parallel.get(low, low)
 
-    cocircuits = minimal_supports(rows)
+    cocircuits = lightest_minimal(span_vectors(rows))
     need = rank + 1
     chosen: list[int] = []
     span: list[int] = []
     once = twice = 0
+    read: list[int] = []
     for y in cocircuits:
+        read.append(y)
         if len(_components(delete_cycles(cycles, y)[0], ground & ~y)) > 1:
             continue
-        if len(chosen) == need or y & twice:
+        if y & twice:
             return None
         if len(chosen) < rank:
             grown = _extend(span, y)
@@ -118,6 +133,11 @@ def _stars(cycles: list[int], ground: int, rank: int) -> list[int] | None:
         chosen.append(y)
         twice |= once & y
         once |= y
+        if len(chosen) == need:
+            # The only possible star family; if it is one, every later
+            # forced cocircuit would be one of its stars.
+            return chosen if twice == ground else None
+    cocircuits = read
 
     def extend(chosen, span, once, twice, candidates):
         if len(chosen) == need:

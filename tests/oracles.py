@@ -271,3 +271,132 @@ def components_reference(elements, circuits):
     for e in elements:
         groups.setdefault(find(e), set()).add(e)
     return {frozenset(g) for g in groups.values()}
+
+
+def cocircuits_reference(cycles, ground):
+    """The cocircuits of M|ground, lightest first, from fundamental circuits.
+
+    ``cycles`` are fundamental circuits of M|ground.  Their reduced echelon
+    basis gives the rows of [I | A] over the non-pivot elements, which span
+    the cocycles; the g-th nonzero combination of the rows, g = 1, 2, ...,
+    takes the rows set in the Gray code g ^ (g >> 1).  The combinations are
+    sorted by weight, ties kept in that order, and the inclusion-minimal
+    ones are kept.
+    """
+    basis = reduced_echelon_reference(cycles)
+    pivots = [b & -b for b in basis]
+    rows = [
+        1 << f | sum(pivot for b, pivot in zip(basis, pivots) if b >> f & 1)
+        for f in range(ground.bit_length())
+        if ground >> f & 1 and 1 << f not in pivots
+    ]
+    combos = []
+    for g in range(1, 1 << len(rows)):
+        gray = g ^ (g >> 1)
+        v = 0
+        for i, row in enumerate(rows):
+            if gray >> i & 1:
+                v ^= row
+        combos.append(v)
+    combos.sort(key=lambda v: bin(v).count("1"))
+    minimal = []
+    for v in combos:
+        if not any(m & v == m for m in minimal):
+            minimal.append(v)
+    return rows, minimal
+
+
+def connected_after_deleting_reference(cycles, ground, y):
+    """Whether M|ground \\ y is connected, from its circuits.
+
+    The circuits of M \\ y are the inclusion-minimal nonzero cycles of M
+    that avoid y; the cycles are all combinations of ``cycles``.
+    """
+    cycle_space = {0}
+    for c in cycles:
+        cycle_space |= {v ^ c for v in cycle_space}
+    avoiding = sorted((v for v in cycle_space if v and not v & y),
+                      key=lambda v: bin(v).count("1"))
+    circuits = []
+    for v in avoiding:
+        if not any(c & v == c for c in circuits):
+            circuits.append(v)
+    rest = ground & ~y
+    elements = [p for p in range(rest.bit_length()) if rest >> p & 1]
+    members = [[p for p in elements if c >> p & 1] for c in circuits]
+    return len(components_reference(elements, members)) == 1
+
+
+def stars_reference(cycles, ground, rank):
+    """The vertex-star search of ``realize._stars``, with no early stop.
+
+    Same inputs and answer: the stars of a graph realizing the connected,
+    cosimple M|ground of rank ``rank`` >= 2, or None.  Every cocircuit is
+    listed (``cocircuits_reference``), every one is tested for being
+    forced, a star of every realization because deleting it leaves M
+    connected, and the forced ones are taken in order: a second family
+    member, an element covered three times or a dependent star among the
+    first ``rank`` answers None.  An exact depth-first search then adds the
+    rest.  It branches on the open element with the fewest candidates, in
+    the order of the list; a candidate avoids the elements covered twice,
+    meets each chosen star in nothing or in one whole parallel class, is
+    independent of the chosen stars unless it is the last, and is not a
+    candidate tried before it at an earlier branch.
+    """
+    if 2 * bin(ground).count("1") < 3 * (rank + 1):
+        return None
+    rows, cocircuits = cocircuits_reference(cycles, ground)
+    classes = [sum(1 << p for p in group)
+               for group in equal_columns_reference(rows, ground)]
+    need = rank + 1
+
+    def meets_in_a_class(y, star):
+        return not y & star or (y & star) in classes
+
+    def independent(stars):
+        return len(reduced_echelon_reference(stars)) == len(stars)
+
+    chosen = []
+    once = twice = 0
+    for y in cocircuits:
+        if not connected_after_deleting_reference(cycles, ground, y):
+            continue
+        if len(chosen) == need or y & twice:
+            return None
+        if len(chosen) < rank and not independent(chosen + [y]):
+            return None
+        chosen.append(y)
+        twice |= once & y
+        once |= y
+
+    def extend(chosen, once, twice, candidates):
+        if len(chosen) == need:
+            return chosen if twice == ground else None
+        best = None
+        for p in range(ground.bit_length()):
+            if not ground >> p & 1 or twice >> p & 1:
+                continue
+            hits = [y for y in candidates if y >> p & 1]
+            if not hits:
+                return None
+            if best is None or len(hits) < len(best):
+                best = hits
+        for i, y in enumerate(best):
+            if len(chosen) < rank and not independent(chosen + [y]):
+                continue
+            covered = twice | once & y
+            found = extend(
+                chosen + [y], once | y, covered,
+                [z for z in candidates if not z & covered
+                 and z not in best[:i + 1] and meets_in_a_class(z, y)],
+            )
+            if found is not None:
+                return found
+        return None
+
+    candidates = [
+        y for y in cocircuits
+        if not y & twice and y not in chosen
+        and all(meets_in_a_class(y, star) for star in chosen)
+    ]
+    return extend(chosen, once, twice, candidates)

@@ -147,12 +147,17 @@ def test_audit_survives_a_corrupted_circuit_kernel(monkeypatch):
     ]
 
     kernel = matroid.minimal_supports
+    lazy_kernel = matroid.lightest_minimal
 
     def drop_last(basis):
         return kernel(basis)[:-1]
 
-    for module in (matroid, minors, realize):
+    def drop_last_lazily(vectors):
+        return iter(list(lazy_kernel(vectors))[:-1])
+
+    for module in (matroid, minors):
         monkeypatch.setattr(module, "minimal_supports", drop_last)
+    monkeypatch.setattr(realize, "lightest_minimal", drop_last_lazily)
     assert len(target.circuits()) == 36  # M(K5) has 37: the mutation bites
     assert verify_witness(host, target, w)
     for t in tampered:

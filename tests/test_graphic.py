@@ -17,6 +17,7 @@ from random import Random
 
 import pytest
 
+from gf2minor import realize
 from gf2minor.audit import verify_graph, verify_witness
 from gf2minor.catalog import catalog_names, get_named
 from gf2minor.errors import CapacityError, InputError
@@ -24,6 +25,7 @@ from gf2minor.gf2 import Gf2Matrix
 from gf2minor.matroid import (
     BinaryMatroid,
     Graph,
+    complete_bipartite_graph,
     complete_graph,
     cycle_matroid,
 )
@@ -34,8 +36,13 @@ from gf2minor.minors import (
 )
 from gf2minor.realize import _extend
 
-from gen import planted_host, random_graph, random_matroid
-from oracles import reduced_echelon_reference
+from gen import planted_host, random_graph, random_matroid, random_simple_graph
+from oracles import (
+    cocircuits_reference,
+    connected_after_deleting_reference,
+    reduced_echelon_reference,
+    stars_reference,
+)
 
 
 def excluded_minor_oracle(m: BinaryMatroid, first: str | None = None) -> bool:
@@ -103,6 +110,122 @@ def test_planted_excluded_minors_are_not_graphic(name):
         verdict, found = certified_verdict(host)
         assert not verdict
         assert not excluded_minor_oracle(host, first=found)
+
+
+# -- the star search against its eager reference ----------------------------------
+
+
+def star_searches(m: BinaryMatroid, monkeypatch) -> list[tuple]:
+    """Each ``_stars`` call of ``realize(m)``: its arguments and its answer."""
+    search = realize._stars
+    calls = []
+
+    def spy(cycles, ground, rank):
+        stars = search(cycles, ground, rank)
+        # A copy: the caller sorts the list in place.
+        calls.append((cycles, ground, rank, stars and list(stars)))
+        return stars
+
+    monkeypatch.setattr(realize, "_stars", spy)
+    realize.realize(m)
+    monkeypatch.undo()
+    return calls
+
+
+def needs_the_dfs(cycles, ground, rank) -> bool:
+    """Whether fewer than rank + 1 cocircuits are forced stars."""
+    _, cocircuits = cocircuits_reference(cycles, ground)
+    forced = sum(connected_after_deleting_reference(cycles, ground, y) for y in cocircuits)
+    return forced <= rank
+
+
+def assert_stars_match_the_reference(matroids, monkeypatch) -> Counter:
+    """``_stars`` answers as ``stars_reference`` on each call; outcome counts."""
+    outcomes = Counter()
+    for m in matroids:
+        for cycles, ground, rank, stars in star_searches(m, monkeypatch):
+            assert stars == stars_reference(cycles, ground, rank), str(m)
+            if stars is None:
+                outcomes["none"] += 1
+            else:
+                outcomes["dfs" if needs_the_dfs(cycles, ground, rank) else "forced"] += 1
+    return outcomes
+
+
+def seeded(rng: Random, g: Graph) -> BinaryMatroid:
+    """The cycle matroid of ``g`` with its vertices and edge order shuffled."""
+    names = list(range(g.n_vertices))
+    rng.shuffle(names)
+    edges = [(names[u], names[v], lab) for u, v, lab in g.edges]
+    rng.shuffle(edges)
+    return cycle_matroid(Graph(g.n_vertices, tuple(edges)))
+
+
+def wheel(n: int) -> Graph:
+    """The wheel with n spokes: hub 0 and rim 1..n."""
+    rim = [(i, i % n + 1, f"r{i}") for i in range(1, n + 1)]
+    return Graph(n + 1, tuple(rim + [(0, i, f"s{i}") for i in range(1, n + 1)]))
+
+
+def prism(n: int) -> Graph:
+    """Two n-gons 0..n-1 and n..2n-1 joined by a matching."""
+    edges = [(i, (i + 1) % n, f"a{i}") for i in range(n)]
+    edges += [(n + i, n + (i + 1) % n, f"b{i}") for i in range(n)]
+    edges += [(i, n + i, f"m{i}") for i in range(n)]
+    return Graph(2 * n, tuple(edges))
+
+
+def test_stars_match_the_reference_on_the_catalog(monkeypatch):
+    matroids = [get_named(name) for name in catalog_names()]
+    outcomes = assert_stars_match_the_reference(
+        matroids + [m.dual() for m in matroids], monkeypatch)
+    assert outcomes["none"] and outcomes["forced"] and outcomes["dfs"]
+
+
+def test_stars_match_the_reference_on_3_connected_graphs(monkeypatch):
+    rng = Random(0x57A25)
+    graphs = [wheel(n) for n in range(3, 8)] + [prism(n) for n in range(3, 6)]
+    graphs += [complete_graph(n) for n in range(3, 7)] + [complete_bipartite_graph(3, 3)]
+    matroids = [seeded(rng, g) for g in graphs for _ in range(3)]
+    outcomes = assert_stars_match_the_reference(matroids, monkeypatch)
+    assert outcomes["forced"] and not outcomes["none"]
+
+
+def test_stars_match_the_reference_on_random_graphs(monkeypatch):
+    rng = Random(0x57A26)
+    graphs = [random_simple_graph(rng, 7, 6, 14) for _ in range(30)]
+    graphs += [random_graph(rng, 7, 12) for _ in range(30)]
+    outcomes = assert_stars_match_the_reference(
+        [cycle_matroid(g) for g in graphs], monkeypatch)
+    assert outcomes["dfs"] and outcomes["forced"] and not outcomes["none"]
+
+
+def test_stars_match_the_reference_on_planted_excluded_minors(monkeypatch):
+    rng = Random(0x57A27)
+    hosts = [
+        planted_host(rng, get_named(name), rng.randint(0, 6))
+        for name in GRAPHICNESS_EXCLUDED for _ in range(6)
+    ]
+    outcomes = assert_stars_match_the_reference(hosts, monkeypatch)
+    assert outcomes["none"]
+
+
+@pytest.mark.parametrize("name", ["g18", "M(K5)"])
+def test_forced_star_test_stops_at_a_complete_family(name, monkeypatch):
+    # The forced-star test deletes each cocircuit it reads from the cycle
+    # basis; once rank + 1 forced stars are found no more are read.  On g18
+    # the 10 stars are the first 11 of its 146 cocircuits by weight.
+    m = get_named(name)
+    eliminations = []
+    kernel = realize.delete_cycles
+
+    def counting(vectors, mask):
+        eliminations.append(mask)
+        return kernel(vectors, mask)
+
+    monkeypatch.setattr(realize, "delete_cycles", counting)
+    assert verify_graph(m, realize.realize(m))
+    assert len(eliminations) <= m.full_rank + 2
 
 
 # -- the span step -------------------------------------------------------------------
