@@ -7,8 +7,8 @@ matroid's own and attaches the labels of ``elements()``.  Elements in series
 contracted to one edge and subdivided back afterwards; the cosimple rest of
 rank r >= 2 is graphic exactly when r + 1 of its cocircuits, the vertex
 stars, cover every element twice and have rank r.  Cocircuits are read
-lazily, lightest first, and the search stops at the first complete family
-of forced stars, usually after about r + 1 of them.  None means not graphic;
+lazily, lightest first, until r + 1 forced stars are found or up to the
+weight that the stars still missing can carry.  None means not graphic;
 ``minors.graphic_certificate`` then finds an excluded minor instead.  Only
 bitmask elimination (``matroid.delete_cycles`` for the forced stars) is used
 here, never the rank routine of ``audit``, so that ``audit.verify_graph``
@@ -71,29 +71,31 @@ def _stars(cycles: list[int], ground: int, rank: int) -> list[int] | None:
     ``rank``.  Conversely such a family is the star family of a graph whose
     cut space, hence whose cycle matroid, is M's.
 
-    A cocircuit Y with M \\ Y connected is a star of every such G: a bond
-    whose two sides both have an edge leaves two components (read off
-    ``cycles`` with Y deleted, still fundamental circuits).  These forced
-    stars are taken first, from the cocircuits read lightest first, and the
-    reading stops once ``rank`` + 1 are found.  That changes no answer.  A
-    star family holds every forced star and has ``rank`` + 1 members, so it
-    can only be the family found.  If that family covers every element
-    twice (no element three times, its first ``rank`` independent), it is
-    the star family of a 2-connected graph G with M(G) = M, and a later
-    forced cocircuit, a bond of G with no edge on one side, would be a
-    vertex star of G, so already in the family.
+    A cocircuit Y with M \\ Y connected, a bond whose sides do not both
+    have an edge (read off ``cycles`` with Y deleted), is a star of every
+    such G.  These forced stars F are taken first, from the cocircuits read
+    lightest first.  A star family holds F, and its ``rank`` + 1 members
+    weigh at least 3 each and 2|ground| in all, so no other member weighs
+    more than 3 + spare, where spare is 2|ground| - 3(``rank`` + 1) less the
+    sum of |f| - 3 over F.  The reading stops at the first heavier
+    cocircuit, before the first if spare < 0, or once F has ``rank`` + 1
+    members, which can then only be the family.  The verdict is that of a
+    full read: a forced cocircuit left unread is a star of every
+    realization, so of any family found among those read, which it is not.
 
-    When the forced stars fall short, every cocircuit is read and the rest
-    are found by an exact depth-first search that branches on the open
-    element with the fewest candidates.  A candidate fits the remaining
-    demand, meets each chosen star in nothing or in one whole parallel
-    class (the edges joining two vertices), and is independent of the
-    chosen stars unless it is the last: any ``rank`` of the stars of a
-    connected graph are independent.
+    When the forced stars fall short, the rest are found among those read
+    by an exact depth-first search that branches on the open element with
+    the fewest candidates.  A candidate fits the remaining demand, meets
+    each chosen star in nothing or in one whole parallel class (the edges
+    joining two vertices), and is independent of the chosen stars unless
+    it is the last: any ``rank`` of the stars of a connected graph are
+    independent.  With fewer candidates than a full read it can branch
+    elsewhere and find another of several star families first.
     """
-    size = ground.bit_count()
-    if 2 * size < 3 * (rank + 1):
-        return None  # every vertex of G would need degree 3 or more
+    need = rank + 1
+    spare = 2 * ground.bit_count() - 3 * need
+    if spare < 0:
+        return None
     basis: list[int] = []
     for v in cycles:
         basis = _extend(basis, v) or basis
@@ -114,12 +116,13 @@ def _stars(cycles: list[int], ground: int, rank: int) -> list[int] | None:
         return common == parallel.get(low, low)
 
     cocircuits = lightest_minimal(span_vectors(rows))
-    need = rank + 1
     chosen: list[int] = []
     span: list[int] = []
     once = twice = 0
     read: list[int] = []
     for y in cocircuits:
+        if y.bit_count() - 3 > spare:
+            break  # too heavy for any family holding the forced stars
         read.append(y)
         if len(_components(delete_cycles(cycles, y)[0], ground & ~y)) > 1:
             continue
@@ -131,6 +134,7 @@ def _stars(cycles: list[int], ground: int, rank: int) -> list[int] | None:
                 return None
             span = grown
         chosen.append(y)
+        spare -= y.bit_count() - 3
         twice |= once & y
         once |= y
         if len(chosen) == need:

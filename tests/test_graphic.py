@@ -28,6 +28,7 @@ from gf2minor.matroid import (
     complete_bipartite_graph,
     complete_graph,
     cycle_matroid,
+    delete_cycles,
 )
 from gf2minor.minors import (
     GRAPHICNESS_EXCLUDED,
@@ -115,15 +116,37 @@ def test_planted_excluded_minors_are_not_graphic(name):
 # -- the star search against its eager reference ----------------------------------
 
 
+def counting_reads(monkeypatch) -> list[int]:
+    """Cocircuits the star search reads from its stream, one count per call."""
+    stream = realize.lightest_minimal
+    reads: list[int] = []
+
+    def counted(vectors):
+        reads.append(0)
+        return each(stream(vectors), len(reads) - 1)
+
+    def each(cocircuits, call):
+        for y in cocircuits:
+            reads[call] += 1
+            yield y
+
+    monkeypatch.setattr(realize, "lightest_minimal", counted)
+    return reads
+
+
 def star_searches(m: BinaryMatroid, monkeypatch) -> list[tuple]:
-    """Each ``_stars`` call of ``realize(m)``: its arguments and its answer."""
+    """Each ``_stars`` call of ``realize(m)``: its arguments, its answer and
+    the number of cocircuits it read."""
     search = realize._stars
+    reads = counting_reads(monkeypatch)
     calls = []
 
     def spy(cycles, ground, rank):
+        before = len(reads)
         stars = search(cycles, ground, rank)
         # A copy: the caller sorts the list in place.
-        calls.append((cycles, ground, rank, stars and list(stars)))
+        calls.append((cycles, ground, rank, stars and list(stars),
+                      reads[-1] if len(reads) > before else 0))
         return stars
 
     monkeypatch.setattr(realize, "_stars", spy)
@@ -132,33 +155,68 @@ def star_searches(m: BinaryMatroid, monkeypatch) -> list[tuple]:
     return calls
 
 
-def needs_the_dfs(cycles, ground, rank) -> bool:
-    """Whether fewer than rank + 1 cocircuits are forced stars."""
+def forced_flags(cycles, ground) -> list[bool]:
+    """For each cocircuit, lightest first, whether it is a forced star."""
     _, cocircuits = cocircuits_reference(cycles, ground)
-    forced = sum(connected_after_deleting_reference(cycles, ground, y) for y in cocircuits)
-    return forced <= rank
+    return [connected_after_deleting_reference(cycles, ground, y) for y in cocircuits]
 
 
 def assert_stars_match_the_reference(matroids, monkeypatch) -> Counter:
-    """``_stars`` answers as ``stars_reference`` on each call; outcome counts."""
+    """``_stars`` answers as ``stars_reference`` on each call; outcome counts.
+
+    "dfs" counts the families found with fewer than rank + 1 forced stars,
+    "cut" the calls whose forced stars fell short and whose stream stopped
+    before its last cocircuit, and "past" those with a forced cocircuit
+    left unread, which must answer None.
+    """
     outcomes = Counter()
     for m in matroids:
-        for cycles, ground, rank, stars in star_searches(m, monkeypatch):
+        for cycles, ground, rank, stars, read in star_searches(m, monkeypatch):
             assert stars == stars_reference(cycles, ground, rank), str(m)
+            forced = forced_flags(cycles, ground)
+            short = sum(forced) <= rank
             if stars is None:
                 outcomes["none"] += 1
             else:
-                outcomes["dfs" if needs_the_dfs(cycles, ground, rank) else "forced"] += 1
+                outcomes["dfs" if short else "forced"] += 1
+            outcomes["cut"] += short and read < len(forced)
+            if any(forced[read:]):
+                assert stars is None, str(m)
+                outcomes["past"] += 1
     return outcomes
 
 
-def seeded(rng: Random, g: Graph) -> BinaryMatroid:
-    """The cycle matroid of ``g`` with its vertices and edge order shuffled."""
+def shuffled(rng: Random, g: Graph) -> Graph:
+    """``g`` with its vertices and edge order shuffled."""
     names = list(range(g.n_vertices))
     rng.shuffle(names)
     edges = [(names[u], names[v], lab) for u, v, lab in g.edges]
     rng.shuffle(edges)
-    return cycle_matroid(Graph(g.n_vertices, tuple(edges)))
+    return Graph(g.n_vertices, tuple(edges))
+
+
+def seeded(rng: Random, g: Graph) -> BinaryMatroid:
+    """The cycle matroid of ``g`` with its vertices and edge order shuffled."""
+    return cycle_matroid(shuffled(rng, g))
+
+
+def two_sum(m1: BinaryMatroid, m2: BinaryMatroid) -> BinaryMatroid:
+    """The 2-sum of m1 and m2 along m1's last cobasis and m2's first basis
+    element, labels prefixed "a" and "b".
+
+    [[A1', a b], [0, A2']]: a is the dropped column of A1, b the dropped
+    row of A2.  For cycle matroids it is the graph glued along the two
+    edges, with the glued edge deleted.
+    """
+    c1 = m1.corank - 1
+    b = m2.a.rows[0]
+    rows = [r & ~(1 << c1) | (b << c1 if r >> c1 & 1 else 0) for r in m1.a.rows]
+    rows += [r << c1 for r in m2.a.rows[1:]]
+    return BinaryMatroid(
+        tuple("a" + x for x in m1.basis_labels) + tuple("b" + x for x in m2.basis_labels[1:]),
+        tuple("a" + x for x in m1.cobasis_labels[:-1]) + tuple("b" + x for x in m2.cobasis_labels),
+        Gf2Matrix(len(rows), c1 + m2.corank, tuple(rows)),
+    )
 
 
 def wheel(n: int) -> Graph:
@@ -210,12 +268,64 @@ def test_stars_match_the_reference_on_planted_excluded_minors(monkeypatch):
     assert outcomes["none"]
 
 
-@pytest.mark.parametrize("name", ["g18", "M(K5)"])
-def test_forced_star_test_stops_at_a_complete_family(name, monkeypatch):
-    # The forced-star test deletes each cocircuit it reads from the cycle
-    # basis; once rank + 1 forced stars are found no more are read.  On g18
-    # the 10 stars are the first 11 of its 146 cocircuits by weight.
-    m = get_named(name)
+def test_stars_match_the_reference_on_2_sums(monkeypatch):
+    # Two graphs glued along an edge that is then deleted are 2-connected
+    # but not 3-connected, as g6 is: the stars at the two glued vertices are
+    # not forced, so the depth-first search runs on the cocircuits read
+    # before the stream stopped at the weight the missing stars can carry.
+    # With an excluded minor on one side a forced cocircuit can lie past
+    # that cut, and then no star family exists.
+    rng = Random(0x57A28)
+    pieces = [wheel(3), wheel(4), wheel(5), prism(3), prism(4), complete_graph(4)]
+    sums = [two_sum(seeded(rng, rng.choice(pieces)), seeded(rng, rng.choice(pieces)))
+            for _ in range(12)]
+    planted = [
+        two_sum(planted_host(rng, get_named(name), rng.randint(0, 2)),
+                seeded(rng, rng.choice(pieces)))
+        for name in GRAPHICNESS_EXCLUDED for _ in range(3)
+    ]
+    outcomes = assert_stars_match_the_reference(
+        sums + [m.dual() for m in sums] + planted, monkeypatch)
+    assert outcomes["dfs"] and outcomes["cut"] and outcomes["none"] and outcomes["past"]
+
+
+def test_cubic_graphs_use_the_whole_weight_budget(monkeypatch):
+    # Every vertex of a cubic graph has degree 3, so 2|E| = 3(r + 1) and no
+    # star may be heavier than 3: the search still finds the stars.  One
+    # element short of that, the same rank cannot carry r + 1 stars of
+    # weight 3 and no cocircuit is read.  (Deleting an edge makes a series
+    # pair, which ``_stars`` is never given; the budget alone rejects it.)
+    rng = Random(0x57A29)
+    reads = counting_reads(monkeypatch)
+    graphs = [complete_graph(4), complete_bipartite_graph(3, 3)] + [prism(n) for n in range(3, 6)]
+    for g in graphs:
+        for _ in range(3):
+            h = shuffled(rng, g)
+            m = cycle_matroid(h)
+            cycles, ground, rank = m.fundamental_cycles(), (1 << m.size) - 1, m.full_rank
+            assert 2 * m.size == 3 * (rank + 1)
+            position = {lab: i for i, lab in enumerate(m.elements())}
+            stars = [0] * h.n_vertices
+            for u, v, lab in h.edges:
+                stars[u] |= 1 << position[lab]
+                stars[v] |= 1 << position[lab]
+            assert sorted(realize._stars(cycles, ground, rank)) == sorted(stars)
+            e = 1 << rng.randrange(m.size)
+            shorter, lost = delete_cycles(cycles, e)
+            assert not lost
+            started = len(reads)
+            assert realize._stars(shorter, ground & ~e, rank) is None
+            assert len(reads) == started
+    # F7* and M*(K5) are cosimple, connected and half an element short.
+    for name in ("F7*", "M*(K5)"):
+        started = len(reads)
+        assert realize.realize(get_named(name)) is None
+        assert len(reads) == started
+
+
+def star_deletions(m: BinaryMatroid, monkeypatch) -> int:
+    """Cocircuits that ``realize(m)`` deletes from the cycle basis; m must be
+    graphic."""
     eliminations = []
     kernel = realize.delete_cycles
 
@@ -225,7 +335,44 @@ def test_forced_star_test_stops_at_a_complete_family(name, monkeypatch):
 
     monkeypatch.setattr(realize, "delete_cycles", counting)
     assert verify_graph(m, realize.realize(m))
-    assert len(eliminations) <= m.full_rank + 2
+    return len(eliminations)
+
+
+@pytest.mark.parametrize("name", ["g18", "M(K5)"])
+def test_forced_star_test_stops_at_a_complete_family(name, monkeypatch):
+    # The forced-star test deletes each cocircuit it reads from the cycle
+    # basis; once rank + 1 forced stars are found no more are read.  On g18
+    # the 10 stars are the first 11 of its 146 cocircuits by weight.
+    m = get_named(name)
+    assert star_deletions(m, monkeypatch) <= m.full_rank + 2
+
+
+@pytest.mark.parametrize("name, most", [("g6", 46), ("g1", 42)])
+def test_forced_star_test_stops_at_the_weight_budget(name, most, monkeypatch):
+    # g6's forced stars fall short (8 of 10), so the search cannot stop at a
+    # complete family; it stops at the first cocircuit heavier than the
+    # missing two stars can be, after 46 of its 147 cocircuits.  On g1 the
+    # cut comes after 42 of 78 only because each forced star heavier than 3
+    # lowers the weight left for the others.
+    assert star_deletions(get_named(name), monkeypatch) <= most
+
+
+def test_the_cut_can_change_which_star_family_comes_first():
+    # Cycles of a 15-element graphic matroid of rank 8 with two star
+    # families.  The depth-first search branches on the open element with
+    # the fewest candidates; the reference also counts the cocircuits past
+    # the cut, which no family can use, so it branches elsewhere and finds
+    # the other family first.  Both are star families: every element twice,
+    # every star a cocycle, rank 8.
+    cycles, ground, rank = [469, 725, 1194, 2218, 4108, 8410, 16448], (1 << 15) - 1, 8
+    found = realize._stars(cycles, ground, rank)
+    reference = stars_reference(cycles, ground, rank)
+    assert sorted(found) != sorted(reference)
+    for stars in (found, reference):
+        assert len(stars) == rank + 1
+        assert len(reduced_echelon_reference(stars)) == rank
+        assert all(sum(y >> p & 1 for y in stars) == 2 for p in range(15))
+        assert all((y & c).bit_count() % 2 == 0 for y in stars for c in cycles)
 
 
 # -- the span step -------------------------------------------------------------------
