@@ -147,7 +147,10 @@ def match_circuits(
         i = len(images)
         for b in tries[i]:
             bit = 1 << pos2[b]
-            if used & bit or tuple(map(keys2[b].__getitem__, images)) != keys1[i]:
+            # tuple() of a list, not of an iterator: that would allocate ten
+            # slots and shrink, moving tuples between CPython's per-size free
+            # lists, which then grow (up to 2,000 tuples a size) with use.
+            if used & bit or tuple([keys2[b][j] for j in images]) != keys1[i]:
                 continue
             images.append(b)
             bits.append(bit)

@@ -478,6 +478,32 @@ def delete_cycles(vectors: list[int], mask: int) -> tuple[list[int], int]:
     return vectors, lost
 
 
+def contract_cycles(vectors: list[int], mask: int) -> list[int]:
+    """A basis of the cycle space of M / mask, still fundamental circuits.
+
+    ``vectors`` are fundamental circuits of M; the bits of ``mask`` are
+    contracted lowest first.  An element that only one vector has is that
+    vector's private bit, a cobasis element: it is pivoted into the basis
+    through the lowest other bit of its vector, which is added to every
+    other vector with that bit and becomes the vector's private bit.  Then
+    the element's bit is cleared everywhere.  A loop's vector is dropped
+    (contracting a loop deletes it); a coloop is in no vector.
+    """
+    for p in mask_positions(mask):
+        bit = 1 << p
+        holders = [v for v in vectors if v & bit]
+        if len(holders) == 1:
+            (own,) = holders
+            rest = own ^ bit
+            if not rest:
+                vectors = [v for v in vectors if v != own]
+                continue
+            low = rest & -rest
+            vectors = [v ^ own if v & low and v != own else v for v in vectors]
+        vectors = [v & ~bit for v in vectors]
+    return vectors
+
+
 def cycle_matroid(g: Graph) -> BinaryMatroid:
     """Cycle matroid of a graph: independent sets are the acyclic edge sets.
 

@@ -7,9 +7,13 @@ survivors.  ``audit.verify_witness`` checks such a certificate against the
 target's standard form, sharing no code with the search.
 
 ``graphic_certificate`` decides graphicness with a certificate either way: a
-``Graph`` from ``realize.realize``, or, when no graph exists, the first of
-Tutte's excluded minors found by running the four searches round-robin.
-``audit.verify_graph`` checks the graph; ``is_graphic`` is the bare verdict.
+``Graph`` from ``realize.realize``, or, when no graph exists, one of Tutte's
+excluded minors.  Graphicness is minor-closed, so a greedy walk over the
+elements contracts, else deletes, each one while ``realize.realize_cycles``
+still fails, after removing every coloop, loop, series extra and parallel
+extra for free; it ends at a minor-minimal non-graphic minor, which one
+``match_circuits`` call names.  ``audit.verify_graph`` checks the graph and
+``audit.verify_witness`` the minor; ``is_graphic`` is the bare verdict.
 ``check_graphic_cocircuits`` deletes each Y from m's fundamental circuits
 (``matroid.delete_cycles``) to realize m \\ Y, building it only on failure.
 
@@ -53,7 +57,7 @@ import logging
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from . import catalog
 # verify_witness is bound here only for bench/, which reads it at this module.
@@ -67,6 +71,7 @@ from .matroid import (
     BinaryMatroid,
     Graph,
     MinorOp,
+    contract_cycles,
     delete_cycles,
     eliminate,
     equal_columns,
@@ -171,6 +176,21 @@ def _coloops(vectors: list[int], alive: int) -> int:
     return (alive & ~support).bit_count()
 
 
+def _match(
+    tgt: _TargetData, vectors: list[int], smask: int, elems: tuple[str, ...]
+) -> dict[int, int] | None:
+    """Bijection from tgt's positions onto ``smask`` mapping tgt's circuits
+    onto those of the cycle space ``vectors`` span, or None.
+
+    The circuits are extracted only when the cycle space has the target's
+    weight histogram.
+    """
+    circuits = minimal_supports(vectors, tgt.histogram)
+    if circuits is None:
+        return None
+    return match_circuits(tgt.side, _by_label(elems, smask), circuits)
+
+
 def _survivor_search(
     cycles: list[int], pool: list[int], prev: list[int], tgt: _TargetData,
     elems: tuple[str, ...],
@@ -211,24 +231,18 @@ def _survivor_search(
             return bool(_coloops(vectors, alive) or equal_columns(vectors, alive))
         return _coloops(vectors, alive) > tgt.n_coloops
 
-    def test(vectors: list[int], smask: int):
-        circuits = minimal_supports(vectors, tgt.histogram)
-        if circuits is None:
-            return None
-        return match_circuits(tgt.side, _by_label(elems, smask), circuits)
-
     def walk(i: int, need: int, vectors: list[int], smask: int, alive: int):
         if need == n_pool - i:  # every remaining element survives
             for j in range(i, n_pool):
                 if smask & prev[j] != prev[j]:
                     return None
                 smask |= 1 << pool[j]
-            return test(vectors, smask)
+            return _match(tgt, vectors, smask, elems)
         if need == 0:  # every remaining element is deleted
             vectors, lost = delete_cycles(vectors, alive & ~smask)
             if lost:
                 return None
-            return test(vectors, smask)
+            return _match(tgt, vectors, smask, elems)
         bit = 1 << pool[i]
         if smask & prev[i] == prev[i]:
             found = walk(i + 1, need - 1, vectors, smask | bit, alive)
@@ -267,24 +281,12 @@ def find_minor_witness(
             f"minor search targets limited to {TARGET_LIMIT} elements, "
             f"got {target.size}"
         )
-    steps = _minor_steps(host, _target_data(target))
-    return next((w for w in steps if w is not None), None)
-
-
-def _minor_steps(
-    host: BinaryMatroid, tgt: _TargetData
-) -> Iterator[MinorWitness | None]:
-    """``find_minor_witness``'s walk, one step per contract set.
-
-    Yields None for each contract set whose survivor search misses, and the
-    witness for one that hits, in the order ``find_minor_witness`` tries
-    them; callers stop at the first witness.
-    """
+    tgt = _target_data(target)
     c_size = host.full_rank - tgt.rank
     # d_size is corank(host) - corank(target).
     d_size = host.size - c_size - len(tgt.elements)
     if c_size < 0 or d_size < 0:
-        return
+        return None
 
     elems = host.elements()
     columns = [host.full_column(e) for e in elems]
@@ -308,33 +310,36 @@ def _minor_steps(
                 prev.append(before)
                 members[col] = before | 1 << idx
         mapping = _survivor_search(cycles, pool, prev, tgt, elems)
-        if mapping is None:
-            yield None
-            continue
-        contract_set = frozenset(elems[i] for i in combo)
-        pairs = sorted((tgt.elements[p], elems[q]) for p, q in mapping.items())
-        yield MinorWitness(
-            contract_set=contract_set,
-            delete_set=host.ground_set - contract_set - {h for _, h in pairs},
-            mapping=tuple(pairs),
-        )
+        if mapping is not None:
+            return _witness(elems, cmask, tgt, mapping)
+    return None
+
+
+def _witness(
+    elems: tuple[str, ...], cmask: int, tgt: _TargetData, mapping: dict[int, int]
+) -> MinorWitness:
+    """The witness contracting ``cmask`` that maps tgt's positions as given;
+    every other host element is deleted."""
+    contract_set = frozenset(elems[i] for i in mask_positions(cmask))
+    pairs = sorted((tgt.elements[p], elems[q]) for p, q in mapping.items())
+    return MinorWitness(
+        contract_set=contract_set,
+        delete_set=frozenset(elems) - contract_set - {h for _, h in pairs},
+        mapping=tuple(pairs),
+    )
 
 
 # -- graphicness -------------------------------------------------------------------
-
-
-_EXHAUSTED = object()
 
 
 def graphic_certificate(m: BinaryMatroid) -> Graph | tuple[str, MinorWitness]:
     """A graph realizing ``m``, or the name and witness of an excluded minor.
 
     The graph's edge labels are the elements of ``m``; ``audit.verify_graph``
-    checks it.  When no graph exists, Tutte's theorem guarantees one of
-    ``GRAPHICNESS_EXCLUDED`` as a minor: the four searches run round-robin,
-    one contract set each per turn in ``GRAPHICNESS_EXCLUDED`` order, and
-    the first hit is returned with its ``MinorWitness``, which
-    ``audit.verify_witness`` checks against ``catalog.get_named(name)``.
+    checks it.  When no graph exists, ``_reduce`` walks ``m`` down to a
+    minor-minimal non-graphic minor, which Tutte's theorem makes one of
+    ``GRAPHICNESS_EXCLUDED``; its ``MinorWitness`` is checked by
+    ``audit.verify_witness`` against ``catalog.get_named(name)``.
     """
     if m.size > HOST_LIMIT:
         raise CapacityError(
@@ -343,20 +348,96 @@ def graphic_certificate(m: BinaryMatroid) -> Graph | tuple[str, MinorWitness]:
     graph = realize(m)
     if graph is not None:
         return graph
-    searches = {
-        name: _minor_steps(m, _target_data(catalog.get_named(name)))
-        for name in GRAPHICNESS_EXCLUDED
-    }
-    while searches:
-        for name, steps in list(searches.items()):
-            w = next(steps, _EXHAUSTED)
-            if w is _EXHAUSTED:
-                del searches[name]
-            elif w is not None:
-                return name, w
-    raise MatroidError(
-        "no graph and no excluded minor found; this contradicts Tutte's theorem"
-    )
+    found = _reduce(m)
+    if found is None:
+        raise MatroidError(
+            "no graph and no excluded minor found; this contradicts Tutte's theorem"
+        )
+    return found
+
+
+def _tidy(cycles: list[int], alive: int) -> tuple[list[int], int, int]:
+    """Remove the coloops, loops, series extras and parallel extras of M|alive.
+
+    ``cycles`` are fundamental circuits of M|alive.  Coloops and all but the
+    first element of each series class are contracted, loops and all but
+    the first of each parallel class deleted, until none is left; none of
+    these steps changes whether the matroid is graphic.  Returns the cycles
+    and elements left and the mask of the contracted elements.
+    """
+    contracted = 0
+    while True:
+        once = twice = 0  # the elements in at least one and two vectors
+        for v in cycles:
+            twice |= once & v
+            once |= v
+        coloops = alive & ~once
+        loops = sum(v for v in cycles if not v & (v - 1))
+        series = sum(c & (c - 1) for c in equal_columns(cycles, alive & once))
+        if coloops or loops or series:
+            contracted |= coloops | series
+            alive &= ~(coloops | loops | series)
+            cycles = contract_cycles([v for v in cycles if v & ~loops], series)
+            continue
+        # No series pair is left, so each vector has one private bit, and
+        # the rows of [I | A] are read off them; over those rows equal
+        # columns are parallel classes.
+        private = once & ~twice
+        rows = [
+            1 << f | sum(v & private for v in cycles if v >> f & 1)
+            for f in mask_positions(alive & ~private)
+        ]
+        parallel = sum(c & (c - 1) for c in equal_columns(rows, alive))
+        if not parallel:
+            return cycles, alive, contracted
+        alive &= ~parallel
+        cycles, _ = delete_cycles(cycles, parallel)
+
+
+def _reduce(m: BinaryMatroid) -> tuple[str, MinorWitness] | None:
+    """An excluded minor of the non-graphic ``m``, by a greedy reduction.
+
+    The elements are walked once in host order on the fundamental-circuit
+    bitmasks.  Each turn first tidies the current minor (``_tidy``); if its
+    size and rank are those of one of ``GRAPHICNESS_EXCLUDED`` (no two of
+    the four share both), one ``match_circuits`` call tries that one.
+    Otherwise the next unwalked element e is contracted if
+    ``realize_cycles`` still fails on the minor / e, else deleted if it
+    fails on the minor \\ e, else kept.  A kept e stays necessary in every
+    later minor N: N / e and N \\ e are minors of the graphic ones tested at
+    its turn.  So the walk ends at a minor-minimal non-graphic minor, one of
+    the four by Tutte's theorem, and makes at most two realizations per
+    element.  None if nothing matches.
+    """
+    targets = {}
+    for name in GRAPHICNESS_EXCLUDED:
+        tgt = _target_data(catalog.get_named(name))
+        targets[len(tgt.elements), tgt.rank] = name, tgt
+    elems = m.elements()
+    cycles = m.fundamental_cycles()
+    alive = (1 << m.size) - 1
+    contracted = walked = 0
+    while True:
+        cycles, alive, freed = _tidy(cycles, alive)
+        contracted |= freed
+        size = alive.bit_count()
+        name, tgt = targets.get((size, size - len(cycles)), (None, None))
+        mapping = None if tgt is None else _match(tgt, cycles, alive, elems)
+        if mapping is not None:
+            return name, _witness(elems, contracted, tgt, mapping)
+        left = alive & ~walked
+        if not left:
+            return None
+        bit = left & -left
+        shrunk = contract_cycles(cycles, bit)
+        if realize_cycles(shrunk, alive ^ bit) is None:
+            cycles, alive, contracted = shrunk, alive ^ bit, contracted | bit
+            continue
+        shrunk, _ = delete_cycles(cycles, bit)
+        if realize_cycles(shrunk, alive ^ bit) is None:
+            cycles, alive = shrunk, alive ^ bit
+            continue
+        walked |= bit
 
 
 def is_graphic(m: BinaryMatroid) -> bool:

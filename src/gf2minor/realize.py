@@ -208,8 +208,9 @@ def _realize_component(
         if stars is None:
             return None
         stars.sort()
+        # tuple() of lists here and below, as in iso.match_circuits.
         n, ends = len(stars), {
-            p: tuple(i for i, s in enumerate(stars) if s >> p & 1)
+            p: tuple([i for i, s in enumerate(stars) if s >> p & 1])
             for p in mask_positions(ground)
         }
     edges = []
@@ -254,4 +255,4 @@ def realize(m: BinaryMatroid) -> Graph | None:
         return None
     n, edges = found
     elems = m.elements()
-    return Graph(n, tuple((u, v, elems[p]) for p, u, v in edges))
+    return Graph(n, tuple([(u, v, elems[p]) for p, u, v in edges]))

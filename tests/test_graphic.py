@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import time
 from collections import Counter
+from functools import cache
 from random import Random
 
 import pytest
 
-from gf2minor import realize
+from gf2minor import minors, realize
 from gf2minor.audit import verify_graph, verify_witness
 from gf2minor.catalog import catalog_names, get_named
 from gf2minor.errors import CapacityError, InputError
@@ -27,7 +28,9 @@ from gf2minor.matroid import (
     Graph,
     complete_bipartite_graph,
     complete_graph,
+    contract,
     cycle_matroid,
+    delete,
     delete_cycles,
 )
 from gf2minor.minors import (
@@ -111,6 +114,112 @@ def test_planted_excluded_minors_are_not_graphic(name):
         verdict, found = certified_verdict(host)
         assert not verdict
         assert not excluded_minor_oracle(host, first=found)
+
+
+# -- the greedy reduction to an excluded minor ------------------------------------
+
+
+@cache
+def nonplanar_duals() -> tuple[BinaryMatroid, ...]:
+    """Duals of 25 seeded random multigraphs, 6-9 vertices and 15-20 edges
+    (loops and parallel edges allowed), kept when ``realize`` finds no
+    graph: the graph is then not planar.  Every "no" is confirmed by a
+    witness."""
+    rng = Random(11)
+    bank = []
+    while len(bank) < 25:
+        nv, ne = rng.randint(6, 9), rng.randint(15, 20)
+        g = Graph(nv, tuple(
+            (rng.randrange(nv), rng.randrange(nv), f"e{i + 1}") for i in range(ne)))
+        m = cycle_matroid(g).dual()
+        if realize.realize(m) is None:
+            bank.append(m)
+    return tuple(bank)
+
+
+@cache
+def non_graphic_bank() -> tuple[BinaryMatroid, ...]:
+    """The catalog's non-graphic entries and duals, planted hosts of every
+    excluded minor and the non-planar duals."""
+    catalog = [get_named(name) for name in catalog_names()]
+    rng = Random(6006)
+    planted = [
+        planted_host(rng, get_named(name), rng.randint(0, 8))
+        for name in GRAPHICNESS_EXCLUDED for _ in range(4)
+    ]
+    bank = [m for m in catalog + [m.dual() for m in catalog] if realize.realize(m) is None]
+    return (*bank, *planted, *nonplanar_duals())
+
+
+def k5_with_extras() -> BinaryMatroid:
+    """The dual of K5 plus six parallel edges and three loops: 19 elements,
+    with six series pairs and three coloops around M*(K5)."""
+    k5 = complete_graph(5)
+    parallel = [(u, v, lab + "p") for u, v, lab in k5.edges[:6]]
+    loops = [(i, i, f"l{i}") for i in range(3)]
+    return cycle_matroid(Graph(5, k5.edges + tuple(parallel + loops))).dual()
+
+
+def counting_realizations(monkeypatch) -> list[int]:
+    """One entry per ``realize_cycles`` call, ``realize``'s own included."""
+    kernel = realize.realize_cycles
+    calls: list[int] = []
+
+    def counted(cycles, ground):
+        calls.append(ground)
+        return kernel(cycles, ground)
+
+    monkeypatch.setattr(realize, "realize_cycles", counted)
+    monkeypatch.setattr(minors, "realize_cycles", counted)
+    return calls
+
+
+def test_nonplanar_duals_match_the_oracle():
+    for m in nonplanar_duals():
+        assert not assert_matches_oracle(m)
+
+
+def test_excluded_minor_witness_is_minor_minimal():
+    # Every single deletion and contraction of the witness's minor is
+    # graphic, with a graph that verify_graph accepts.
+    for m in non_graphic_bank():
+        name, w = graphic_certificate(m)
+        assert verify_witness(m, get_named(name), w), name
+        ops = [contract(e) for e in sorted(w.contract_set)]
+        minor = m.apply_ops(ops + [delete(e) for e in sorted(w.delete_set)])
+        assert minor.ground_set == w.survivors()
+        assert realize.realize(minor) is None
+        for e in minor.elements():
+            for op in (contract(e), delete(e)):
+                smaller = minor.apply_ops([op])
+                assert verify_graph(smaller, realize.realize(smaller)), (str(m), op)
+
+
+def test_reduction_realizes_at_most_twice_per_element(monkeypatch):
+    # The walk tests a contraction and a deletion per element at most, after
+    # the one realization that failed: 2n + 1 in all.
+    calls = counting_realizations(monkeypatch)
+    for m in non_graphic_bank():
+        del calls[:]
+        graphic_certificate(m)
+        assert len(calls) <= 2 * m.size + 1, str(m)
+    del calls[:]
+    graphic_certificate(get_named("r16"))
+    assert len(calls) - 1 <= 8
+
+
+def test_k5_with_parallel_edges_and_loops_dual(monkeypatch):
+    # Its six series pairs and three coloops are removed without a
+    # realization, so the reduction reaches M*(K5) at once.
+    m = k5_with_extras()
+    assert m.size == 19
+    calls = counting_realizations(monkeypatch)
+    start = time.perf_counter()
+    name, w = graphic_certificate(m)
+    assert time.perf_counter() - start < 0.5
+    assert len(calls) <= 2 * m.size + 1
+    assert name == "M*(K5)"
+    assert verify_witness(m, get_named(name), w)
 
 
 # -- the star search against its eager reference ----------------------------------

@@ -21,6 +21,7 @@ from gf2minor.matroid import (
     complete_bipartite_graph,
     complete_graph,
     contract,
+    contract_cycles,
     cycle_matroid,
     delete,
     delete_cycles,
@@ -318,6 +319,40 @@ def test_delete_cycles_matches_deletion():
         seen["loops"] += bool(m.loops())
         seen["coloops"] += bool(m.coloops())
     assert all(seen[k] for k in ("coloop deleted", "several components", "loops", "coloops"))
+
+
+def test_contract_cycles_matches_contraction():
+    # Contracting one element, then a random mask, from the fundamental
+    # circuits must leave fundamental circuits of m / mask: the circuits of
+    # apply_ops, one private bit per vector, and the same components.
+    rng = Random(0xC0C7)
+    seen = Counter()
+    for _ in range(80):
+        m = random_matroid(rng, 10, min_elements=1)
+        elems = m.elements()
+        full = (1 << m.size) - 1
+        masks = [1 << p for p in range(m.size)]
+        masks += [full & rng.getrandbits(m.size) for _ in range(3)]
+        for mask in masks:
+            labels = sorted(mask_to_labels(mask, elems))
+            rest = m.apply_ops([contract(e) for e in labels])
+            vectors = contract_cycles(m.fundamental_cycles(), mask)
+            circuits = {mask_to_labels(s, elems) for s in minimal_supports(vectors)}
+            assert circuits == rest.circuits()
+            assert len(vectors) == rest.corank
+            for i, v in enumerate(vectors):
+                others = 0
+                for w in vectors[:i] + vectors[i + 1:]:
+                    others |= w
+                assert v & ~others
+            comps = {mask_to_labels(c, elems) for c in _components(vectors, full & ~mask)}
+            assert comps == components_reference(rest.elements(), rest.circuits())
+            if len(labels) == 1:
+                (e,) = labels
+                seen["loop"] += e in m.loops()
+                seen["coloop"] += e in m.coloops()
+                seen["cobasis pivot"] += e in m.cobasis_labels and e not in m.loops()
+    assert all(seen[k] for k in ("loop", "coloop", "cobasis pivot"))
 
 
 # -- duality --------------------------------------------------------------------

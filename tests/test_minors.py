@@ -571,14 +571,14 @@ def test_target_data_are_cached_by_value_for_every_caller(monkeypatch):
     # Every cocircuit that passes the covering filters also passes the minor
     # test, so the first search is made to miss to send the call on to a
     # second cocircuit: its one target must still be built once.
-    real = minors._minor_steps
+    real = minors.find_minor_witness
     searched = []
 
-    def first_misses(host, tgt):
-        searched.append(tgt)
-        return real(host, tgt) if len(searched) > 1 else iter(())
+    def first_misses(host, target):
+        searched.append(target)
+        return real(host, target) if len(searched) > 1 else None
 
-    monkeypatch.setattr(minors, "_minor_steps", first_misses)
+    monkeypatch.setattr(minors, "find_minor_witness", first_misses)
     m = cycle_matroid(complete_graph(4))
     ops = [delete("e14"), delete("e24"), delete("e34")]
     found = covering_cocircuit_witness(m, ops, {"e12", "e13"})

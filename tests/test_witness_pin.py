@@ -23,7 +23,7 @@ from gf2minor.minors import find_minor_witness, graphic_certificate
 
 from gen import planted_host, random_matroid, relabeled_copy
 
-PINNED_SHA256 = "ff683fda51c7d4263717ef486f9dc9fc746053cf646cd222be335d17a5217cfc"
+PINNED_SHA256 = "00840d2e8d2e3e357dbe57b30ed9c85c774f7faf188f19cd1e2429c2f4291be9"
 
 
 def _witness_text(w) -> str:
