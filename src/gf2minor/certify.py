@@ -263,7 +263,9 @@ def replay_all(
     """
     start = perf_counter()
     case_list = list(builtin_cases() if cases is None else cases)
-    workers = min(jobs, len(case_list), os.cpu_count() or 1)
+    workers = min(jobs, len(case_list))
+    if workers > 1:  # a serial replay never asks for the CPU count
+        workers = min(workers, os.cpu_count() or 1)
     if workers > 1:
         # Imported here: the process pool costs about 2 MB to import, and
         # only a fanned-out replay needs it.

@@ -25,7 +25,13 @@ does the greedy basis C' of cl(C) (the same minor up to swapping loops), and
 C' comes first, so the first hit is unchanged.  Contract sets are walked in
 lexicographic order of host positions, eliminating one host column per
 level, which also yields the parallel classes of host / C; a branch is cut
-as soon as a position it passed over falls into the span.  Nothing is
+as soon as a position it passed over falls into the span, or as soon as
+host / C can no longer have as many parallel classes of non-loops as the
+target.  That count is exact: with prefix C0 the distinct non-zero reduced
+columns are the classes of host / C0, each further contraction removes at
+least one (its own class becomes loops, others may merge, none splits), and
+a restriction keeps parallelism, so a cut leaf's pool cannot hold the
+target and the first hit is unchanged.  Nothing is
 rebuilt per contract set: the cycle space of host / C is the host's
 fundamental cycle bitmasks with C's bits cleared, and deleting a survivor
 candidate is one elimination step on that basis.  Survivor sets are walked
@@ -97,6 +103,7 @@ class _TargetData:
     n_coloops: int
     n_loops: int
     max_parallel: int  # size of the largest parallel class of non-loops
+    n_classes: int  # number of parallel classes of non-loops
     side: CircuitSide  # the circuits for match_circuits; positions in label order
     histogram: tuple[int, ...]
     cosimple: bool  # no cocircuit of size at most 2
@@ -115,6 +122,7 @@ def _target_data(target: BinaryMatroid) -> _TargetData:
         n_coloops=n_coloops,
         n_loops=len(target.loops()),
         max_parallel=max(classes.values(), default=0),
+        n_classes=len(classes),
         side=prepare_side(_by_label(elements, everything), target.circuit_masks()),
         histogram=weight_histogram(cycles),
         cosimple=not (n_coloops or equal_columns(cycles, everything)),
@@ -126,7 +134,7 @@ def _by_label(elems: tuple[str, ...], mask: int) -> list[int]:
     return sorted(mask_positions(mask), key=elems.__getitem__)
 
 
-def _contract_sets(columns: list[int], c_size: int):
+def _contract_sets(columns: list[int], c_size: int, n_classes: int = 0):
     """Greedy bases of ``c_size`` host positions, in lexicographic order.
 
     Yields (positions, reduced columns) for each independent C that is the
@@ -141,31 +149,48 @@ def _contract_sets(columns: list[int], c_size: int):
     the span of C's columns with C's pivots cleared everywhere: two elements
     reduce to the same int exactly when they are parallel in host / C, and
     to 0 exactly when they are loops there (C's own elements included).
+
+    Only leaves where host / C has at least ``n_classes`` parallel classes
+    of non-loops are yielded, and a branch is cut as soon as it cannot reach
+    one.  At a node with prefix C0 the distinct non-zero reduced columns are
+    the classes of host / C0; contracting one more non-loop turns its class
+    into loops and may merge others but never splits one, so each further
+    contraction removes at least one class.  The cut drops only leaves whose
+    pool cannot hold a target with ``n_classes`` classes (restriction keeps
+    parallelism), so it never drops a hit.
     """
-    n = len(columns)
+    return _greedy_bases(0, (), list(columns), (), c_size, n_classes)
 
-    def extend(
-        start: int, chosen: tuple[int, ...], cols: list[int],
-        skipped: tuple[int, ...],
-    ):
-        if len(chosen) == c_size:
-            yield chosen, cols
-            return
-        passed = {cols[j] for j in skipped}
-        for idx in range(start, n - c_size + len(chosen) + 1):
-            piv = cols[idx]
-            if not piv or piv in passed:
-                continue
-            low = piv & -piv
-            yield from extend(
-                idx + 1, chosen + (idx,),
-                [x ^ piv if x & low else x for x in cols],
-                skipped,
-            )
-            passed.add(piv)
-            skipped += (idx,)
 
-    return extend(0, (), list(columns), ())
+def _greedy_bases(
+    start: int, chosen: tuple[int, ...], cols: list[int], skipped: tuple[int, ...],
+    c_size: int, n_classes: int,
+):
+    """The walk of ``_contract_sets`` below the prefix ``chosen``.
+
+    A module-level generator rather than a closure, so that a walk leaves
+    no reference cycle behind.
+    """
+    left = c_size - len(chosen)
+    classes = set(cols)
+    classes.discard(0)
+    if len(classes) - left < n_classes:
+        return
+    if not left:
+        yield chosen, cols
+        return
+    passed = {cols[j] for j in skipped}
+    for idx in range(start, len(cols) - left + 1):
+        piv = cols[idx]
+        if not piv or piv in passed:
+            continue
+        low = piv & -piv
+        yield from _greedy_bases(
+            idx + 1, chosen + (idx,), [x ^ piv if x & low else x for x in cols],
+            skipped, c_size, n_classes,
+        )
+        passed.add(piv)
+        skipped += (idx,)
 
 
 def _coloops(vectors: list[int], alive: int) -> int:
@@ -225,13 +250,32 @@ def _survivor_search(
     cycles, lost = delete_cycles(cycles, support & ~alive)
     if lost:
         return None
+    if _dead(tgt, cycles, alive):
+        return None
+    return _walk(tgt, elems, pool, prev, 0, t, cycles, 0, alive)
 
-    def dead(vectors: list[int], alive: int) -> bool:
-        if tgt.cosimple:  # a coloop or a series pair (equal columns)
-            return bool(_coloops(vectors, alive) or equal_columns(vectors, alive))
-        return _coloops(vectors, alive) > tgt.n_coloops
 
-    def walk(i: int, need: int, vectors: list[int], smask: int, alive: int):
+def _dead(tgt: _TargetData, vectors: list[int], alive: int) -> bool:
+    """Whether no spanning survivor set within M|alive can match ``tgt``."""
+    if tgt.cosimple:  # a coloop or a series pair (equal columns)
+        return bool(_coloops(vectors, alive) or equal_columns(vectors, alive))
+    return _coloops(vectors, alive) > tgt.n_coloops
+
+
+def _walk(
+    tgt: _TargetData, elems: tuple[str, ...], pool: list[int], prev: list[int],
+    i: int, need: int, vectors: list[int], smask: int, alive: int,
+) -> dict[int, int] | None:
+    """The survivor walk of ``_survivor_search`` from pool position i on.
+
+    ``need`` more survivors are chosen from pool[i:], ``smask`` holds those
+    chosen, and ``vectors`` span the cycle space of M|alive.  Each pool
+    member is first kept (one recursive call), then deleted (the next turn
+    of the loop).  A module-level function rather than a closure, so that
+    a search leaves no reference cycle behind.
+    """
+    n_pool = len(pool)
+    while True:
         if need == n_pool - i:  # every remaining element survives
             for j in range(i, n_pool):
                 if smask & prev[j] != prev[j]:
@@ -245,20 +289,16 @@ def _survivor_search(
             return _match(tgt, vectors, smask, elems)
         bit = 1 << pool[i]
         if smask & prev[i] == prev[i]:
-            found = walk(i + 1, need - 1, vectors, smask | bit, alive)
+            found = _walk(tgt, elems, pool, prev, i + 1, need - 1, vectors, smask | bit, alive)
             if found is not None:
                 return found
         vectors = eliminate(vectors, bit)
         if vectors is None:
             return None
         alive ^= bit
-        if dead(vectors, alive):
+        if _dead(tgt, vectors, alive):
             return None
-        return walk(i + 1, need, vectors, smask, alive)
-
-    if dead(cycles, alive):
-        return None
-    return walk(0, t, cycles, 0, alive)
+        i += 1
 
 
 def find_minor_witness(
@@ -292,7 +332,7 @@ def find_minor_witness(
     columns = [host.full_column(e) for e in elems]
     fundamental = host.fundamental_cycles()
     max_parallel, n_loops = tgt.max_parallel, tgt.n_loops
-    for combo, reduced in _contract_sets(columns, c_size):
+    for combo, reduced in _contract_sets(columns, c_size, tgt.n_classes):
         cmask = 0
         for idx in combo:
             cmask |= 1 << idx

@@ -110,11 +110,6 @@ def _stars(cycles: list[int], ground: int, rank: int) -> list[int] | None:
     # Each element's parallel class by its bit; a missing one is alone.
     parallel = {1 << p: c for c in equal_columns(rows, ground) for p in mask_positions(c)}
 
-    def meets_in_a_class(y: int, star: int) -> bool:
-        common = y & star
-        low = common & -common
-        return common == parallel.get(low, low)
-
     cocircuits = lightest_minimal(span_vectors(rows))
     chosen: list[int] = []
     span: list[int] = []
@@ -142,42 +137,56 @@ def _stars(cycles: list[int], ground: int, rank: int) -> list[int] | None:
             # forced cocircuit would be one of its stars.
             return chosen if twice == ground else None
     cocircuits = read
-
-    def extend(chosen, span, once, twice, candidates):
-        if len(chosen) == need:
-            return chosen if twice == ground else None
-        # Some element is still open: the chosen stars are independent, so
-        # they cannot cover every element twice yet (their sum would be 0).
-        best = None
-        for p in mask_positions(ground & ~twice):
-            hits = [y for y in candidates if y >> p & 1]
-            if not hits:
-                return None
-            if best is None or len(hits) < len(best):
-                best = hits
-        last = len(chosen) == rank
-        for i, y in enumerate(best):
-            grown = span if last else _extend(span, y)
-            if grown is None:
-                continue
-            covered = twice | once & y
-            # Families with an earlier sibling have been searched already.
-            tried = best[: i + 1]
-            found = extend(
-                chosen + [y], grown, once | y, covered,
-                [z for z in candidates if not z & covered
-                 and z not in tried and meets_in_a_class(z, y)],
-            )
-            if found is not None:
-                return found
-        return None
-
     candidates = [
         y for y in cocircuits
         if not y & twice and y not in chosen
-        and all(meets_in_a_class(y, star) for star in chosen)
+        and all(_meets_in_a_class(parallel, y, star) for star in chosen)
     ]
-    return extend(chosen, span, once, twice, candidates)
+    return _star_search(need, ground, parallel, chosen, span, once, twice, candidates)
+
+
+def _meets_in_a_class(parallel: dict[int, int], y: int, star: int) -> bool:
+    """Whether y meets ``star`` in nothing or in one whole parallel class;
+    ``parallel`` maps an element's bit to its class (a missing one is alone)."""
+    common = y & star
+    low = common & -common
+    return common == parallel.get(low, low)
+
+
+def _star_search(
+    need: int, ground: int, parallel: dict[int, int], chosen: list[int],
+    span: list[int], once: int, twice: int, candidates: list[int],
+) -> list[int] | None:
+    """The depth-first search of ``_stars`` for ``need`` stars extending
+    ``chosen``; ``span`` is their echelon basis, ``once`` and ``twice`` the
+    elements they cover once and twice."""
+    if len(chosen) == need:
+        return chosen if twice == ground else None
+    # Some element is still open: the chosen stars are independent, so
+    # they cannot cover every element twice yet (their sum would be 0).
+    best = None
+    for p in mask_positions(ground & ~twice):
+        hits = [y for y in candidates if y >> p & 1]
+        if not hits:
+            return None
+        if best is None or len(hits) < len(best):
+            best = hits
+    last = len(chosen) == need - 1
+    for i, y in enumerate(best):
+        grown = span if last else _extend(span, y)
+        if grown is None:
+            continue
+        covered = twice | once & y
+        # Families with an earlier sibling have been searched already.
+        tried = best[: i + 1]
+        found = _star_search(
+            need, ground, parallel, chosen + [y], grown, once | y, covered,
+            [z for z in candidates if not z & covered
+             and z not in tried and _meets_in_a_class(parallel, z, y)],
+        )
+        if found is not None:
+            return found
+    return None
 
 
 def _realize_component(

@@ -239,6 +239,16 @@ def test_replay_fan_out_is_bounded(monkeypatch, jobs, cpus, n_cases, sizes):
     assert summary.total == len(reports) == (n_cases or 29)
 
 
+@pytest.mark.parametrize("jobs, n_cases", [(1, 29), (8, 1), (0, 3)])
+def test_serial_replay_does_not_ask_for_the_cpu_count(monkeypatch, jobs, n_cases):
+    def cpu_count():
+        raise AssertionError("a serial replay asked for the CPU count")
+
+    monkeypatch.setattr("os.cpu_count", cpu_count)
+    reports, summary = replay_all(builtin_cases()[:n_cases], jobs=jobs)
+    assert summary.total == len(reports) == n_cases
+
+
 def test_reports_sorted_naturally():
     assert sorted(["g10", "g2", "r15", "g1"], key=case_sort_key) == [
         "g1", "g2", "g10", "r15"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 from collections import Counter
 from itertools import combinations, product
 from random import Random
@@ -11,7 +12,7 @@ import pytest
 from gf2minor import minors
 from gf2minor.audit import MinorWitness, verify_graph, verify_witness
 from gf2minor.catalog import get_named
-from gf2minor.certify import replay_all
+from gf2minor.certify import builtin_cases, replay_all
 from gf2minor.errors import CapacityError, InputError
 from gf2minor.gf2 import Gf2Matrix
 from gf2minor.matroid import (
@@ -337,11 +338,13 @@ def test_contract_set_walk_finds_parallel_classes_of_the_contraction():
     # and its reduced columns are equal exactly for parallel elements of
     # host / C and zero exactly for its loops and for C itself.
     rng = Random(0xC0DE)
-    for _ in range(20):
+    cut = kept = 0
+    for _ in range(40):
         host = random_matroid(rng, 9, min_elements=2)
         elems = host.elements()
         c_size = rng.randint(0, host.full_rank)
-        walked = list(_contract_sets([host.full_column(e) for e in elems], c_size))
+        columns = [host.full_column(e) for e in elems]
+        walked = list(_contract_sets(columns, c_size))
         first_of_flat: dict[frozenset[str], tuple[int, ...]] = {}
         for combo in combinations(range(host.size), c_size):
             chosen = [elems[i] for i in combo]
@@ -358,6 +361,15 @@ def test_contract_set_walk_finds_parallel_classes_of_the_contraction():
                 if reduced[i] and reduced[j]:
                     parallel = minor.rank([elems[i], elems[j]]) == 1
                     assert (reduced[i] == reduced[j]) == parallel
+        # With a class count k the walk yields exactly the leaves of the
+        # uncut walk with at least k parallel classes of non-loops, in order.
+        k = rng.randint(0, host.size + 1)
+        expected = [(combo, reduced) for combo, reduced in walked
+                    if len(set(reduced) - {0}) >= k]
+        assert list(_contract_sets(columns, c_size, k)) == expected
+        cut += len(expected) < len(walked)
+        kept += 0 < len(expected)
+    assert cut >= 10 and kept >= 10
 
 
 def has_small_cocircuit(vectors: list[int], alive: int) -> bool:
@@ -450,6 +462,66 @@ def test_large_cosimple_targets_on_planted_and_random_hosts(name):
             assert (got is not None) == (unpruned is not None)
             if got is not None:
                 assert verify_witness(host, target, got)
+
+
+def count_contract_sets(monkeypatch, cut: bool = True) -> list[int]:
+    """Make the search count the contract sets it walks into the returned
+    list's one item; with ``cut`` False it walks them with no class cut."""
+    count = [0]
+
+    def counted(columns, c_size, n_classes=0):
+        for leaf in _contract_sets(columns, c_size, n_classes if cut else 0):
+            count[0] += 1
+            yield leaf
+
+    monkeypatch.setattr(minors, "_contract_sets", counted)
+    return count
+
+
+def test_replays_walk_only_contract_sets_with_enough_classes(monkeypatch):
+    # Most contract sets of the 29 replays leave host / C with fewer
+    # parallel classes than the target has; the cut drops them inside the
+    # walk (634 contract sets without it, 147 of them r16's M*(K33) search
+    # and 53 to 58 each the M(K5) searches that fail on g4, g5, g14, g23).
+    count = count_contract_sets(monkeypatch)
+    walked = {}
+    for case in builtin_cases():
+        host = case.resolve_base().apply_ops(case.ops)
+        for name in case.targets:
+            before = count[0]
+            found = find_minor_witness(host, get_named(name))
+            walked[case.name, name] = count[0] - before
+            if found is not None:
+                break
+    assert sum(walked.values()) <= 63
+    assert walked["r16", "M*(K33)"] <= 1
+    for case in ("g4", "g5", "g14", "g23"):
+        assert walked[case, "M(K5)"] == 0
+
+
+def replay_hosts_with_non_simple_targets():
+    """The 29 replay hosts, each with M(K5) and M(K33) plus a loop, a
+    parallel copy of an element, or both."""
+    hosts = [case.resolve_base().apply_ops(case.ops) for case in builtin_cases()]
+    for name in ("M(K5)", "M(K33)"):
+        base = get_named(name)
+        col = base.full_column(base.elements()[0])
+        for extra in ([0], [col], [0, col]):
+            target = with_columns(base, extra)
+            for host in hosts:
+                yield host, target, False
+
+
+def test_the_class_cut_changes_no_witness(monkeypatch):
+    # Differential against the same search with the cut off, on pairs whose
+    # targets have loops and parallel classes: every witness is the same.
+    pairs = [*mix_pairs(), *non_simple_pairs(), *replay_hosts_with_non_simple_targets()]
+    with_cut = count_contract_sets(monkeypatch)
+    expected = [find_minor_witness(host, target) for host, target, _ in pairs]
+    without_cut = count_contract_sets(monkeypatch, cut=False)
+    assert [find_minor_witness(host, target) for host, target, _ in pairs] == expected
+    assert sum(w is not None for w in expected) > 100
+    assert with_cut[0] * 2 < without_cut[0]
 
 
 def test_contract_sets_of_witnesses_are_greedy_bases():
@@ -560,6 +632,31 @@ def test_is_graphic_builds_the_excluded_minor_data_once():
     assert minors._target_data.cache_info().misses == 4
     assert not is_graphic(get_named("F7*"))
     assert minors._target_data.cache_info().misses == 4
+
+
+def test_searches_leave_no_cyclic_garbage():
+    # The search and realization walks are module-level functions, not
+    # closures that refer to themselves, so once the caches are warm a
+    # replay of the 29 certificates and the graphicness of 16 catalog
+    # entries free everything by reference counting alone.
+    entries = [get_named(name) for name in (
+        "g7", "g10", "g12", "g18", "g21", "g24", "g9", "g6", "r15", "r16",
+        "M(K5)", "M(K33)", "M*(K5)", "M*(K33)", "F7", "F7*",
+    )]
+
+    def run():
+        replay_all(jobs=1)
+        for m in entries:
+            is_graphic(m)
+
+    run()
+    gc.collect()
+    gc.disable()
+    try:
+        run()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_target_data_are_cached_by_value_for_every_caller(monkeypatch):
