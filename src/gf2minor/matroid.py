@@ -31,6 +31,11 @@ ROUTE_DELETE_PIVOT = "delete-basis-pivot"
 ROUTE_CONTRACT_ROW = "contract-basis-row"
 ROUTE_CONTRACT_LOOP = "contract-loop-column"
 ROUTE_CONTRACT_PIVOT = "contract-cobasis-pivot"
+# Per kind: the element on the side it leaves from, a zero line, a pivot.
+_ROUTES = {
+    DELETE: (ROUTE_DELETE_COLUMN, ROUTE_DELETE_COLOOP, ROUTE_DELETE_PIVOT),
+    CONTRACT: (ROUTE_CONTRACT_ROW, ROUTE_CONTRACT_LOOP, ROUTE_CONTRACT_PIVOT),
+}
 
 
 @dataclass(frozen=True)
@@ -209,63 +214,35 @@ class BinaryMatroid:
 
     # -- minors -------------------------------------------------------------------
 
-    def _delete_one(self, label: str) -> tuple[BinaryMatroid, str]:
-        in_basis, idx = self._position(label)
-        if not in_basis:
-            m = BinaryMatroid(
-                self.basis_labels,
-                self.cobasis_labels[:idx] + self.cobasis_labels[idx + 1:],
-                self.a.drop_col(idx),
-            )
-            return m, ROUTE_DELETE_COLUMN
-        if self.a.row_bits(idx) == 0:
-            # Coloop: deleting equals contracting; just drop the row.
-            m = BinaryMatroid(
-                self.basis_labels[:idx] + self.basis_labels[idx + 1:],
-                self.cobasis_labels,
-                self.a.drop_row(idx),
-            )
-            return m, ROUTE_DELETE_COLOOP
-        # Swap the element into the cobasis at the first 1 of its row, then
-        # drop its column.  First = lowest stored cobasis position.
-        row = self.a.row_bits(idx)
-        j = (row & -row).bit_length() - 1
-        piv = self.exchange(label, self.cobasis_labels[j])
-        m = BinaryMatroid(
-            piv.basis_labels,
-            piv.cobasis_labels[:j] + piv.cobasis_labels[j + 1:],
-            piv.a.drop_col(j),
-        )
-        return m, ROUTE_DELETE_PIVOT
+    def _remove(self, op: MinorOp) -> tuple[BinaryMatroid, str]:
+        """Delete or contract one element; returns the minor and the route.
 
-    def _contract_one(self, label: str) -> tuple[BinaryMatroid, str]:
-        in_basis, idx = self._position(label)
+        Contracting e is deleting e from the dual and dualizing back, so one
+        rule serves both with rows and columns swapped.  An element on the
+        side it leaves from (a cobasis column for a deletion, a basis row
+        for a contraction) loses that line.  Otherwise its line is pivoted
+        across at its first 1, the lowest stored position, and then dropped;
+        a zero line (a coloop's row, a loop's column) is dropped as it is.
+        """
+        plain, zero, pivot = _ROUTES[op.kind]
+        in_basis, idx = self._position(op.element)
+        m, route = self, plain
+        if in_basis != (op.kind == CONTRACT):
+            line = self.a.row_bits(idx) if in_basis else self.a.col_bits(idx)
+            route = zero
+            if line:
+                k = (line & -line).bit_length() - 1
+                if in_basis:
+                    m = self.exchange(op.element, self.cobasis_labels[k])
+                else:
+                    m = self.exchange(self.basis_labels[k], op.element)
+                in_basis, idx, route = not in_basis, k, pivot
+        basis, cobasis = m.basis_labels, m.cobasis_labels
         if in_basis:
-            m = BinaryMatroid(
-                self.basis_labels[:idx] + self.basis_labels[idx + 1:],
-                self.cobasis_labels,
-                self.a.drop_row(idx),
-            )
-            return m, ROUTE_CONTRACT_ROW
-        col = self.a.col_bits(idx)
-        if col == 0:
-            # Loop: contracting equals deleting; just drop the column.
-            m = BinaryMatroid(
-                self.basis_labels,
-                self.cobasis_labels[:idx] + self.cobasis_labels[idx + 1:],
-                self.a.drop_col(idx),
-            )
-            return m, ROUTE_CONTRACT_LOOP
-        # Swap the element into the basis at the first 1 of its column, then
-        # drop its row.  First = lowest stored basis position.
-        i = (col & -col).bit_length() - 1
-        piv = self.exchange(self.basis_labels[i], label)
-        m = BinaryMatroid(
-            piv.basis_labels[:i] + piv.basis_labels[i + 1:],
-            piv.cobasis_labels,
-            piv.a.drop_row(i),
-        )
-        return m, ROUTE_CONTRACT_PIVOT
+            return BinaryMatroid(basis[:idx] + basis[idx + 1:], cobasis,
+                                 m.a.drop_row(idx)), route
+        return BinaryMatroid(basis, cobasis[:idx] + cobasis[idx + 1:],
+                             m.a.drop_col(idx)), route
 
     def apply_ops(
         self,
@@ -282,10 +259,7 @@ class BinaryMatroid:
         for op in ops:
             if m.size == 0:
                 raise InputError(f"cannot apply {op.kind} to an empty matroid")
-            if op.kind == DELETE:
-                m, route = m._delete_one(op.element)
-            else:
-                m, route = m._contract_one(op.element)
+            m, route = m._remove(op)
             if trace is not None:
                 trace.append(OpTrace(op, route))
         return m

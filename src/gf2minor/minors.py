@@ -15,7 +15,8 @@ extra for free; it ends at a minor-minimal non-graphic minor, which one
 ``match_circuits`` call names.  ``audit.verify_graph`` checks the graph and
 ``audit.verify_witness`` the minor; ``is_graphic`` is the bare verdict.
 ``check_graphic_cocircuits`` deletes each Y from m's fundamental circuits
-(``matroid.delete_cycles``) to realize m \\ Y, building it only on failure.
+(``matroid.delete_cycles``) to realize m \\ Y, and on failure runs
+``_reduce`` on the same circuits; it never builds m \\ Y.
 
 Search shape: every minor arises as host / C \\ D with C independent of size
 rank(host) - rank(target) and D coindependent.  Since host / C depends only
@@ -376,10 +377,10 @@ def graphic_certificate(m: BinaryMatroid) -> Graph | tuple[str, MinorWitness]:
     """A graph realizing ``m``, or the name and witness of an excluded minor.
 
     The graph's edge labels are the elements of ``m``; ``audit.verify_graph``
-    checks it.  When no graph exists, ``_reduce`` walks ``m`` down to a
-    minor-minimal non-graphic minor, which Tutte's theorem makes one of
-    ``GRAPHICNESS_EXCLUDED``; its ``MinorWitness`` is checked by
-    ``audit.verify_witness`` against ``catalog.get_named(name)``.
+    checks it.  When no graph exists, ``_reduce`` walks m's fundamental
+    circuits down to a minor-minimal non-graphic minor, which Tutte's
+    theorem makes one of ``GRAPHICNESS_EXCLUDED``; its ``MinorWitness`` is
+    checked by ``audit.verify_witness`` against ``catalog.get_named(name)``.
     """
     if m.size > HOST_LIMIT:
         raise CapacityError(
@@ -388,12 +389,7 @@ def graphic_certificate(m: BinaryMatroid) -> Graph | tuple[str, MinorWitness]:
     graph = realize(m)
     if graph is not None:
         return graph
-    found = _reduce(m)
-    if found is None:
-        raise MatroidError(
-            "no graph and no excluded minor found; this contradicts Tutte's theorem"
-        )
-    return found
+    return _reduce(m.fundamental_cycles(), (1 << m.size) - 1, m.elements())
 
 
 def _tidy(cycles: list[int], alive: int) -> tuple[list[int], int, int]:
@@ -434,28 +430,30 @@ def _tidy(cycles: list[int], alive: int) -> tuple[list[int], int, int]:
         cycles, _ = delete_cycles(cycles, parallel)
 
 
-def _reduce(m: BinaryMatroid) -> tuple[str, MinorWitness] | None:
-    """An excluded minor of the non-graphic ``m``, by a greedy reduction.
+def _reduce(
+    cycles: list[int], alive: int, elems: tuple[str, ...]
+) -> tuple[str, MinorWitness]:
+    """An excluded minor of the non-graphic M|alive, by a greedy reduction.
 
-    The elements are walked once in host order on the fundamental-circuit
-    bitmasks.  Each turn first tidies the current minor (``_tidy``); if its
-    size and rank are those of one of ``GRAPHICNESS_EXCLUDED`` (no two of
-    the four share both), one ``match_circuits`` call tries that one.
-    Otherwise the next unwalked element e is contracted if
-    ``realize_cycles`` still fails on the minor / e, else deleted if it
-    fails on the minor \\ e, else kept.  A kept e stays necessary in every
-    later minor N: N / e and N \\ e are minors of the graphic ones tested at
-    its turn.  So the walk ends at a minor-minimal non-graphic minor, one of
-    the four by Tutte's theorem, and makes at most two realizations per
-    element.  None if nothing matches.
+    ``cycles`` are fundamental circuits of M|alive, as bitmasks over the
+    positions of ``elems``, the ground set of M; the witness is a minor of
+    M, deleting every element outside ``alive``.  The elements are walked
+    once in host order.  Each turn first tidies the current minor
+    (``_tidy``); if its size and rank are those of one of
+    ``GRAPHICNESS_EXCLUDED`` (no two of the four share both), one
+    ``match_circuits`` call tries that one.  Otherwise the next unwalked
+    element e is contracted if ``realize_cycles`` still fails on the minor
+    / e, else deleted if it fails on the minor \\ e, else kept.  A kept e
+    stays necessary in every later minor N: N / e and N \\ e are minors of
+    the graphic ones tested at its turn.  So the walk ends at a
+    minor-minimal non-graphic minor, one of the four by Tutte's theorem,
+    and makes at most two realizations per element.  MatroidError if
+    nothing matches, which would contradict that theorem.
     """
     targets = {}
     for name in GRAPHICNESS_EXCLUDED:
         tgt = _target_data(catalog.get_named(name))
         targets[len(tgt.elements), tgt.rank] = name, tgt
-    elems = m.elements()
-    cycles = m.fundamental_cycles()
-    alive = (1 << m.size) - 1
     contracted = walked = 0
     while True:
         cycles, alive, freed = _tidy(cycles, alive)
@@ -467,7 +465,10 @@ def _reduce(m: BinaryMatroid) -> tuple[str, MinorWitness] | None:
             return name, _witness(elems, contracted, tgt, mapping)
         left = alive & ~walked
         if not left:
-            return None
+            raise MatroidError(
+                "no graph and no excluded minor found; "
+                "this contradicts Tutte's theorem"
+            )
         bit = left & -left
         shrunk = contract_cycles(cycles, bit)
         if realize_cycles(shrunk, alive ^ bit) is None:
@@ -508,9 +509,10 @@ def _canonical_sets(sets: Iterable[frozenset[str]]) -> list[frozenset[str]]:
 def check_graphic_cocircuits(m: BinaryMatroid) -> CocircuitReport:
     """For every cocircuit Y, report whether m \\ Y is graphic.
 
-    m \\ Y is realized from m's fundamental circuits with Y deleted by
-    ``delete_cycles``, as in the survivor search; m \\ Y is built, and
-    ``is_graphic`` finds its excluded minor, only when that fails.
+    Y is deleted from m's fundamental circuits by ``delete_cycles``, as in
+    the survivor search, and ``realize_cycles`` realizes what is left; m \\ Y
+    is never built.  When that fails, ``_reduce`` confirms the "no" on the
+    same circuits by finding an excluded minor.
     """
     elems = m.elements()
     cycles = m.fundamental_cycles()
@@ -522,8 +524,11 @@ def check_graphic_cocircuits(m: BinaryMatroid) -> CocircuitReport:
             )
         ymask = sum(1 << p for p, e in enumerate(elems) if e in y)
         vectors, _ = delete_cycles(cycles, ymask)
-        graphic = realize_cycles(vectors, (1 << m.size) - 1 & ~ymask) is not None
-        checks.append(CocircuitCheck(y, graphic or is_graphic(m.delete_all(y))))
+        rest = (1 << m.size) - 1 & ~ymask
+        graphic = realize_cycles(vectors, rest) is not None
+        if not graphic:
+            _reduce(vectors, rest, elems)
+        checks.append(CocircuitCheck(y, graphic))
     return CocircuitReport(
         checks=tuple(checks),
         all_graphic=all(c.graphic for c in checks),

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -185,17 +186,21 @@ def test_graphic_certificate_rejected_exits_2(capsys, monkeypatch):
     assert code == 2 and "REJECTED" in err
 
 
-@pytest.mark.parametrize("name", ["g6", "r16"])
-def test_graphic_certificate_identical_across_hash_seeds(name):
+@pytest.mark.parametrize("name, code", [("g6", 0), ("r16", 1)], ids=["g6", "r16"])
+def test_graphic_certificate_identical_across_hash_seeds(name, code):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     outputs = set()
     for seed in ("0", "1"):
         res = subprocess.run(
             [sys.executable, "-m", "gf2minor", "graphic", "--certificate",
              "--matroid", name],
-            env=dict(os.environ, PYTHONHASHSEED=seed),
+            env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path),
             capture_output=True, text=True,
         )
-        assert res.returncode in (0, 1), res.stderr
+        assert res.returncode == code, res.stderr
+        assert "Traceback" not in res.stderr
+        assert res.stdout.splitlines()[0] == f"graphic: {'no' if code else 'yes'}"
         outputs.add(res.stdout)
     assert len(outputs) == 1
 

@@ -15,6 +15,9 @@ from gf2minor.matroid import (
     ROUTE_CONTRACT_LOOP,
     ROUTE_CONTRACT_PIVOT,
     ROUTE_CONTRACT_ROW,
+    ROUTE_DELETE_COLOOP,
+    ROUTE_DELETE_COLUMN,
+    ROUTE_DELETE_PIVOT,
     BinaryMatroid,
     Graph,
     MinorOp,
@@ -386,16 +389,30 @@ def test_dual_properties_random():
         assert m.full_rank + d.full_rank == m.size
 
 
+# The route contract(e) takes in m, and the one delete(e) takes in m.dual().
+MIRRORED_ROUTES = {
+    ROUTE_CONTRACT_ROW: ROUTE_DELETE_COLUMN,
+    ROUTE_CONTRACT_LOOP: ROUTE_DELETE_COLOOP,
+    ROUTE_CONTRACT_PIVOT: ROUTE_DELETE_PIVOT,
+}
+
+
 def test_minor_dual_exchange_random():
-    # dual(m / e) and dual(m) \ e are the same matroid (equal circuit sets).
+    # m / e is (m* \ e)* as a value, labels and rows alike, for every e:
+    # deletion and contraction are one rule with rows and columns swapped.
     rng = Random(31337)
+    routes = set()
     for _ in range(40):
         m = random_matroid(rng, 10, min_elements=1)
-        e = rng.choice(sorted(m.ground_set))
-        left = m.apply_ops([contract(e)]).dual()
-        right = m.dual().apply_ops([delete(e)])
-        assert left.ground_set == right.ground_set
-        assert left.circuits() == right.circuits()
+        for e in m.elements():
+            contracted, deleted = [], []
+            left = m.apply_ops([contract(e)], contracted)
+            right = m.dual().apply_ops([delete(e)], deleted).dual()
+            assert left == right
+            route = contracted[0].route
+            assert MIRRORED_ROUTES[route] == deleted[0].route
+            routes.add(route)
+    assert routes == set(MIRRORED_ROUTES)
 
 
 def test_exchange_preserves_all_subset_ranks():

@@ -13,7 +13,7 @@ from gf2minor import minors
 from gf2minor.audit import MinorWitness, verify_graph, verify_witness
 from gf2minor.catalog import get_named
 from gf2minor.certify import builtin_cases, replay_all
-from gf2minor.errors import CapacityError, InputError
+from gf2minor.errors import CapacityError, InputError, MatroidError
 from gf2minor.gf2 import Gf2Matrix
 from gf2minor.matroid import (
     BinaryMatroid,
@@ -33,6 +33,7 @@ from gf2minor.minors import (
     covering_cocircuit_witness,
     _coloops,
     _contract_sets,
+    _reduce,
 )
 from gf2minor.realize import _components, realize_cycles
 
@@ -100,6 +101,7 @@ def test_witness_identical_across_hash_seeds():
     import os
     import subprocess
     import sys
+    from pathlib import Path
 
     script = (
         "from gf2minor.catalog import get_named\n"
@@ -110,11 +112,13 @@ def test_witness_identical_across_hash_seeds():
         "w = find_minor_witness(host, get_named('M(K5)'))\n"
         "print(sorted(w.contract_set), sorted(w.delete_set), w.mapping)\n"
     )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     outputs = set()
     for seed in ("0", "1", "31337"):
         res = subprocess.run(
             [sys.executable, "-c", script],
-            env=dict(os.environ, PYTHONHASHSEED=seed),
+            env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path),
             capture_output=True,
             text=True,
         )
@@ -726,9 +730,12 @@ def assert_cocircuit_checks_match_deletion(m: BinaryMatroid) -> Counter:
 
     Every graphic m \\ Y must also be realized, from m's eliminated
     fundamental circuits and labelled from m, by a graph that
-    ``verify_graph`` accepts for m.delete_all(Y).  Returns counts of the
-    cases met: singleton cocircuits, deletions that leave more than one
-    component of two or more elements, and deletions that are not graphic.
+    ``verify_graph`` accepts for m.delete_all(Y).  For every other Y,
+    ``_reduce`` on those circuits must name an excluded minor of m \\ Y: a
+    witness in m that ``verify_witness`` accepts and that deletes all of Y.
+    Returns counts of the cases met: singleton cocircuits, deletions that
+    leave more than one component of two or more elements, and deletions
+    that are not graphic.
     """
     ys = sorted(m.cocircuits(), key=lambda s: (len(s), sorted(s)))
     report = check_graphic_cocircuits(m)
@@ -752,7 +759,19 @@ def assert_cocircuit_checks_match_deletion(m: BinaryMatroid) -> Counter:
             n, edges = found
             g = Graph(n, tuple((u, v, elems[p]) for p, u, v in edges))
             assert verify_graph(m.delete_all(y), g)
+        else:
+            name, w = _reduce(vectors, rest, elems)
+            assert verify_witness(m, get_named(name), w)
+            assert y <= w.delete_set
     return seen
+
+
+def test_reduce_raises_on_a_graphic_matroid():
+    # A graph and no excluded minor would contradict Tutte's theorem; the
+    # reduction says so rather than answer None.
+    m = cycle_matroid(complete_graph(4))
+    with pytest.raises(MatroidError, match="Tutte"):
+        _reduce(m.fundamental_cycles(), (1 << m.size) - 1, m.elements())
 
 
 @pytest.mark.parametrize("name", ["g29", "r15", "r16", "g18*"])
