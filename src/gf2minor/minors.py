@@ -7,16 +7,17 @@ survivors.  ``audit.verify_witness`` checks such a certificate against the
 target's standard form, sharing no code with the search.
 
 ``graphic_certificate`` decides graphicness with a certificate either way: a
-``Graph`` from ``realize.realize``, or, when no graph exists, one of Tutte's
-excluded minors.  Graphicness is minor-closed, so a greedy walk over the
-elements contracts, else deletes, each one while ``realize.realize_cycles``
+``Graph`` from ``realize.realize_cycles``, or, when no graph exists, one of
+Tutte's excluded minors.  Graphicness is minor-closed, so a greedy walk over
+the elements contracts, else deletes, each one while ``realize_cycles``
 still fails, after removing every coloop, loop, series extra and parallel
 extra for free; it ends at a minor-minimal non-graphic minor, which one
 ``match_circuits`` call names.  ``audit.verify_graph`` checks the graph and
 ``audit.verify_witness`` the minor; ``is_graphic`` is the bare verdict.
-``check_graphic_cocircuits`` deletes each Y from m's fundamental circuits
-(``matroid.delete_cycles``) to realize m \\ Y, and on failure runs
-``_reduce`` on the same circuits; it never builds m \\ Y.
+Every graphicness answer, of m or of m \\ Y, comes from one routine,
+``_certificate``, on fundamental circuits: ``check_graphic_cocircuits``
+deletes each Y from m's (``matroid.delete_cycles``) and never builds
+m \\ Y.
 
 Search shape: every minor arises as host / C \\ D with C independent of size
 rank(host) - rank(target) and D coindependent.  Since host / C depends only
@@ -86,7 +87,7 @@ from .matroid import (
     minimal_supports,
     weight_histogram,
 )
-from .realize import realize, realize_cycles
+from .realize import cocycle_rows, realize_cycles
 
 logger = logging.getLogger(__name__)
 
@@ -382,14 +383,23 @@ def graphic_certificate(m: BinaryMatroid) -> Graph | tuple[str, MinorWitness]:
     theorem makes one of ``GRAPHICNESS_EXCLUDED``; its ``MinorWitness`` is
     checked by ``audit.verify_witness`` against ``catalog.get_named(name)``.
     """
-    if m.size > HOST_LIMIT:
-        raise CapacityError(
-            f"graphicness test limited to {HOST_LIMIT} elements, got {m.size}"
-        )
-    graph = realize(m)
-    if graph is not None:
-        return graph
-    return _reduce(m.fundamental_cycles(), (1 << m.size) - 1, m.elements())
+    return _certificate(m.fundamental_cycles(), (1 << m.size) - 1, m.elements())
+
+
+def _certificate(
+    cycles: list[int], alive: int, elems: tuple[str, ...]
+) -> Graph | tuple[str, MinorWitness]:
+    """A graph realizing M|alive, labelled from ``elems``, or an excluded
+    minor by ``_reduce``, whose arguments these are.  CapacityError past
+    ``HOST_LIMIT`` elements of M|alive."""
+    size = alive.bit_count()
+    if size > HOST_LIMIT:
+        raise CapacityError(f"graphicness test limited to {HOST_LIMIT} elements, got {size}")
+    found = realize_cycles(cycles, alive)
+    if found is None:
+        return _reduce(cycles, alive, elems)
+    n, edges = found
+    return Graph(n, tuple([(u, v, elems[p]) for p, u, v in edges]))
 
 
 def _tidy(cycles: list[int], alive: int) -> tuple[list[int], int, int]:
@@ -403,9 +413,8 @@ def _tidy(cycles: list[int], alive: int) -> tuple[list[int], int, int]:
     """
     contracted = 0
     while True:
-        once = twice = 0  # the elements in at least one and two vectors
+        once = 0  # the elements in some vector
         for v in cycles:
-            twice |= once & v
             once |= v
         coloops = alive & ~once
         loops = sum(v for v in cycles if not v & (v - 1))
@@ -415,14 +424,7 @@ def _tidy(cycles: list[int], alive: int) -> tuple[list[int], int, int]:
             alive &= ~(coloops | loops | series)
             cycles = contract_cycles([v for v in cycles if v & ~loops], series)
             continue
-        # No series pair is left, so each vector has one private bit, and
-        # the rows of [I | A] are read off them; over those rows equal
-        # columns are parallel classes.
-        private = once & ~twice
-        rows = [
-            1 << f | sum(v & private for v in cycles if v >> f & 1)
-            for f in mask_positions(alive & ~private)
-        ]
+        rows = cocycle_rows(cycles, alive)
         parallel = sum(c & (c - 1) for c in equal_columns(rows, alive))
         if not parallel:
             return cycles, alive, contracted
@@ -510,25 +512,17 @@ def check_graphic_cocircuits(m: BinaryMatroid) -> CocircuitReport:
     """For every cocircuit Y, report whether m \\ Y is graphic.
 
     Y is deleted from m's fundamental circuits by ``delete_cycles``, as in
-    the survivor search, and ``realize_cycles`` realizes what is left; m \\ Y
-    is never built.  When that fails, ``_reduce`` confirms the "no" on the
-    same circuits by finding an excluded minor.
+    the survivor search, and ``_certificate`` answers on what is left, a
+    graph or an excluded minor; m \\ Y is never built.
     """
     elems = m.elements()
     cycles = m.fundamental_cycles()
     checks = []
     for y in _canonical_sets(m.cocircuits()):
-        if m.size - len(y) > HOST_LIMIT:
-            raise CapacityError(
-                f"graphicness test limited to {HOST_LIMIT} elements, got {m.size - len(y)}"
-            )
         ymask = sum(1 << p for p, e in enumerate(elems) if e in y)
         vectors, _ = delete_cycles(cycles, ymask)
-        rest = (1 << m.size) - 1 & ~ymask
-        graphic = realize_cycles(vectors, rest) is not None
-        if not graphic:
-            _reduce(vectors, rest, elems)
-        checks.append(CocircuitCheck(y, graphic))
+        cert = _certificate(vectors, (1 << m.size) - 1 & ~ymask, elems)
+        checks.append(CocircuitCheck(y, isinstance(cert, Graph)))
     return CocircuitReport(
         checks=tuple(checks),
         all_graphic=all(c.graphic for c in checks),

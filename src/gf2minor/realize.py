@@ -1,15 +1,16 @@
 """Graph realization of binary matroids: a graph whose cycle matroid is M.
 
 ``realize_cycles`` realizes M|ground from fundamental circuits given as
-bitmasks over positions, per connected component; ``realize`` runs it on a
-matroid's own and attaches the labels of ``elements()``.  Elements in series
-(equal columns over the cycle basis, ``matroid.equal_columns``) are
-contracted to one edge and subdivided back afterwards; the cosimple rest of
-rank r >= 2 is graphic exactly when r + 1 of its cocircuits, the vertex
-stars, cover every element twice and have rank r.  Cocircuits are read
-lazily, lightest first, until r + 1 forced stars are found or up to the
-weight that the stars still missing can carry.  None means not graphic;
-``minors.graphic_certificate`` then finds an excluded minor instead.  Only
+bitmasks over positions, per connected component, with edges named by
+position; ``minors._certificate`` labels them with the matroid's elements.
+Elements in series (equal columns over the cycle basis,
+``matroid.equal_columns``) are contracted to one edge and subdivided back
+afterwards; the cosimple rest of rank r >= 2 is graphic exactly when r + 1
+of its cocircuits, the vertex stars, cover every element twice and have
+rank r.  Cocircuits are read lazily, lightest first, from the span of
+``cocycle_rows``, until r + 1 forced stars are found or up to the weight
+that the stars still missing can carry.  None means not graphic;
+``minors._certificate`` then finds an excluded minor instead.  Only
 bitmask elimination (``matroid.delete_cycles`` for the forced stars) is used
 here, never the rank routine of ``audit``, so that ``audit.verify_graph``
 shares no code with the realization it checks.
@@ -18,8 +19,7 @@ shares no code with the realization it checks.
 from __future__ import annotations
 
 from .matroid import (
-    BinaryMatroid, Graph, delete_cycles, equal_columns, lightest_minimal, mask_positions,
-    span_vectors,
+    delete_cycles, equal_columns, lightest_minimal, mask_positions, span_vectors,
 )
 
 
@@ -36,6 +36,23 @@ def _extend(basis: list[int], v: int) -> list[int] | None:
         return None
     low = v & -v
     return [b ^ v if b & low else b for b in basis] + [v]
+
+
+def cocycle_rows(cycles: list[int], ground: int) -> list[int]:
+    """Rows of [I | A] spanning the cocycle space of M|ground, whose cycle
+    space ``cycles`` span.  In their reduced echelon basis (``_extend``)
+    the pivots are a cobasis; each other element f gets its fundamental
+    cocircuit, f and the pivots of the basis vectors holding f."""
+    basis: list[int] = []
+    for v in cycles:
+        basis = _extend(basis, v) or basis
+    pivots = 0
+    for b in basis:
+        pivots |= b & -b
+    return [
+        1 << f | sum(b & -b for b in basis if b >> f & 1)
+        for f in mask_positions(ground & ~pivots)
+    ]
 
 
 def _components(circuits: list[int], ground: int) -> list[int]:
@@ -96,17 +113,7 @@ def _stars(cycles: list[int], ground: int, rank: int) -> list[int] | None:
     spare = 2 * ground.bit_count() - 3 * need
     if spare < 0:
         return None
-    basis: list[int] = []
-    for v in cycles:
-        basis = _extend(basis, v) or basis
-    pivots = 0
-    for b in basis:
-        pivots |= b & -b
-    # The rows of [I | A] over the non-pivot elements span the cocycles.
-    rows = [
-        1 << f | sum(b & -b for b in basis if b >> f & 1)
-        for f in mask_positions(ground & ~pivots)
-    ]
+    rows = cocycle_rows(cycles, ground)
     # Each element's parallel class by its bit; a missing one is alone.
     parallel = {1 << p: c for c in equal_columns(rows, ground) for p in mask_positions(c)}
 
@@ -253,15 +260,3 @@ def realize_cycles(
         n += n_comp
     return n, sorted(edges)
 
-
-def realize(m: BinaryMatroid) -> Graph | None:
-    """A graph whose cycle matroid is ``m``, or None if ``m`` is not graphic.
-
-    Edges follow elements(); see ``realize_cycles``.
-    """
-    found = realize_cycles(m.fundamental_cycles(), (1 << m.size) - 1)
-    if found is None:
-        return None
-    n, edges = found
-    elems = m.elements()
-    return Graph(n, tuple([(u, v, elems[p]) for p, u, v in edges]))

@@ -250,6 +250,19 @@ def reduced_echelon_reference(vectors):
     return basis
 
 
+def cocycles_reference(cycles, ground):
+    """The cocycle space of M|ground, 0 included, by enumeration: every
+    subset of ``ground`` that meets each of ``cycles`` in an even number of
+    elements, where ``cycles`` span the cycle space of M|ground."""
+    positions = [p for p in range(ground.bit_length()) if ground >> p & 1]
+    cocycles = []
+    for k in range(1 << len(positions)):
+        v = sum(1 << p for i, p in enumerate(positions) if k >> i & 1)
+        if all(bin(v & c).count("1") % 2 == 0 for c in cycles):
+            cocycles.append(v)
+    return cocycles
+
+
 def components_reference(elements, circuits):
     """Connected components of a matroid, from all its circuits, by union-find.
 

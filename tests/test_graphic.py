@@ -21,7 +21,7 @@ import pytest
 from gf2minor import minors, realize
 from gf2minor.audit import verify_graph, verify_witness
 from gf2minor.catalog import catalog_names, get_named
-from gf2minor.errors import CapacityError, InputError
+from gf2minor.errors import InputError
 from gf2minor.gf2 import Gf2Matrix
 from gf2minor.matroid import (
     BinaryMatroid,
@@ -29,21 +29,25 @@ from gf2minor.matroid import (
     complete_bipartite_graph,
     complete_graph,
     contract,
+    contract_cycles,
     cycle_matroid,
     delete,
     delete_cycles,
+    equal_columns,
 )
 from gf2minor.minors import (
     GRAPHICNESS_EXCLUDED,
     find_minor_witness,
     graphic_certificate,
 )
-from gf2minor.realize import _extend
+from gf2minor.realize import _extend, cocycle_rows
 
 from gen import planted_host, random_graph, random_matroid, random_simple_graph
 from oracles import (
     cocircuits_reference,
+    cocycles_reference,
     connected_after_deleting_reference,
+    equal_columns_reference,
     reduced_echelon_reference,
     stars_reference,
 )
@@ -69,6 +73,12 @@ def certified_verdict(m: BinaryMatroid) -> tuple[bool, str | None]:
     assert name in GRAPHICNESS_EXCLUDED
     assert verify_witness(m, get_named(name), w), name
     return False, name
+
+
+def realization(m: BinaryMatroid):
+    """``realize_cycles`` on m's own fundamental circuits; None when m is
+    not graphic."""
+    return realize.realize_cycles(m.fundamental_cycles(), (1 << m.size) - 1)
 
 
 def assert_matches_oracle(m: BinaryMatroid) -> bool:
@@ -122,8 +132,8 @@ def test_planted_excluded_minors_are_not_graphic(name):
 @cache
 def nonplanar_duals() -> tuple[BinaryMatroid, ...]:
     """Duals of 25 seeded random multigraphs, 6-9 vertices and 15-20 edges
-    (loops and parallel edges allowed), kept when ``realize`` finds no
-    graph: the graph is then not planar.  Every "no" is confirmed by a
+    (loops and parallel edges allowed), kept when ``realize_cycles`` finds
+    no graph: the graph is then not planar.  Every "no" is confirmed by a
     witness."""
     rng = Random(11)
     bank = []
@@ -132,7 +142,7 @@ def nonplanar_duals() -> tuple[BinaryMatroid, ...]:
         g = Graph(nv, tuple(
             (rng.randrange(nv), rng.randrange(nv), f"e{i + 1}") for i in range(ne)))
         m = cycle_matroid(g).dual()
-        if realize.realize(m) is None:
+        if realization(m) is None:
             bank.append(m)
     return tuple(bank)
 
@@ -147,7 +157,7 @@ def non_graphic_bank() -> tuple[BinaryMatroid, ...]:
         planted_host(rng, get_named(name), rng.randint(0, 8))
         for name in GRAPHICNESS_EXCLUDED for _ in range(4)
     ]
-    bank = [m for m in catalog + [m.dual() for m in catalog] if realize.realize(m) is None]
+    bank = [m for m in catalog + [m.dual() for m in catalog] if realization(m) is None]
     return (*bank, *planted, *nonplanar_duals())
 
 
@@ -161,7 +171,7 @@ def k5_with_extras() -> BinaryMatroid:
 
 
 def counting_realizations(monkeypatch) -> list[int]:
-    """One entry per ``realize_cycles`` call, ``realize``'s own included."""
+    """One entry per ``realize_cycles`` call, the first realization included."""
     kernel = realize.realize_cycles
     calls: list[int] = []
 
@@ -169,7 +179,6 @@ def counting_realizations(monkeypatch) -> list[int]:
         calls.append(ground)
         return kernel(cycles, ground)
 
-    monkeypatch.setattr(realize, "realize_cycles", counted)
     monkeypatch.setattr(minors, "realize_cycles", counted)
     return calls
 
@@ -188,11 +197,11 @@ def test_excluded_minor_witness_is_minor_minimal():
         ops = [contract(e) for e in sorted(w.contract_set)]
         minor = m.apply_ops(ops + [delete(e) for e in sorted(w.delete_set)])
         assert minor.ground_set == w.survivors()
-        assert realize.realize(minor) is None
+        assert realization(minor) is None
         for e in minor.elements():
             for op in (contract(e), delete(e)):
                 smaller = minor.apply_ops([op])
-                assert verify_graph(smaller, realize.realize(smaller)), (str(m), op)
+                assert verify_graph(smaller, graphic_certificate(smaller)), (str(m), op)
 
 
 def test_reduction_realizes_at_most_twice_per_element(monkeypatch):
@@ -244,7 +253,7 @@ def counting_reads(monkeypatch) -> list[int]:
 
 
 def star_searches(m: BinaryMatroid, monkeypatch) -> list[tuple]:
-    """Each ``_stars`` call of ``realize(m)``: its arguments, its answer and
+    """Each ``_stars`` call of ``realization(m)``: its arguments, its answer and
     the number of cocircuits it read."""
     search = realize._stars
     reads = counting_reads(monkeypatch)
@@ -259,7 +268,7 @@ def star_searches(m: BinaryMatroid, monkeypatch) -> list[tuple]:
         return stars
 
     monkeypatch.setattr(realize, "_stars", spy)
-    realize.realize(m)
+    realization(m)
     monkeypatch.undo()
     return calls
 
@@ -428,13 +437,13 @@ def test_cubic_graphs_use_the_whole_weight_budget(monkeypatch):
     # F7* and M*(K5) are cosimple, connected and half an element short.
     for name in ("F7*", "M*(K5)"):
         started = len(reads)
-        assert realize.realize(get_named(name)) is None
+        assert realization(get_named(name)) is None
         assert len(reads) == started
 
 
 def star_deletions(m: BinaryMatroid, monkeypatch) -> int:
-    """Cocircuits that ``realize(m)`` deletes from the cycle basis; m must be
-    graphic."""
+    """Cocircuits that ``graphic_certificate(m)`` deletes from the cycle
+    basis; m must be graphic."""
     eliminations = []
     kernel = realize.delete_cycles
 
@@ -443,7 +452,7 @@ def star_deletions(m: BinaryMatroid, monkeypatch) -> int:
         return kernel(vectors, mask)
 
     monkeypatch.setattr(realize, "delete_cycles", counting)
-    assert verify_graph(m, realize.realize(m))
+    assert verify_graph(m, graphic_certificate(m))
     return len(eliminations)
 
 
@@ -489,7 +498,7 @@ def test_the_cut_can_change_which_star_family_comes_first():
 
 def test_extend_fold_matches_the_reduced_echelon_reference():
     # Folding _extend over a list gives the reference's basis, vectors and
-    # order alike, so the cocycle rows of _stars cannot drift; None comes
+    # order alike, so the rows of cocycle_rows cannot drift; None comes
     # exactly when the rank does not grow, and the basis passed in, which
     # the star search shares between branches, is left as it was.
     rng = Random(0xEC4E1)
@@ -515,6 +524,47 @@ def test_extend_fold_matches_the_reduced_echelon_reference():
             basis = grown or basis
             assert basis == expected
     assert outcomes[True] and outcomes[False]
+
+
+def test_cocycle_rows_span_the_cocycle_space():
+    # On fundamental circuits of random matroids and of their deletions and
+    # contractions, the rows are cocycles (each meets every cycle evenly) of
+    # rank |ground| - corank, so they span the cocycle space; another
+    # spanning set of the same cycle space, with a redundant vector, gives
+    # the same rows; and over them equal columns are the parallel classes
+    # (loops as one), as over the whole cocycle space.
+    rng = Random(0xC0C1C)
+    seen = Counter()
+    for _ in range(50):
+        m = random_matroid(rng, 10)
+        full = (1 << m.size) - 1
+        cycles = m.fundamental_cycles()
+        mask = full & rng.getrandbits(m.size)
+        cases = [
+            (cycles, full),
+            (delete_cycles(cycles, mask)[0], full & ~mask),
+            (contract_cycles(cycles, mask), full & ~mask),
+        ]
+        for vectors, ground in cases:
+            rows = cocycle_rows(vectors, ground)
+            assert all(not row & ~ground for row in rows)
+            assert all((row & c).bit_count() % 2 == 0 for row in rows for c in vectors)
+            assert len(reduced_echelon_reference(rows)) == ground.bit_count() - len(vectors)
+            redundant = 0
+            for v in rng.sample(vectors, len(vectors) // 2):
+                redundant ^= v
+            other = [v ^ w for v, w in zip(vectors, vectors[1:] + [0])] + [redundant]
+            rng.shuffle(other)
+            assert cocycle_rows(other, ground) == rows
+            expected = [
+                sum(1 << p for p in cls)
+                for cls in equal_columns_reference(cocycles_reference(vectors, ground), ground)
+                if len(cls) > 1
+            ]
+            assert sorted(equal_columns(rows, ground)) == sorted(expected)
+            seen["parallel"] += bool(expected)
+            seen["simple"] += not expected and len(vectors) > 1
+    assert seen["parallel"] and seen["simple"]
 
 
 # -- edge cases -------------------------------------------------------------------
@@ -544,14 +594,6 @@ def test_twenty_element_circuit_is_a_polygon_in_milliseconds():
         degrees[u] += 1
         degrees[v] += 1
     assert degrees == [2] * 20
-
-
-def test_certificate_capacity_guard():
-    big = BinaryMatroid(
-        (), tuple(f"s{j}" for j in range(21)), Gf2Matrix(0, 21, ())
-    )
-    with pytest.raises(CapacityError):
-        graphic_certificate(big)
 
 
 # -- verify_graph -------------------------------------------------------------------

@@ -31,11 +31,12 @@ from gf2minor.minors import (
     graphic_certificate,
     is_graphic,
     covering_cocircuit_witness,
+    _certificate,
     _coloops,
     _contract_sets,
     _reduce,
 )
-from gf2minor.realize import _components, realize_cycles
+from gf2minor.realize import _components
 
 from gen import (
     coloop_host_of_22_elements,
@@ -688,12 +689,14 @@ def test_target_data_are_cached_by_value_for_every_caller(monkeypatch):
     assert minors._target_data.cache_info().misses == 7
 
 
-def test_graphicness_capacity_guard():
+@pytest.mark.parametrize("entry", [is_graphic, graphic_certificate], ids=lambda f: f.__name__)
+def test_graphicness_capacity_guard(entry):
     big = BinaryMatroid(
         (), tuple(f"s{j}" for j in range(21)), Gf2Matrix(0, 21, ())
     )
-    with pytest.raises(CapacityError):
-        is_graphic(big)
+    with pytest.raises(CapacityError) as err:
+        entry(big)
+    assert str(err.value) == "graphicness test limited to 20 elements, got 21"
 
 
 def test_all_cocircuits_of_k4_are_graphic():
@@ -728,11 +731,11 @@ def deletion_cycles(m: BinaryMatroid, y) -> tuple[list[int], int, int]:
 def assert_cocircuit_checks_match_deletion(m: BinaryMatroid) -> Counter:
     """Compare ``check_graphic_cocircuits`` with is_graphic(m.delete_all(Y)).
 
-    Every graphic m \\ Y must also be realized, from m's eliminated
-    fundamental circuits and labelled from m, by a graph that
-    ``verify_graph`` accepts for m.delete_all(Y).  For every other Y,
-    ``_reduce`` on those circuits must name an excluded minor of m \\ Y: a
-    witness in m that ``verify_witness`` accepts and that deletes all of Y.
+    ``_certificate`` on m's fundamental circuits with Y eliminated, the
+    check's own path, must give every graphic m \\ Y a graph, labelled from
+    m, that ``verify_graph`` accepts for m.delete_all(Y), and every other Y
+    an excluded minor of m \\ Y: a witness in m that ``verify_witness``
+    accepts and that deletes all of Y.
     Returns counts of the cases met: singleton cocircuits, deletions that
     leave more than one component of two or more elements, and deletions
     that are not graphic.
@@ -753,14 +756,12 @@ def assert_cocircuit_checks_match_deletion(m: BinaryMatroid) -> Counter:
         blocks = [c for c in _components(vectors, rest) if c & (c - 1)]
         seen["blocks"] += len(blocks) > 1
         seen["not graphic"] += not graphic
-        found = realize_cycles(vectors, rest)
-        assert (found is not None) == graphic
+        cert = _certificate(vectors, rest, elems)
+        assert isinstance(cert, Graph) == graphic
         if graphic:
-            n, edges = found
-            g = Graph(n, tuple((u, v, elems[p]) for p, u, v in edges))
-            assert verify_graph(m.delete_all(y), g)
+            assert verify_graph(m.delete_all(y), cert)
         else:
-            name, w = _reduce(vectors, rest, elems)
+            name, w = cert
             assert verify_witness(m, get_named(name), w)
             assert y <= w.delete_set
     return seen
