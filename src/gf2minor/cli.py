@@ -18,6 +18,7 @@ from .audit import verify_graph, verify_witness
 from .errors import InputError, MatroidError
 from .matroid import BinaryMatroid, Graph, MinorOp, contract, delete
 from .minors import (
+    _canonical_sets,
     check_graphic_cocircuits,
     find_minor_witness,
     graphic_certificate,
@@ -160,7 +161,7 @@ def cmd_graphic(args: argparse.Namespace) -> int:
 def cmd_cocircuits(args: argparse.Namespace) -> int:
     m = _load_matroid(args.matroid)
     if not args.check_graphic:
-        for c in sorted(m.cocircuits(), key=lambda s: (len(s), sorted(s))):
+        for c in _canonical_sets(m.cocircuits()):
             print(_set_str(c))
         return EXIT_OK
     report = check_graphic_cocircuits(m)

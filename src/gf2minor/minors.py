@@ -17,7 +17,8 @@ extra for free; it ends at a minor-minimal non-graphic minor, which one
 Every graphicness answer, of m or of m \\ Y, comes from one routine,
 ``_certificate``, on fundamental circuits: ``check_graphic_cocircuits``
 deletes each Y from m's (``matroid.delete_cycles``) and never builds
-m \\ Y.
+m \\ Y.  ``covering_cocircuit_witness`` is the paper's Lemma 1, solved by
+elimination on m's cocycle rows: no search and no size limit.
 
 Search shape: every minor arises as host / C \\ D with C independent of size
 rank(host) - rank(target) and D coindependent.  Since host / C depends only
@@ -61,7 +62,6 @@ than degrade silently.
 
 from __future__ import annotations
 
-import logging
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -80,16 +80,16 @@ from .matroid import (
     Graph,
     MinorOp,
     contract_cycles,
+    delete,
     delete_cycles,
     eliminate,
     equal_columns,
     mask_positions,
+    mask_to_labels,
     minimal_supports,
     weight_histogram,
 )
 from .realize import cocycle_rows, realize_cycles
-
-logger = logging.getLogger(__name__)
 
 HOST_LIMIT = 20
 TARGET_LIMIT = 12
@@ -536,30 +536,29 @@ def covering_cocircuit_witness(
     m: BinaryMatroid,
     minor_ops: Iterable[MinorOp],
     c_n: Iterable[str],
-) -> frozenset[str] | None:
-    """Find a cocircuit of ``m`` covering a cocircuit of a minor.
+) -> frozenset[str]:
+    """A cocircuit Y of ``m`` with N \\ c_n a minor of m \\ Y (Lemma 1).
 
-    Given N = m after ``minor_ops`` and a cocircuit ``c_n`` of N, search the
-    cocircuits C of m with c_n contained in C and E(N) & C == c_n such that
-    N minus c_n is a minor of m minus C.  Exhaustive failure would contradict
-    standard minor/cocircuit theory, so it is logged loudly before returning
-    None.
+    N = m after ``minor_ops`` = m / C \\ D, and ``c_n`` is a cocircuit of N.
+    N's cocycles are the traces on E(N) of m's cocycles avoiding C, and a
+    nonzero one inside c_n is c_n.  Y starts as D | c_n; each d in D, lowest
+    position first, is dropped while some cocycle of m inside Y - d meets
+    c_n.  Every d left lies in every such cocycle, so Y is the only one, a
+    cocircuit, and m \\ Y / C \\ (D - Y) is N \\ c_n itself: the identity
+    mapping is a witness.  Linear algebra only: no search, no size limit.
     """
-    n_minor = m.apply_ops(minor_ops)
+    ops = list(minor_ops)
+    n_minor = m.apply_ops(ops)
     c_n = frozenset(c_n)
-    if c_n not in n_minor.cocircuits():
+    if not c_n or not c_n <= n_minor.ground_set or not n_minor.dual().is_circuit(c_n):
         raise InputError(f"{sorted(c_n)} is not a cocircuit of the minor")
-    reduced = n_minor.delete_all(c_n)
-    n_ground = n_minor.ground_set
-    for c_m in _canonical_sets(m.cocircuits()):
-        if not c_n <= c_m:
-            continue
-        if c_m & n_ground != c_n:
-            continue
-        if find_minor_witness(m.delete_all(c_m), reduced) is not None:
-            return c_m
-    logger.error(
-        "no covering cocircuit found for %s; this should be impossible",
-        sorted(c_n),
-    )
-    return None
+    elems = m.elements()
+    full = (1 << m.size) - 1
+    rows = cocycle_rows(m.fundamental_cycles(), full)
+    target = sum(1 << p for p, e in enumerate(elems) if e in c_n)
+    y = target | sum(1 << p for p, e in enumerate(elems) if delete(e) in ops)
+    for p in mask_positions(y & ~target):
+        vectors, _ = delete_cycles(rows, full & ~(y ^ (1 << p)))
+        if any(v & target for v in vectors):
+            y ^= 1 << p
+    return mask_to_labels(y, elems)

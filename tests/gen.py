@@ -5,7 +5,7 @@ from __future__ import annotations
 from random import Random
 
 from gf2minor.gf2 import Gf2Matrix
-from gf2minor.matroid import BinaryMatroid, Graph
+from gf2minor.matroid import BinaryMatroid, Graph, MinorOp, contract, delete
 
 
 def random_matroid(rng: Random, max_elements: int, min_elements: int = 0) -> BinaryMatroid:
@@ -55,23 +55,62 @@ def random_simple_graph(
     return Graph(nv, tuple((u, v, f"e{i + 1}") for i, (u, v) in enumerate(chosen)))
 
 
-def planted_host(rng: Random, target: BinaryMatroid, extra: int) -> BinaryMatroid:
-    """Random host with ``target`` as a minor, under fresh shuffled labels.
+def planted_minor(
+    rng: Random, target: BinaryMatroid, extra: int
+) -> tuple[BinaryMatroid, list[MinorOp]]:
+    """Random host with ``target`` as a minor, keeping the target's labels.
 
     The host's compact block is [[A, X], [Y, Z]] with A the target's and X,
-    Y, Z random: contracting the extra basis rows and deleting the extra
-    cobasis columns gives back the target.
+    Y, Z random.  The ops contract the extra basis rows (labels u1, u2, ...)
+    and delete the extra cobasis columns (v1, v2, ...), which gives back the
+    target itself.
     """
     extra_rows = rng.randint(0, extra)
     extra_cols = extra - extra_rows
     k, c = target.a.n_rows, target.a.n_cols
     rows = [r | (rng.getrandbits(extra_cols) << c) for r in target.a.rows]
     rows += [rng.getrandbits(c + extra_cols) for _ in range(extra_rows)]
-    return relabeled_copy(rng, BinaryMatroid(
-        tuple(f"x{i + 1}" for i in range(k + extra_rows)),
-        tuple(f"y{j + 1}" for j in range(c + extra_cols)),
+    new_rows = tuple(f"u{i + 1}" for i in range(extra_rows))
+    new_cols = tuple(f"v{j + 1}" for j in range(extra_cols))
+    host = BinaryMatroid(
+        target.basis_labels + new_rows, target.cobasis_labels + new_cols,
         Gf2Matrix(k + extra_rows, c + extra_cols, tuple(rows)),
-    ))
+    )
+    return host, [contract(e) for e in new_rows] + [delete(e) for e in new_cols]
+
+
+def planted_host(rng: Random, target: BinaryMatroid, extra: int) -> BinaryMatroid:
+    """Random host with ``target`` as a minor, under fresh shuffled labels:
+    the host of ``planted_minor``, relabeled."""
+    return relabeled_copy(rng, planted_minor(rng, target, extra)[0])
+
+
+def covering_instances(rng: Random, count: int, min_elements: int):
+    """``count`` random (m, ops, c_n) with c_n a cocircuit of m after ops.
+
+    m has ``min_elements`` to 10 elements and ops one to three random
+    contractions or deletions.  The draws are those of the acceptance
+    suite's covering-cocircuit property, so seed 0x1EAF gives its bank.
+    """
+    done = 0
+    while done < count:
+        m = random_matroid(rng, 10, min_elements=min_elements)
+        mm = m
+        ops: list[MinorOp] = []
+        for _ in range(rng.randint(1, 3)):
+            if mm.size <= 1:
+                break
+            e = rng.choice(sorted(mm.ground_set))
+            op = contract(e) if rng.random() < 0.5 else delete(e)
+            ops.append(op)
+            mm = mm.apply_ops([op])
+        if not ops:
+            continue
+        cocircuits = sorted(mm.cocircuits(), key=lambda s: (len(s), sorted(s)))
+        if not cocircuits:
+            continue
+        yield m, ops, rng.choice(cocircuits)
+        done += 1
 
 
 def coloop_host_of_22_elements() -> BinaryMatroid:

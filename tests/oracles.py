@@ -413,3 +413,20 @@ def stars_reference(cycles, ground, rank):
         and all(meets_in_a_class(y, star) for star in chosen)
     ]
     return extend(chosen, once, twice, candidates)
+
+
+def covering_cocircuit_reference(m, minor_ops, c_n, has_minor):
+    """The first cocircuit Y of m, by size and then labels, that contains
+    c_n, meets E(N) in exactly c_n and has N \\ c_n as a minor of m \\ Y,
+    where N is m after ``minor_ops``; None if there is none.
+
+    Every cocircuit is tried by ``has_minor(host, target)``, a full minor
+    test, so this is the search that elimination replaces, kept to check it.
+    """
+    n = m.apply_ops(minor_ops)
+    reduced = n.delete_all(c_n)
+    cocircuits = circuits_by_enumeration(m.dual())
+    for y in sorted(cocircuits, key=lambda s: (len(s), sorted(s))):
+        if c_n <= y and y & n.ground_set == c_n and has_minor(m.delete_all(y), reduced):
+            return y
+    return None

@@ -11,11 +11,13 @@ import pytest
 
 from gf2minor import minors
 from gf2minor.audit import MinorWitness, verify_graph, verify_witness
-from gf2minor.catalog import get_named
+from gf2minor.catalog import catalog_names, get_named
 from gf2minor.certify import builtin_cases, replay_all
 from gf2minor.errors import CapacityError, InputError, MatroidError
 from gf2minor.gf2 import Gf2Matrix
 from gf2minor.matroid import (
+    CONTRACT,
+    DELETE,
     BinaryMatroid,
     Graph,
     complete_graph,
@@ -40,13 +42,15 @@ from gf2minor.realize import _components
 
 from gen import (
     coloop_host_of_22_elements,
+    covering_instances,
     planted_host,
+    planted_minor,
     random_graph,
     random_matroid,
     random_simple_graph,
     relabeled_copy,
 )
-from oracles import has_minor_brute_force
+from oracles import covering_cocircuit_reference, has_minor_brute_force
 
 
 def g7_host() -> BinaryMatroid:
@@ -664,29 +668,12 @@ def test_searches_leave_no_cyclic_garbage():
         gc.enable()
 
 
-def test_target_data_are_cached_by_value_for_every_caller(monkeypatch):
+def test_target_data_are_cached_by_value_for_every_caller():
     minors._target_data.cache_clear()
     replay_all(jobs=1)  # M(K5), M(K33), M*(K5), M*(K33)
     assert minors._target_data.cache_info().misses == 4
     graphic_certificate(get_named("F7"))  # adds F7 and F7*
     assert minors._target_data.cache_info().misses == 6
-    # Every cocircuit that passes the covering filters also passes the minor
-    # test, so the first search is made to miss to send the call on to a
-    # second cocircuit: its one target must still be built once.
-    real = minors.find_minor_witness
-    searched = []
-
-    def first_misses(host, target):
-        searched.append(target)
-        return real(host, target) if len(searched) > 1 else None
-
-    monkeypatch.setattr(minors, "find_minor_witness", first_misses)
-    m = cycle_matroid(complete_graph(4))
-    ops = [delete("e14"), delete("e24"), delete("e34")]
-    found = covering_cocircuit_witness(m, ops, {"e12", "e13"})
-    assert found == {"e12", "e13", "e24", "e34"}
-    assert len(searched) == 2
-    assert minors._target_data.cache_info().misses == 7
 
 
 @pytest.mark.parametrize("entry", [is_graphic, graphic_certificate], ids=lambda f: f.__name__)
@@ -822,6 +809,38 @@ def test_cocircuit_check_capacity_guard():
 # -- covering_cocircuit_witness ---------------------------------------------------------------
 
 
+def assert_lemma_1(m: BinaryMatroid, ops, c_n, y) -> None:
+    """Y is a cocircuit of m that avoids the contracted set C and meets E(N)
+    in c_n, and N \\ c_n is m \\ Y / C \\ (D - Y) under the identity mapping,
+    for N = m after ``ops`` = m / C \\ D."""
+    n = m.apply_ops(ops)
+    contracted = frozenset(op.element for op in ops if op.kind == CONTRACT)
+    deleted = frozenset(op.element for op in ops if op.kind == DELETE)
+    assert m.dual().is_circuit(y), f"{sorted(y)} is not a cocircuit"
+    assert not y & contracted and y & n.ground_set == c_n
+    rest = n.delete_all(c_n)
+    identity = tuple((e, e) for e in sorted(rest.ground_set))
+    w = MinorWitness(contracted, deleted - y, identity)
+    assert verify_witness(m.delete_all(y), rest, w)
+
+
+def planted_covering_bank():
+    """Three hosts of 20 to 30 elements around the dual N of each of the 29
+    g/r catalog entries, keeping N's labels, each with a random cocircuit
+    of N."""
+    rng = Random(0xC0C1)
+    for name in catalog_names():
+        if name[0] not in "gr":
+            continue
+        n = get_named(name).dual()
+        cocircuits = sorted(n.cocircuits(), key=lambda s: (len(s), sorted(s)))
+        for _ in range(3):
+            size = rng.randint(max(20, n.size + 1), 30)
+            m, ops = planted_minor(rng, n, size - n.size)
+            assert m.apply_ops(ops) == n
+            yield m, ops, rng.choice(cocircuits)
+
+
 def test_covering_cocircuit_trivial_case():
     m = cycle_matroid(complete_graph(4))
     c = sorted(m.cocircuits(), key=lambda s: (len(s), sorted(s)))[0]
@@ -840,34 +859,56 @@ def test_covering_cocircuit_after_one_deletion():
 
 
 def test_covering_cocircuit_rejects_non_cocircuit():
+    # Not a cocircuit, empty, and holding the deleted e14: none is one of N.
     m = cycle_matroid(complete_graph(4))
-    with pytest.raises(InputError):
-        covering_cocircuit_witness(m, [], {"e12"})
+    for c_n in ({"e12"}, set(), {"e12", "e13", "e14"}):
+        with pytest.raises(InputError) as err:
+            covering_cocircuit_witness(m, [delete("e14")], c_n)
+        assert str(err.value) == f"{sorted(c_n)} is not a cocircuit of the minor"
 
 
 def test_covering_cocircuit_random_instances():
-    rng = Random(0xFEED)
-    done = 0
-    while done < 25:
-        m = random_matroid(rng, 10, min_elements=3)
-        n_ops = rng.randint(1, 3)
-        mm = m
-        ops = []
-        for _ in range(n_ops):
-            if mm.size <= 1:
-                break
-            e = rng.choice(sorted(mm.ground_set))
-            op = contract(e) if rng.random() < 0.5 else delete(e)
-            ops.append(op)
-            mm = mm.apply_ops([op])
-        if not ops:
-            continue
-        n = m.apply_ops(ops)
-        cocs = sorted(n.cocircuits(), key=lambda s: (len(s), sorted(s)))
-        if not cocs:
-            continue
-        c = rng.choice(cocs)
+    # Random small instances, then planted hosts around the 29 paper duals.
+    # Most of those are past the minor search's limits (20-element hosts,
+    # 12-element targets), which elimination does not have.
+    planted = list(planted_covering_bank())
+    assert len(planted) == 87
+    instances = list(covering_instances(Random(0xFEED), 25, min_elements=3))
+    for m, ops, c in instances + planted:
         cm = covering_cocircuit_witness(m, ops, c)
-        assert cm is not None, f"no covering cocircuit for {sorted(c)}"
-        assert c <= cm and cm & n.ground_set == c
-        done += 1
+        assert_lemma_1(m, ops, c, cm)
+
+
+def test_covering_cocircuit_runs_no_search_and_no_enumeration(monkeypatch):
+    m = cycle_matroid(complete_graph(4))
+    ops = [delete("e14"), delete("e24"), delete("e34")]
+    host, host_ops = planted_minor(Random(0x61), get_named("g1").dual(), 8)
+    c = min(get_named("g1").circuits(), key=lambda s: (len(s), sorted(s)))
+
+    def forbidden(*args):
+        raise AssertionError("covering ran a search or an enumeration")
+
+    monkeypatch.setattr(minors, "find_minor_witness", forbidden)
+    monkeypatch.setattr(BinaryMatroid, "cocircuits", forbidden)
+    monkeypatch.setattr(BinaryMatroid, "circuits", forbidden)
+    found = covering_cocircuit_witness(m, ops, {"e12", "e13"})
+    assert found == {"e12", "e13", "e24", "e34"}
+    lifted = covering_cocircuit_witness(host, host_ops, c)
+    monkeypatch.undo()
+    assert_lemma_1(m, ops, frozenset({"e12", "e13"}), found)
+    assert_lemma_1(host, host_ops, c, lifted)
+
+
+def test_covering_cocircuit_and_the_search_reference_fit_the_lemma():
+    # Both answers fit the lemma on the acceptance bank; where several
+    # cocircuits fit, the two may pick different ones.
+    def has_minor(host, target):
+        return find_minor_witness(host, target) is not None
+
+    for m, ops, c_n in covering_instances(Random(0x1EAF), 100, min_elements=2):
+        n = m.apply_ops(ops)
+        found = covering_cocircuit_witness(m, ops, c_n)
+        reference = covering_cocircuit_reference(m, ops, c_n, has_minor)
+        for y in (found, reference):
+            assert c_n <= y and y & n.ground_set == c_n
+            assert m.dual().is_circuit(y)
