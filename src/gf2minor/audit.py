@@ -1,8 +1,11 @@
 """Certificate checkers that share no code with the searches they audit.
 
-They read a matroid only through its dataclass fields, the labels and the
-rows of the block A of [I | A], and compute every rank with
-``gf2.rank_of_vectors``.
+One principle serves both: a binary matroid is determined by its cocycle
+space (Oxley, *Matroid Theory*), the row space of [I | A].  A certificate
+holds when it names a space of the right rank that contains the claimed
+cocycles, and that takes a few ranks, computed with ``gf2.rank_of_vectors``.
+The checkers read a matroid only through its dataclass fields, the labels
+and the rows of the block A.
 """
 
 from __future__ import annotations
@@ -55,12 +58,12 @@ def verify_witness(
     ground sets, elements left unaccounted for) raise InputError; a
     well-formed witness that names a different minor returns False.
 
-    A binary matroid is fixed by a basis B and its fundamental circuits
-    (Oxley, *Matroid Theory*, ch. 6).  The minor is (host / C) | S, of rank
-    r'(X) = r(X u C) - r(C).  With primes for images under the mapping, it
-    is the target exactly when r'(B') = r'(S) = r(target) and, for all b in
-    B and s outside it, B' - b' + s' is a basis of the minor exactly when
-    the target's block has a 1 at (b, s): O(r(n - r)) ranks, no circuits.
+    The minor is host / C \\ D on the survivors S.  The host's rows cut to
+    C u S span the cocycles of host \\ D, and those that avoid C are the
+    cocycles of the minor, a space of rank r(rows cut to C u S) minus
+    r(rows cut to C).  It is the target's exactly when that rank is
+    r(target) and the target's rows, mapped onto S, lie in the span of the
+    cut rows: three ranks, no circuits.
     """
     mapping = dict(w.mapping)
     if len(mapping) != len(w.mapping):
@@ -68,7 +71,8 @@ def verify_witness(
     survivors = list(mapping.values())
     if len(set(survivors)) != len(survivors):
         raise InputError("witness mapping is not injective")
-    if set(mapping) != set(target.basis_labels + target.cobasis_labels):
+    target_position, target_rows = _rows(target)
+    if set(mapping) != target_position.keys():
         raise InputError("witness mapping must cover the target ground set")
     position, rows = _rows(host)
     for lab in w.contract_set | w.delete_set | set(survivors):
@@ -83,19 +87,17 @@ def verify_witness(
         raise InputError("witness does not account for every host element")
 
     contracted = sum(1 << position[lab] for lab in w.contract_set)
-    base = rank_of_vectors(row & contracted for row in rows)
-    r = len(target.basis_labels)
-
-    def spans(labels) -> bool:  # r'(labels) = r; labels avoid C
-        mask = contracted + sum(1 << position[lab] for lab in labels)
-        return rank_of_vectors(row & mask for row in rows) - base == r
-
-    basis = [mapping[b] for b in target.basis_labels]
-    return spans(basis) and spans(surv_set) and all(
-        spans(basis[:i] + basis[i + 1:] + [mapping[s]]) == bool(row >> j & 1)
-        for j, s in enumerate(target.cobasis_labels)
-        for i, row in enumerate(target.a.rows)
-    )
+    kept = contracted + sum(1 << position[lab] for lab in surv_set)
+    space = [row & kept for row in rows]
+    image = [position[mapping[lab]] for lab in target_position]
+    mapped = [
+        sum(1 << p for i, p in enumerate(image) if row >> i & 1)
+        for row in target_rows
+    ]
+    k = rank_of_vectors(space)
+    minor_rank = k - rank_of_vectors(row & contracted for row in rows)
+    contains = rank_of_vectors(space + mapped) == k
+    return minor_rank == len(target_rows) and contains
 
 
 def verify_graph(m: BinaryMatroid, g: Graph) -> bool:

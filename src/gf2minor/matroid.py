@@ -415,6 +415,23 @@ def equal_columns(vectors: list[int], ground: int) -> list[int]:
     return classes
 
 
+def extend_echelon(basis: list[int], v: int) -> list[int] | None:
+    """Reduced echelon ``basis`` extended by v; None if v is in its span.
+
+    Each basis vector owns its lowest set bit, its pivot, which no other
+    basis vector has: over a cycle space it is the fundamental circuit of
+    its pivot for the non-pivot basis, over a cocycle space the fundamental
+    cocircuit.  ``basis`` itself is left as it was.
+    """
+    for b in basis:
+        if v & (b & -b):
+            v ^= b
+    if not v:
+        return None
+    low = v & -v
+    return [b ^ v if b & low else b for b in basis] + [v]
+
+
 def eliminate(vectors: list[int], bit: int) -> list[int] | None:
     """Basis of the vectors in span(vectors) that avoid ``bit``.
 
@@ -481,55 +498,31 @@ def contract_cycles(vectors: list[int], mask: int) -> list[int]:
 def cycle_matroid(g: Graph) -> BinaryMatroid:
     """Cycle matroid of a graph: independent sets are the acyclic edge sets.
 
-    The standard form is built from the spanning forest found by scanning
-    edges in list order (forest edges become the basis), so the result is
-    reproducible for a fixed edge list.  Graph loops become matroid loops.
+    The vertex stars (a loop's two ends cancel), with edges as bits in list
+    order, span the cut space of g, the cocycle space of M(g).  In their
+    reduced echelon basis (``extend_echelon``) the pivots are the spanning
+    forest found greedily in list order, which becomes the basis, and each
+    basis vector is its pivot's fundamental cocircuit: read on the other
+    edges, that edge's row of A.  So the result is reproducible for a fixed
+    edge list.  Graph loops lie in no star and become matroid loops.
     """
-    parent = list(range(g.n_vertices))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    tree: list[tuple[int, int, str]] = []
-    nontree: list[tuple[int, int, str]] = []
-    for u, v, lab in g.edges:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-            tree.append((u, v, lab))
-        else:
-            nontree.append((u, v, lab))
-
-    # Path-to-root edge masks per vertex, one BFS per forest component.
-    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in range(g.n_vertices)}
-    for idx, (u, v, _) in enumerate(tree):
-        adj[u].append((v, idx))
-        adj[v].append((u, idx))
-    path_mask = [0] * g.n_vertices
-    seen = [False] * g.n_vertices
-    for root in range(g.n_vertices):
-        if seen[root]:
-            continue
-        seen[root] = True
-        stack = [root]
-        while stack:
-            x = stack.pop()
-            for y, idx in adj[x]:
-                if not seen[y]:
-                    seen[y] = True
-                    path_mask[y] = path_mask[x] ^ (1 << idx)
-                    stack.append(y)
-
-    # Column of a non-tree edge = its fundamental cycle within the forest.
-    cols = tuple(path_mask[u] ^ path_mask[v] for u, v, _ in nontree)
-    a = Gf2Matrix(len(nontree), len(tree), cols).transpose()
+    stars = [0] * g.n_vertices
+    for i, (u, v, _) in enumerate(g.edges):
+        stars[u] ^= 1 << i
+        stars[v] ^= 1 << i
+    basis: list[int] = []
+    for star in stars:
+        basis = extend_echelon(basis, star) or basis
+    basis.sort(key=lambda b: b & -b)
+    pivots = sum(b & -b for b in basis)
+    others = list(mask_positions((1 << len(g.edges)) - 1 & ~pivots))
+    labels = [lab for _, _, lab in g.edges]
     return BinaryMatroid(
-        tuple(lab for _, _, lab in tree),
-        tuple(lab for _, _, lab in nontree),
-        a,
+        tuple(labels[p] for p in mask_positions(pivots)),
+        tuple(labels[f] for f in others),
+        Gf2Matrix(len(basis), len(others), tuple(
+            sum(1 << j for j, f in enumerate(others) if b >> f & 1) for b in basis
+        )),
     )
 
 

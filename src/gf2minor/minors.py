@@ -3,8 +3,8 @@
 ``find_minor_witness`` decides whether a host matroid has a minor isomorphic
 to a small target and, if so, returns an explicit certificate: which elements
 to contract, which to delete, and a bijection from the target onto the
-survivors.  ``audit.verify_witness`` checks such a certificate against the
-target's standard form, sharing no code with the search.
+survivors.  ``audit.verify_witness`` checks such a certificate by comparing
+the minor's cocycle space with the target's, sharing no code with the search.
 
 ``graphic_certificate`` decides graphicness with a certificate either way: a
 ``Graph`` from ``realize.realize_cycles``, or, when no graph exists, one of

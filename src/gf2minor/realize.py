@@ -19,33 +19,20 @@ shares no code with the realization it checks.
 from __future__ import annotations
 
 from .matroid import (
-    delete_cycles, equal_columns, lightest_minimal, mask_positions, span_vectors,
+    delete_cycles, equal_columns, extend_echelon, lightest_minimal, mask_positions,
+    span_vectors,
 )
-
-
-def _extend(basis: list[int], v: int) -> list[int] | None:
-    """Reduced echelon ``basis`` extended by v; None if v is in its span.
-
-    Each basis vector owns its lowest set bit, its pivot: over a cycle space
-    it is the fundamental circuit of its pivot for the non-pivot basis.
-    """
-    for b in basis:
-        if v & (b & -b):
-            v ^= b
-    if not v:
-        return None
-    low = v & -v
-    return [b ^ v if b & low else b for b in basis] + [v]
 
 
 def cocycle_rows(cycles: list[int], ground: int) -> list[int]:
     """Rows of [I | A] spanning the cocycle space of M|ground, whose cycle
-    space ``cycles`` span.  In their reduced echelon basis (``_extend``)
-    the pivots are a cobasis; each other element f gets its fundamental
-    cocircuit, f and the pivots of the basis vectors holding f."""
+    space ``cycles`` span.  In their reduced echelon basis
+    (``matroid.extend_echelon``) the pivots are a cobasis; each other element
+    f gets its fundamental cocircuit, f and the pivots of the basis vectors
+    holding f."""
     basis: list[int] = []
     for v in cycles:
-        basis = _extend(basis, v) or basis
+        basis = extend_echelon(basis, v) or basis
     pivots = 0
     for b in basis:
         pivots |= b & -b
@@ -131,7 +118,7 @@ def _stars(cycles: list[int], ground: int, rank: int) -> list[int] | None:
         if y & twice:
             return None
         if len(chosen) < rank:
-            grown = _extend(span, y)
+            grown = extend_echelon(span, y)
             if grown is None:
                 return None
             span = grown
@@ -180,7 +167,7 @@ def _star_search(
             best = hits
     last = len(chosen) == need - 1
     for i, y in enumerate(best):
-        grown = span if last else _extend(span, y)
+        grown = span if last else extend_echelon(span, y)
         if grown is None:
             continue
         covered = twice | once & y

@@ -3,12 +3,16 @@
 Everything here is deliberately naive: dense list-of-lists elimination, full
 subset enumeration, all-bijections isomorphism, and a minor oracle that tries
 every (contract, delete) partition.  None of it shares code with the package
-paths it audits; matroids are read back only through public entry accessors.
+paths it audits; matroids are read back only through public entry accessors
+and built only through the value constructors.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, permutations
+
+from gf2minor.gf2 import Gf2Matrix
+from gf2minor.matroid import BinaryMatroid
 
 
 def dense_rank(rows: list[list[int]]) -> int:
@@ -53,6 +57,84 @@ def circuits_by_enumeration(m) -> set[frozenset]:
     """All minimal dependent sets, by checking every subset with dense rank."""
     cols = dense_columns(m)
     return circuits_from_rank(sorted(cols), lambda s: subset_rank(cols, s))
+
+
+def cycle_matroid_reference(g) -> BinaryMatroid:
+    """The cycle matroid of a ``Graph``, built from a spanning forest.
+
+    Edges are scanned in list order and union-find keeps those that join two
+    trees: the forest, which is the basis.  A search from each vertex gives
+    the forest edges on its path to the root of its tree, and a non-forest
+    edge's fundamental cycle is the sum of its two ends' paths: its column
+    of A.  ``matroid.cycle_matroid`` must return exactly this value.
+    """
+    parent = list(range(g.n_vertices))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    tree, nontree = [], []
+    for u, v, lab in g.edges:
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+            tree.append((u, v, lab))
+        else:
+            nontree.append((u, v, lab))
+    adj = {x: [] for x in range(g.n_vertices)}
+    for i, (u, v, _) in enumerate(tree):
+        adj[u].append((v, i))
+        adj[v].append((u, i))
+    path = [None] * g.n_vertices
+    for root in range(g.n_vertices):
+        if path[root] is None:
+            path[root] = 0
+            stack = [root]
+            while stack:
+                x = stack.pop()
+                for y, i in adj[x]:
+                    if path[y] is None:
+                        path[y] = path[x] ^ (1 << i)
+                        stack.append(y)
+    cols = [path[u] ^ path[v] for u, v, _ in nontree]
+    rows = tuple(
+        sum(1 << j for j, col in enumerate(cols) if col >> i & 1)
+        for i in range(len(tree))
+    )
+    return BinaryMatroid(
+        tuple(lab for _, _, lab in tree), tuple(lab for _, _, lab in nontree),
+        Gf2Matrix(len(tree), len(nontree), rows),
+    )
+
+
+def verify_witness_reference(host, target, w) -> bool:
+    """The basis-exchange rule for a well-formed ``MinorWitness``.
+
+    A binary matroid is fixed by a basis B and its fundamental circuits.
+    With C contracted, S the survivors, r'(X) = r(X u C) - r(C) and primes
+    for images under the mapping, the minor is the target exactly when
+    r'(B') = r'(S) = r(target) and, for all b in B and s outside it,
+    B' - b' + s' is a basis of the minor exactly when the target's block
+    has a 1 at (b, s).  Ranks are dense; ``audit.verify_witness`` must give
+    the same verdict.
+    """
+    cols = dense_columns(host)
+    contract = sorted(w.contract_set)
+    base = subset_rank(cols, contract)
+    r = target.a.n_rows
+    mapping = dict(w.mapping)
+
+    def spans(labels):
+        return subset_rank(cols, list(labels) + contract) - base == r
+
+    basis = [mapping[b] for b in target.basis_labels]
+    return spans(basis) and spans(w.survivors()) and all(
+        spans(basis[:i] + basis[i + 1:] + [mapping[s]]) == bool(target.a.entry(i, j))
+        for j, s in enumerate(target.cobasis_labels)
+        for i in range(r)
+    )
 
 
 def circuits_from_rank(elements, rank_fn) -> set[frozenset]:

@@ -3,7 +3,8 @@
 ``audit`` may share no code with the search it checks.  The import and
 attribute checks below turn that rule into a test, a corrupted circuit
 kernel must leave the audit's answers unchanged, and ``verify_witness``
-must agree with the dense brute-force oracle on seeded random witnesses.
+must agree with the dense brute-force oracle on seeded random witnesses and
+with the basis-exchange rule it replaced on found and tampered ones.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import ast
 import dataclasses
 import sys
+from collections import Counter
 from functools import cached_property
 from pathlib import Path
 from random import Random
@@ -22,8 +24,8 @@ from gf2minor.certify import builtin_cases, replay_case
 from gf2minor.gf2 import Gf2Matrix
 from gf2minor.matroid import BinaryMatroid, contract, delete
 
-from gen import random_matroid
-from oracles import circuits_by_enumeration, minor_circuits
+from gen import planted_host, random_matroid
+from oracles import circuits_by_enumeration, minor_circuits, verify_witness_reference
 
 SRC = Path(audit.__file__).parent
 
@@ -120,7 +122,7 @@ def test_search_modules_never_name_the_audits_rank_routine():
         and node.module == "matroid"
         for alias in node.names
     } & functions.keys()
-    assert {"eliminate", "delete_cycles", "minimal_supports"} <= todo
+    assert {"eliminate", "delete_cycles", "minimal_supports", "extend_echelon"} <= todo
     checked = set()
     while todo:
         name = todo.pop()
@@ -232,6 +234,36 @@ def _random_triple(rng: Random):
     return host, target, w
 
 
+def _replay_witnesses():
+    """(host, target, witness) for each built-in case that emits a witness."""
+    triples = []
+    for case in builtin_cases():
+        report = replay_case(case)
+        if report.witness is not None:
+            host = case.resolve_base().apply_ops(case.ops)
+            triples.append((host, get_named(report.verdict), report.witness))
+    return triples
+
+
+def _tampers(rng: Random, w: MinorWitness) -> list[MinorWitness]:
+    """Two images swapped, a deleted element contracted instead and a
+    contracted one deleted instead, where the witness allows each."""
+    out = []
+    pairs = list(w.mapping)
+    if len(pairs) >= 2:
+        i, j = rng.sample(range(len(pairs)), 2)
+        (ti, hi), (tj, hj) = pairs[i], pairs[j]
+        pairs[i], pairs[j] = (ti, hj), (tj, hi)
+        out.append(MinorWitness(w.contract_set, w.delete_set, tuple(pairs)))
+    if w.delete_set:
+        d = rng.choice(sorted(w.delete_set))
+        out.append(MinorWitness(w.contract_set | {d}, w.delete_set - {d}, w.mapping))
+    if w.contract_set:
+        c = rng.choice(sorted(w.contract_set))
+        out.append(MinorWitness(w.contract_set - {c}, w.delete_set | {c}, w.mapping))
+    return out
+
+
 def test_verify_witness_agrees_with_the_dense_oracle():
     rng = Random(20111)
     verdicts = []
@@ -239,5 +271,45 @@ def test_verify_witness_agrees_with_the_dense_oracle():
         host, target, w = _random_triple(rng)
         got = verify_witness(host, target, w)
         assert got == _oracle_accepts(host, target, w), (host, target, w)
+        assert got == verify_witness_reference(host, target, w), (host, target, w)
         verdicts.append(got)
     assert 50 <= sum(verdicts) <= 350  # both verdicts occur, often
+    # Witnesses found in planted hosts of up to 20 elements, and the replay
+    # witnesses, are checked with their tampers against the exchange rule
+    # alone: the circuit oracle would try every subset of the host.
+    found = []
+    for _ in range(200):
+        target = random_matroid(rng, 8, 3)
+        host = planted_host(rng, target, rng.randint(0, 20 - target.size))
+        found.append((host, target, minors.find_minor_witness(host, target)))
+    replays = _replay_witnesses()
+    assert len(replays) == 28  # every case but g8
+    tampered = Counter()
+    for host, target, w in found + replays:
+        assert verify_witness(host, target, w)
+        assert verify_witness_reference(host, target, w)
+        for t in _tampers(rng, w):
+            got = verify_witness(host, target, t)
+            assert got == verify_witness_reference(host, target, t), (host, target, t)
+            tampered[got] += 1
+    assert tampered[True] and tampered[False] >= 200, tampered
+
+
+def test_a_well_formed_witness_costs_three_ranks(monkeypatch):
+    # Accepted or not: the replay witnesses and their tampers.
+    calls = []
+    rank = audit.rank_of_vectors
+
+    def counted(vectors):
+        calls.append(1)
+        return rank(vectors)
+
+    monkeypatch.setattr(audit, "rank_of_vectors", counted)
+    rng = Random(3)
+    verdicts = Counter()
+    for host, target, w in _replay_witnesses():
+        for t in [w] + _tampers(rng, w):
+            calls.clear()
+            verdicts[verify_witness(host, target, t)] += 1
+            assert len(calls) == 3
+    assert verdicts[True] >= 28 and verdicts[False], verdicts

@@ -16,16 +16,19 @@ from gf2minor.certify import (
     replay_all,
     replay_case,
 )
+from gf2minor.audit import verify_graph
 from gf2minor.catalog import get_named, write_matrix_file
 from gf2minor.errors import InputError
 from gf2minor.gf2 import Gf2Matrix
 from gf2minor.matroid import (
     ROUTE_CONTRACT_LOOP,
     BinaryMatroid,
+    Graph,
     MinorOp,
     contract,
     delete,
 )
+from gf2minor.minors import graphic_certificate
 
 EXPECTED_K5 = {"g1", "g3", "g7", "g8", "g10", "g21", "g22", "g24", "g25",
                "g26", "g27", "g28"}
@@ -111,11 +114,20 @@ def test_opset_circuit_audit_is_informational():
 def test_replay_g8_reports_the_data_defect_honestly():
     # The stored g8 block provably has no M(K5)/M(K33) minor (see the note in
     # its data file); the engine must report the mismatch, not mask it.
-    report = replay_case(case_by_name("g8"))
+    case = case_by_name("g8")
+    report = replay_case(case)
     assert report.verdict is None
     assert not report.matched_expected
     assert report.error is None
     assert not report.ok
+    # Certified: the stored g8 and its dual both have graphs that the audit
+    # accepts, so g8 is cographic, and so is each of its minors; neither
+    # M(K5) nor M(K33) is cographic, so neither is a minor, whatever the ops.
+    g8 = case.resolve_base()
+    assert (g8.size, g8.full_rank, g8.dual().full_rank) == (17, 7, 10)
+    for m in (g8, g8.dual()):
+        g = graphic_certificate(m)
+        assert isinstance(g, Graph) and verify_graph(m, g)
 
 
 def test_negative_control_case():

@@ -34,13 +34,14 @@ from gf2minor.matroid import (
     delete,
     delete_cycles,
     equal_columns,
+    extend_echelon,
 )
 from gf2minor.minors import (
     GRAPHICNESS_EXCLUDED,
     find_minor_witness,
     graphic_certificate,
 )
-from gf2minor.realize import _extend, cocycle_rows
+from gf2minor.realize import cocycle_rows
 
 from gen import planted_host, random_graph, random_matroid, random_simple_graph
 from oracles import (
@@ -497,7 +498,7 @@ def test_the_cut_can_change_which_star_family_comes_first():
 
 
 def test_extend_fold_matches_the_reduced_echelon_reference():
-    # Folding _extend over a list gives the reference's basis, vectors and
+    # Folding extend_echelon over a list gives the reference's basis, vectors and
     # order alike, so the rows of cocycle_rows cannot drift; None comes
     # exactly when the rank does not grow, and the basis passed in, which
     # the star search shares between branches, is left as it was.
@@ -516,7 +517,7 @@ def test_extend_fold_matches_the_reduced_echelon_reference():
         basis = []
         for i, v in enumerate(vectors):
             before = list(basis)
-            grown = _extend(basis, v)
+            grown = extend_echelon(basis, v)
             assert basis == before
             expected = reduced_echelon_reference(vectors[:i + 1])
             assert (grown is None) == (len(expected) == len(before))

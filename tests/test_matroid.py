@@ -8,6 +8,7 @@ from random import Random
 
 import pytest
 
+from gf2minor.audit import verify_graph
 from gf2minor.catalog import get_named
 from gf2minor.errors import CapacityError, InputError
 from gf2minor.gf2 import Gf2Matrix
@@ -39,6 +40,7 @@ from gen import random_graph, random_matroid, relabeled_copy
 from oracles import (
     circuits_by_enumeration,
     components_reference,
+    cycle_matroid_reference,
     dense_columns,
     equal_columns_reference,
     graph_circuits,
@@ -537,6 +539,28 @@ def test_cycle_matroid_matches_graph_cycles_random():
         g = random_graph(rng, 5, 8)
         m = cycle_matroid(g)
         assert m.circuits() == graph_circuits(g.n_vertices, g.edges)
+
+
+def test_cycle_matroid_matches_the_forest_reference():
+    # Echelon-reduced vertex stars give the union-find construction's value,
+    # and verify_graph accepts it, on the empty graph and a seeded bank of
+    # multigraphs that has loops, parallel edges, isolated vertices and more
+    # than one component with edges.
+    rng = Random(0xC7C1E)
+    graphs = [Graph(0, ())] + [random_graph(rng, 8, 14) for _ in range(2000)]
+    seen = Counter()
+    for g in graphs:
+        m = cycle_matroid(g)
+        assert m == cycle_matroid_reference(g), g
+        assert verify_graph(m, g)
+        ends = [frozenset((u, v)) for u, v, _ in g.edges]
+        touched = set().union(*ends)
+        seen["loop"] += any(len(e) == 1 for e in ends)
+        seen["parallel"] += len(set(ends)) < len(ends)
+        seen["isolated"] += len(touched) < g.n_vertices
+        # Components with an edge: touched vertices less the forest's edges.
+        seen["components"] += len(touched) - m.full_rank > 1
+    assert min(seen.values()) >= 100, seen
 
 
 def test_graph_validation():
