@@ -59,10 +59,8 @@ class Gf2Matrix:
 
         ``n_cols`` is only needed for matrices with zero rows.
         """
-        if entries:
-            n_cols = len(entries[0]) if n_cols is None else n_cols
-        elif n_cols is None:
-            n_cols = 0
+        if n_cols is None:
+            n_cols = len(next(iter(entries), ()))  # the first row's, if any
         packed = []
         for i, row in enumerate(entries):
             if len(row) != n_cols:

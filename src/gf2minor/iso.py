@@ -137,41 +137,48 @@ def match_circuits(
     for b, d in enumerate(diagonal2):
         by_profile.setdefault(d, []).append(b)
     candidates = [by_profile[d] for d in side1.diagonal]
-    keys1, checks = side1.keys, side1.checks
-    images: list[int] = []  # indices into pos2 of the images of order[:i]
-    bits: list[int] = []  # and their bits
-    used = 0
-    # Depth-first: tries[i] walks the candidates for order[i].
-    tries = [iter(candidates[0])] if order else []
-    while tries:
-        i = len(images)
-        for b in tries[i]:
-            bit = 1 << pos2[b]
-            # tuple() of a list, not of an iterator: that would allocate ten
-            # slots and shrink, moving tuples between CPython's per-size free
-            # lists, which then grow (up to 2,000 tuples a size) with use.
-            if used & bit or tuple([keys2[b][j] for j in images]) != keys1[i]:
-                continue
-            images.append(b)
-            bits.append(bit)
-            # Images are distinct bits, so their sum is the image mask.
-            if all(sum(bits[j] for j in c) in circ2 for c in checks[i]):
-                break
-            images.pop()
-            bits.pop()
-        else:
-            tries.pop()
-            if images:
-                images.pop()
-                used ^= bits.pop()
-            continue
-        used |= bit
-        if i + 1 == len(order):
-            break
-        tries.append(iter(candidates[i + 1]))
-    if len(images) < len(order):
+    images = _extend(side1, candidates, keys2, pos2, circ2, [], [], 0)
+    if images is None:
         return None
     return {p: pos2[b] for p, b in zip(order, images)}
+
+
+def _extend(
+    side1: CircuitSide, candidates: list[list[int]], keys2: list[list[int]],
+    pos2: list[int], circ2: frozenset[int], images: list[int], bits: list[int],
+    used: int,
+) -> list[int] | None:
+    """The search of ``match_circuits`` below the images placed so far.
+
+    ``images`` holds the indices into ``pos2`` of the images of
+    ``side1.order[:i]``, ``bits`` their bits and ``used`` the union of those.
+    Depth-first: each candidate for order[i] that passes the pair-key test
+    and completes only circuits of ``circ2`` is placed, and the rest of the
+    order is searched below it before the next candidate is tried.  Returns
+    the completed ``images``, or None.  A module-level function rather than
+    a closure, so that a search leaves no reference cycle behind.
+    """
+    i = len(images)
+    if i == len(side1.order):
+        return images
+    key, checks = side1.keys[i], side1.checks[i]
+    for b in candidates[i]:
+        bit = 1 << pos2[b]
+        # tuple() of a list, not of an iterator: that would allocate ten
+        # slots and shrink, moving tuples between CPython's per-size free
+        # lists, which then grow (up to 2,000 tuples a size) with use.
+        if used & bit or tuple([keys2[b][j] for j in images]) != key:
+            continue
+        images.append(b)
+        bits.append(bit)
+        # Images are distinct bits, so their sum is the image mask.
+        if all(sum(bits[j] for j in c) in circ2 for c in checks):
+            found = _extend(side1, candidates, keys2, pos2, circ2, images, bits, used | bit)
+            if found is not None:
+                return found
+        images.pop()
+        bits.pop()
+    return None
 
 
 def find_isomorphism(m1: BinaryMatroid, m2: BinaryMatroid) -> dict[str, str] | None:

@@ -348,10 +348,7 @@ def span_vectors(basis: list[int],
     """
     k = len(basis)
     if histogram is not None:
-        support = 0
-        for v in basis:
-            support |= v
-        if support.bit_count() + 1 != len(histogram) or 1 << k != sum(histogram) + 1:
+        if support(basis).bit_count() + 1 != len(histogram) or 1 << k != sum(histogram) + 1:
             return None
         left = list(histogram)
     vectors = []
@@ -390,13 +387,18 @@ def weight_histogram(basis: list[int]) -> tuple[int, ...]:
     label-free isomorphism invariant: it does not depend on the basis chosen
     or on where the elements sit in the bitmask.
     """
-    support = 0
-    for v in basis:
-        support |= v
-    counts = [0] * (support.bit_count() + 1)
+    counts = [0] * (support(basis).bit_count() + 1)
     for v in span_vectors(basis):
         counts[v.bit_count()] += 1
     return tuple(counts)
+
+
+def support(vectors: Iterable[int]) -> int:
+    """The positions that some vector of ``vectors`` has, as a mask."""
+    mask = 0
+    for v in vectors:
+        mask |= v
+    return mask
 
 
 def equal_columns(vectors: list[int], ground: int) -> list[int]:

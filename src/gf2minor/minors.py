@@ -87,6 +87,7 @@ from .matroid import (
     mask_positions,
     mask_to_labels,
     minimal_supports,
+    support,
     weight_histogram,
 )
 from .realize import cocycle_rows, realize_cycles
@@ -197,10 +198,7 @@ def _greedy_bases(
 
 def _coloops(vectors: list[int], alive: int) -> int:
     """Coloops of M|alive, where ``vectors`` span its cycle space."""
-    support = 0
-    for v in vectors:
-        support |= v
-    return (alive & ~support).bit_count()
+    return (alive & ~support(vectors)).bit_count()
 
 
 def _match(
@@ -218,45 +216,6 @@ def _match(
     return match_circuits(tgt.side, _by_label(elems, smask), circuits)
 
 
-def _survivor_search(
-    cycles: list[int], pool: list[int], prev: list[int], tgt: _TargetData,
-    elems: tuple[str, ...],
-) -> dict[int, int] | None:
-    """Bijection from tgt's positions onto survivors S within ``pool``, or None.
-
-    ``cycles`` is a basis of the cycle space of host / C, as bitmasks over
-    host positions.  The circuits of (host / C) \\ D are the minimal
-    supports of the cycle vectors avoiding D, so deleting an element is one
-    elimination step on the basis.  Survivor sets are visited in
-    lexicographic order of their pool positions by a depth-first walk that
-    includes before it deletes, sharing each prefix's eliminations; pool[i]
-    survives only with prev[i], the pool members before it in its class.  S
-    must span host / C (its rank is the target's rank), so a branch stops as
-    soon as it would delete a coloop of what is left; the walk therefore
-    keeps rank(alive) = r(host / C).  A branch also stops when what is left
-    has more coloops than the target, or, for a cosimple target, any coloop
-    or series pair {e, f}: every spanning S within what is left then meets
-    {e, f}, so S & {e, f} holds a cocircuit of M|S of size at most 2.
-    Elements of host / C outside the pool are deleted up front.
-    """
-    t = len(tgt.elements)
-    n_pool = len(pool)
-    if t > n_pool:
-        return None
-    alive = 0
-    for idx in pool:
-        alive |= 1 << idx
-    support = 0
-    for v in cycles:
-        support |= v
-    cycles, lost = delete_cycles(cycles, support & ~alive)
-    if lost:
-        return None
-    if _dead(tgt, cycles, alive):
-        return None
-    return _walk(tgt, elems, pool, prev, 0, t, cycles, 0, alive)
-
-
 def _dead(tgt: _TargetData, vectors: list[int], alive: int) -> bool:
     """Whether no spanning survivor set within M|alive can match ``tgt``."""
     if tgt.cosimple:  # a coloop or a series pair (equal columns)
@@ -268,13 +227,27 @@ def _walk(
     tgt: _TargetData, elems: tuple[str, ...], pool: list[int], prev: list[int],
     i: int, need: int, vectors: list[int], smask: int, alive: int,
 ) -> dict[int, int] | None:
-    """The survivor walk of ``_survivor_search`` from pool position i on.
+    """Bijection from tgt's positions onto survivors S within ``pool``, or None.
 
-    ``need`` more survivors are chosen from pool[i:], ``smask`` holds those
-    chosen, and ``vectors`` span the cycle space of M|alive.  Each pool
-    member is first kept (one recursive call), then deleted (the next turn
-    of the loop).  A module-level function rather than a closure, so that
-    a search leaves no reference cycle behind.
+    The survivor walk from pool position i on.  ``vectors`` span the cycle
+    space of M|alive, a restriction of host / C, as bitmasks over host
+    positions: the circuits of (host / C) \\ D are the minimal supports of
+    the cycle vectors avoiding D, so deleting an element is one elimination
+    step on the basis.  ``need`` more survivors are chosen from pool[i:],
+    and ``smask`` holds those chosen.  Survivor sets are visited in
+    lexicographic order of their pool positions: each pool member is first
+    kept (one recursive call), then deleted (the next turn of the loop), so
+    each prefix's eliminations are shared; pool[i] survives only with
+    prev[i], the pool members before it in its class.  The elements of
+    host / C outside the pool are deleted before the walk is entered.  S
+    must span host / C (its rank is the target's rank), so a branch stops
+    as soon as it would delete a coloop of what is left; the walk therefore
+    keeps rank(alive) = r(host / C).  A branch also stops when what is left
+    has more coloops than the target, or, for a cosimple target, any coloop
+    or series pair {e, f}: every spanning S within what is left then meets
+    {e, f}, so S & {e, f} holds a cocircuit of M|S of size at most 2.  A
+    module-level function rather than a closure, so that a search leaves
+    no reference cycle behind.
     """
     n_pool = len(pool)
     while True:
@@ -324,9 +297,10 @@ def find_minor_witness(
             f"got {target.size}"
         )
     tgt = _target_data(target)
+    t = len(tgt.elements)
     c_size = host.full_rank - tgt.rank
     # d_size is corank(host) - corank(target).
-    d_size = host.size - c_size - len(tgt.elements)
+    d_size = host.size - c_size - t
     if c_size < 0 or d_size < 0:
         return None
 
@@ -343,7 +317,7 @@ def find_minor_witness(
         cycles = [v & ~cmask for v in fundamental]
         # Pool the first max_parallel members of each parallel class of
         # host / C and its first n_loops loops (C itself also reduces to 0).
-        pool, prev, members = [], [], {}
+        pool, prev, members, alive = [], [], {}, 0
         for idx, col in enumerate(reduced):
             before = members.get(col, 0)
             cap = max_parallel if col else 0 if cmask >> idx & 1 else n_loops
@@ -351,7 +325,14 @@ def find_minor_witness(
                 pool.append(idx)
                 prev.append(before)
                 members[col] = before | 1 << idx
-        mapping = _survivor_search(cycles, pool, prev, tgt, elems)
+                alive |= 1 << idx
+        if len(pool) < t:
+            continue
+        # Delete the rest of host / C; the survivors must span it.
+        cycles, lost = delete_cycles(cycles, support(cycles) & ~alive)
+        if lost or _dead(tgt, cycles, alive):
+            continue
+        mapping = _walk(tgt, elems, pool, prev, 0, t, cycles, 0, alive)
         if mapping is not None:
             return _witness(elems, cmask, tgt, mapping)
     return None
@@ -413,9 +394,7 @@ def _tidy(cycles: list[int], alive: int) -> tuple[list[int], int, int]:
     """
     contracted = 0
     while True:
-        once = 0  # the elements in some vector
-        for v in cycles:
-            once |= v
+        once = support(cycles)  # the elements in some vector
         coloops = alive & ~once
         loops = sum(v for v in cycles if not v & (v - 1))
         series = sum(c & (c - 1) for c in equal_columns(cycles, alive & once))
@@ -440,17 +419,18 @@ def _reduce(
     ``cycles`` are fundamental circuits of M|alive, as bitmasks over the
     positions of ``elems``, the ground set of M; the witness is a minor of
     M, deleting every element outside ``alive``.  The elements are walked
-    once in host order.  Each turn first tidies the current minor
-    (``_tidy``); if its size and rank are those of one of
+    once in host order.  Whenever the minor changes it is tidied
+    (``_tidy``); if its size and rank are then those of one of
     ``GRAPHICNESS_EXCLUDED`` (no two of the four share both), one
     ``match_circuits`` call tries that one.  Otherwise the next unwalked
     element e is contracted if ``realize_cycles`` still fails on the minor
-    / e, else deleted if it fails on the minor \\ e, else kept.  A kept e
-    stays necessary in every later minor N: N / e and N \\ e are minors of
-    the graphic ones tested at its turn.  So the walk ends at a
-    minor-minimal non-graphic minor, one of the four by Tutte's theorem,
-    and makes at most two realizations per element.  MatroidError if
-    nothing matches, which would contradict that theorem.
+    / e, else deleted if it fails on the minor \\ e, else kept; a kept e
+    leaves the minor as it was, so the walk goes straight on to the next
+    element.  A kept e stays necessary in every later minor N: N / e and
+    N \\ e are minors of the graphic ones tested at its turn.  So the walk
+    ends at a minor-minimal non-graphic minor, one of the four by Tutte's
+    theorem, and makes at most two realizations per element.  MatroidError
+    if nothing matches, which would contradict that theorem.
     """
     targets = {}
     for name in GRAPHICNESS_EXCLUDED:
@@ -465,22 +445,22 @@ def _reduce(
         mapping = None if tgt is None else _match(tgt, cycles, alive, elems)
         if mapping is not None:
             return name, _witness(elems, contracted, tgt, mapping)
-        left = alive & ~walked
-        if not left:
+        for p in mask_positions(alive & ~walked):
+            bit = 1 << p
+            shrunk = contract_cycles(cycles, bit)
+            if realize_cycles(shrunk, alive ^ bit) is None:
+                cycles, alive, contracted = shrunk, alive ^ bit, contracted | bit
+                break
+            shrunk, _ = delete_cycles(cycles, bit)
+            if realize_cycles(shrunk, alive ^ bit) is None:
+                cycles, alive = shrunk, alive ^ bit
+                break
+            walked |= bit
+        else:
             raise MatroidError(
                 "no graph and no excluded minor found; "
                 "this contradicts Tutte's theorem"
             )
-        bit = left & -left
-        shrunk = contract_cycles(cycles, bit)
-        if realize_cycles(shrunk, alive ^ bit) is None:
-            cycles, alive, contracted = shrunk, alive ^ bit, contracted | bit
-            continue
-        shrunk, _ = delete_cycles(cycles, bit)
-        if realize_cycles(shrunk, alive ^ bit) is None:
-            cycles, alive = shrunk, alive ^ bit
-            continue
-        walked |= bit
 
 
 def is_graphic(m: BinaryMatroid) -> bool:

@@ -149,17 +149,22 @@ def nonplanar_duals() -> tuple[BinaryMatroid, ...]:
 
 
 @cache
+def non_graphic_catalog() -> tuple[BinaryMatroid, ...]:
+    """The catalog's non-graphic entries and duals."""
+    catalog = [get_named(name) for name in catalog_names()]
+    return tuple(m for m in catalog + [m.dual() for m in catalog] if realization(m) is None)
+
+
+@cache
 def non_graphic_bank() -> tuple[BinaryMatroid, ...]:
     """The catalog's non-graphic entries and duals, planted hosts of every
     excluded minor and the non-planar duals."""
-    catalog = [get_named(name) for name in catalog_names()]
     rng = Random(6006)
     planted = [
         planted_host(rng, get_named(name), rng.randint(0, 8))
         for name in GRAPHICNESS_EXCLUDED for _ in range(4)
     ]
-    bank = [m for m in catalog + [m.dual() for m in catalog] if realization(m) is None]
-    return (*bank, *planted, *nonplanar_duals())
+    return (*non_graphic_catalog(), *planted, *nonplanar_duals())
 
 
 def k5_with_extras() -> BinaryMatroid:
@@ -216,6 +221,30 @@ def test_reduction_realizes_at_most_twice_per_element(monkeypatch):
     del calls[:]
     graphic_certificate(get_named("r16"))
     assert len(calls) - 1 <= 8
+
+
+def test_reduction_never_tidies_an_unchanged_minor(monkeypatch):
+    # After a kept element the minor is the one tidied last, so the walk
+    # goes on to the next element without tidying or matching it again.
+    tidy = minors._tidy
+    calls: list[tuple[list[int], int]] = []
+    returned: list[tuple[list[int], int]] = []
+
+    def recorded(cycles, alive):
+        calls.append((cycles, alive))
+        out = tidy(cycles, alive)
+        returned.append(out[:2])
+        return out
+
+    monkeypatch.setattr(minors, "_tidy", recorded)
+    assert len(non_graphic_catalog()) == 38
+    for m in non_graphic_catalog():
+        del calls[:], returned[:]
+        name, w = graphic_certificate(m)
+        assert verify_witness(m, get_named(name), w), str(m)
+        assert calls
+        for before, arguments in zip(returned, calls[1:]):
+            assert arguments != before, str(m)
 
 
 def test_k5_with_parallel_edges_and_loops_dual(monkeypatch):

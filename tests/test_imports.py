@@ -1,8 +1,10 @@
-"""No module of the package binds an imported name that it never reads."""
+"""No module of the package binds an imported name that it never reads,
+and no private function or class goes unread."""
 
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import gf2minor
@@ -50,3 +52,53 @@ def test_no_module_has_an_unused_import():
         for name in unused_imports(ast.parse(path.read_text(encoding="utf-8")))
     }
     assert found == KEPT
+
+
+def reads(node: ast.AST) -> Counter:
+    """How often each name is read under ``node``, as a name or an attribute."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        or isinstance(n, ast.Attribute)
+    )
+
+
+def unread_private_definitions(trees: dict[str, ast.Module]) -> set[tuple[str, str]]:
+    """(module, name) of each private module-level function or class that no
+    module reads outside the definition's own body, so a recursive call
+    does not count."""
+    total = Counter()
+    for tree in trees.values():
+        total += reads(tree)
+    return {
+        (module, node.name)
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.startswith("__")
+        and total[node.name] == reads(node)[node.name]
+    }
+
+
+def test_unread_private_definitions_are_found():
+    a = ast.parse(
+        "def _walk(n):\n"
+        "    return _walk(n - 1) if n else _Leaf()\n"
+        "class _Leaf:\n"
+        "    pass\n"
+        "def _helper():\n"
+        "    pass\n"
+        "def __getattr__(name):\n"
+        "    pass\n"
+    )
+    b = ast.parse("from . import a\na._helper()\n")
+    assert unread_private_definitions({"a": a, "b": b}) == {("a", "_walk")}
+
+
+def test_every_private_definition_is_read():
+    trees = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(SRC.glob("*.py"))
+    }
+    assert unread_private_definitions(trees) == set()

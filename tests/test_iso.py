@@ -20,6 +20,7 @@ from gf2minor.iso import (
     prepare_side,
 )
 from gf2minor.matroid import (
+    CIRCUIT_ENUM_LIMIT,
     BinaryMatroid,
     complete_bipartite_graph,
     complete_graph,
@@ -177,6 +178,20 @@ def test_returned_bijections_always_map_circuits():
         mapping = find_isomorphism(m1, m2)
         if mapping is not None:
             assert bijection_maps_circuits(mapping, m1.circuits(), m2.circuits())
+
+
+def test_match_at_the_circuit_enumeration_limit():
+    # The matcher recurses once per placed element, so a 24-element match
+    # (CIRCUIT_ENUM_LIMIT) is the deepest recursion it can reach.
+    rng = Random(8)
+    m1 = random_matroid(rng, CIRCUIT_ENUM_LIMIT, CIRCUIT_ENUM_LIMIT)
+    m2 = relabeled_copy(rng, m1)
+    assert m1.size == CIRCUIT_ENUM_LIMIT
+    mapping = find_isomorphism(m1, m2)
+    assert mapping is not None
+    assert sorted(mapping) == sorted(m1.elements())
+    assert sorted(mapping.values()) == sorted(m2.elements())
+    assert bijection_maps_circuits(mapping, m1.circuits(), m2.circuits())
 
 
 def test_agreement_with_all_bijections_oracle():
