@@ -10,6 +10,7 @@ own data file.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from importlib import resources
 
 from .errors import InputError, ParseError
@@ -87,9 +88,10 @@ def parse_matrix_file(text: str) -> BinaryMatroid:
         raise ParseError(f"line {lineno}: expected {n} column labels, got {len(collabels)}")
 
     data = lines[5:]
-    if len(data) != k:
-        raise ParseError(f"expected {k} matrix rows, found {len(data)}")
-    rows = []
+    n_lines = k if n else 0  # a block with no columns has no entry lines
+    if len(data) != n_lines:
+        raise ParseError(f"expected {n_lines} matrix rows, found {len(data)}")
+    rows = [] if n else [[]] * k
     for i, (lineno, line) in enumerate(data):
         toks = line.split()
         if len(toks) != n:
@@ -147,30 +149,27 @@ def canonical_name(name: str) -> str:
     raise InputError(f"unknown matroid name {name!r}")
 
 
-_cache: dict[str, BinaryMatroid] = {}
-
-
 def get_named(name: str) -> BinaryMatroid:
     """Look up a catalog matroid by name (case/punctuation tolerant)."""
-    canon = canonical_name(name)
-    if canon in _cache:
-        return _cache[canon]
+    return _entry(canonical_name(name))
+
+
+@lru_cache
+def _entry(canon: str) -> BinaryMatroid:
+    """The entry with display name ``canon``, built once."""
     if canon in _FILE_KEYS:
-        m = parse_matrix_file(data_file_text(canon))
-    elif canon == "M(K5)":
-        m = cycle_matroid(complete_graph(5))
-    elif canon == "M(K33)":
-        m = cycle_matroid(complete_bipartite_graph(3, 3))
-    elif canon == "M*(K5)":
-        m = get_named("M(K5)").dual()
-    elif canon == "M*(K33)":
-        m = get_named("M(K33)").dual()
-    elif canon == "F7":
-        m = parse_matrix_file(data_file_text("f7"))
-    else:  # F7*
-        m = get_named("F7").dual()
-    _cache[canon] = m
-    return m
+        return parse_matrix_file(data_file_text(canon))
+    if canon == "M(K5)":
+        return cycle_matroid(complete_graph(5))
+    if canon == "M(K33)":
+        return cycle_matroid(complete_bipartite_graph(3, 3))
+    if canon == "M*(K5)":
+        return _entry("M(K5)").dual()
+    if canon == "M*(K33)":
+        return _entry("M(K33)").dual()
+    if canon == "F7":
+        return parse_matrix_file(data_file_text("f7"))
+    return _entry("F7").dual()  # F7*
 
 
 def catalog_names() -> tuple[str, ...]:

@@ -66,13 +66,13 @@ class ReplayReport:
 
     case_name: str
     expected: str
-    verdict: str | None
-    matched_expected: bool
-    witness: MinorWitness | None
-    witness_verified: bool
-    opset_is_circuit: bool
-    op_trace: tuple[OpTrace, ...]
-    elapsed_s: float
+    verdict: str | None = None
+    matched_expected: bool = False
+    witness: MinorWitness | None = None
+    witness_verified: bool = False
+    opset_is_circuit: bool = False
+    op_trace: tuple[OpTrace, ...] = ()
+    elapsed_s: float = 0.0
     error: str | None = None
 
     @property
@@ -231,18 +231,7 @@ def _replay_or_error(case: CertificateCase) -> ReplayReport:
     try:
         return replay_case(case)
     except MatroidError as exc:
-        return ReplayReport(
-            case_name=case.name,
-            expected=case.expected,
-            verdict=None,
-            matched_expected=False,
-            witness=None,
-            witness_verified=False,
-            opset_is_circuit=False,
-            op_trace=(),
-            elapsed_s=0.0,
-            error=str(exc),
-        )
+        return ReplayReport(case.name, case.expected, error=str(exc))
 
 
 def case_sort_key(name: str) -> tuple:

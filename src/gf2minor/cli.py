@@ -114,8 +114,7 @@ def cmd_minor(args: argparse.Namespace) -> int:
     target = _load_matroid(args.target)
     ops: list[MinorOp] = [contract(e) for e in _split_labels(args.contract)]
     ops += [delete(e) for e in _split_labels(args.delete)]
-    if ops:
-        host = host.apply_ops(ops)
+    host = host.apply_ops(ops)
     w = find_minor_witness(host, target)
     if w is None:
         print(f"no minor: {args.target} not contained in {args.matroid}"

@@ -163,8 +163,6 @@ class BinaryMatroid:
         subset = set(subset)
         if not subset:
             raise InputError("is_circuit needs a nonempty subset")
-        for lab in subset:
-            self._position(lab)
         if self.rank(subset) != len(subset) - 1:
             return False
         return all(

@@ -234,39 +234,33 @@ def _walk(
     positions: the circuits of (host / C) \\ D are the minimal supports of
     the cycle vectors avoiding D, so deleting an element is one elimination
     step on the basis.  ``need`` more survivors are chosen from pool[i:],
-    and ``smask`` holds those chosen.  Survivor sets are visited in
-    lexicographic order of their pool positions: each pool member is first
-    kept (one recursive call), then deleted (the next turn of the loop), so
-    each prefix's eliminations are shared; pool[i] survives only with
-    prev[i], the pool members before it in its class.  The elements of
-    host / C outside the pool are deleted before the walk is entered.  S
-    must span host / C (its rank is the target's rank), so a branch stops
-    as soon as it would delete a coloop of what is left; the walk therefore
-    keeps rank(alive) = r(host / C).  A branch also stops when what is left
-    has more coloops than the target, or, for a cosimple target, any coloop
-    or series pair {e, f}: every spanning S within what is left then meets
-    {e, f}, so S & {e, f} holds a cocircuit of M|S of size at most 2.  A
-    module-level function rather than a closure, so that a search leaves
-    no reference cycle behind.
+    and ``smask`` holds those chosen; the elements of host / C outside the
+    pool are deleted before the walk is entered.  One step rule: pool[i] is
+    first kept (one recursive call) if a survivor is still needed and
+    prev[i], the pool members before it in its class, are kept; then,
+    unless every remaining member must survive, it is deleted (the next
+    turn of the loop).  At the end of the pool ``need`` is 0 and the
+    survivors are matched.  So survivor sets are visited in lexicographic
+    order of pool positions, and each prefix's eliminations are shared.  S
+    must span host / C (its rank is the target's rank), so a deletion stops
+    the branch when it would delete a coloop of what is left; the walk thus
+    keeps rank(alive) = r(host / C).  It also stops when ``_dead`` holds for
+    what is left: more coloops than the target, or, for a cosimple target,
+    any coloop or series pair {e, f}, since every spanning S within what is
+    left then meets {e, f}, so S & {e, f} holds a cocircuit of M|S of size
+    at most 2.  A module-level function rather than a closure, so that a
+    search leaves no reference cycle behind.
     """
-    n_pool = len(pool)
     while True:
-        if need == n_pool - i:  # every remaining element survives
-            for j in range(i, n_pool):
-                if smask & prev[j] != prev[j]:
-                    return None
-                smask |= 1 << pool[j]
-            return _match(tgt, vectors, smask, elems)
-        if need == 0:  # every remaining element is deleted
-            vectors, lost = delete_cycles(vectors, alive & ~smask)
-            if lost:
-                return None
+        if i == len(pool):  # need is 0 here
             return _match(tgt, vectors, smask, elems)
         bit = 1 << pool[i]
-        if smask & prev[i] == prev[i]:
+        if need and smask & prev[i] == prev[i]:
             found = _walk(tgt, elems, pool, prev, i + 1, need - 1, vectors, smask | bit, alive)
             if found is not None:
                 return found
+        if need == len(pool) - i:  # every remaining member must survive
+            return None
         vectors = eliminate(vectors, bit)
         if vectors is None:
             return None
@@ -386,11 +380,12 @@ def _certificate(
 def _tidy(cycles: list[int], alive: int) -> tuple[list[int], int, int]:
     """Remove the coloops, loops, series extras and parallel extras of M|alive.
 
-    ``cycles`` are fundamental circuits of M|alive.  Coloops and all but the
-    first element of each series class are contracted, loops and all but
-    the first of each parallel class deleted, until none is left; none of
-    these steps changes whether the matroid is graphic.  Returns the cycles
-    and elements left and the mask of the contracted elements.
+    ``cycles`` are fundamental circuits of M|alive.  Coloops, loops and all
+    but the first element of each series class are contracted (contracting
+    a loop deletes it), and all but the first of each parallel class
+    deleted, until none is left; none of these steps changes whether the
+    matroid is graphic.  Returns the cycles and elements left and the mask
+    of the contracted elements, which leaves the loops out.
     """
     contracted = 0
     while True:
@@ -401,7 +396,7 @@ def _tidy(cycles: list[int], alive: int) -> tuple[list[int], int, int]:
         if coloops or loops or series:
             contracted |= coloops | series
             alive &= ~(coloops | loops | series)
-            cycles = contract_cycles([v for v in cycles if v & ~loops], series)
+            cycles = contract_cycles(cycles, loops | series)
             continue
         rows = cocycle_rows(cycles, alive)
         parallel = sum(c & (c - 1) for c in equal_columns(rows, alive))

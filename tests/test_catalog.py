@@ -103,7 +103,10 @@ def test_empty_matroid_round_trip():
     from gf2minor.matroid import BinaryMatroid
 
     empty = BinaryMatroid((), (), Gf2Matrix(0, 0, ()))
-    assert parse_matrix_file(write_matrix_file(empty, name="empty")) == empty
+    # Two coloops: rows but no columns, so the file has no entry lines.
+    coloops = BinaryMatroid(("a", "b"), (), Gf2Matrix(2, 0, (0, 0)))
+    for m in (empty, coloops):
+        assert parse_matrix_file(write_matrix_file(m, name="empty")) == m
 
 
 def test_parse_reports_bad_entry_line():

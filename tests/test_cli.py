@@ -244,6 +244,17 @@ def test_dual_round_trip(tmp_path, capsys):
     assert parse_matrix_file(out_file.read_text()) == get_named("F7*")
 
 
+def test_dual_of_a_loop_reads_back(tmp_path, capsys):
+    # The dual of a loop is a coloop: a file with one row and no columns.
+    path = tmp_path / "loop.mat"
+    path.write_text("name loop\nrows 0\ncols 1\nrowlabels\ncollabels e\n")
+    out_file = tmp_path / "coloop.mat"
+    assert run(capsys, "dual", "--matroid", str(path), "-o", str(out_file))[0] == 0
+    code, out, _ = run(capsys, "info", "--matroid", str(out_file))
+    assert code == 0
+    assert "coloops: 1" in out
+
+
 def test_dual_to_stdout(capsys):
     code, out, _ = run(capsys, "dual", "--matroid", "F7")
     assert code == 0

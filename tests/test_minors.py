@@ -508,6 +508,21 @@ def test_replays_walk_only_contract_sets_with_enough_classes(monkeypatch):
         assert walked[case, "M(K5)"] == 0
 
 
+def test_replays_match_only_survivor_sets_that_hit(monkeypatch):
+    # The survivor walk checks every deletion of its tail for a coloop or a
+    # series pair before it matches, so over the 29 replays each circuit
+    # match is a hit: 28 cases have a witness, and g8 matches nothing.
+    real = minors._match
+    results = []
+    monkeypatch.setattr(
+        minors, "_match", lambda *a: results.append(real(*a)) or results[-1]
+    )
+    reports, _ = replay_all(jobs=1)
+    assert sum(r.witness is not None for r in reports) == 28
+    assert len(results) == 28
+    assert all(mapping is not None for mapping in results)
+
+
 def replay_hosts_with_non_simple_targets():
     """The 29 replay hosts, each with M(K5) and M(K33) plus a loop, a
     parallel copy of an element, or both."""

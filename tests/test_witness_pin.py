@@ -5,17 +5,21 @@ behaviour: a change to the search that alters it must say so and update
 PINNED_SHA256.  The canonical text below covers the built-in replays,
 graphicness certificates of the catalog and its duals, seeded minor
 searches and seeded isomorphism searches; on a mismatch it is printed so
-the differing lines can be found.
+the differing lines can be found.  CLI_PINNED_SHA256 pins, the same way, what
+the command line prints and returns for a fixed set of commands, so that a
+change meant to keep behaviour can show the CLI's output byte-identical.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import re
 from random import Random
 
 from gf2minor import catalog
 from gf2minor.certify import replay_all
+from gf2minor.cli import execute_command
 from gf2minor.errors import CapacityError
 from gf2minor.iso import find_isomorphism
 from gf2minor.matroid import Graph
@@ -24,6 +28,7 @@ from gf2minor.minors import find_minor_witness, graphic_certificate
 from gen import planted_host, random_matroid, relabeled_copy
 
 PINNED_SHA256 = "00840d2e8d2e3e357dbe57b30ed9c85c774f7faf188f19cd1e2429c2f4291be9"
+CLI_PINNED_SHA256 = "650ccf7c4d3b65782182a449b5dd5b3bf5cf5da3d9ba39944e0353a560c175f4"
 
 
 def _witness_text(w) -> str:
@@ -91,3 +96,53 @@ def test_witness_identity_is_pinned():
     if digest != PINNED_SHA256:
         print(text)
     assert digest == PINNED_SHA256
+
+
+def _cli_commands(tmp_path) -> list[list[str]]:
+    """``verify`` both ways; ``graphic`` (with and without a certificate),
+    ``cocircuits --check-graphic`` and ``info`` on each catalog entry and on
+    its dual as written by ``dual -o``; ``minor --witness`` for five hosts
+    against three targets."""
+    commands = [["verify"], ["verify", "--json"]]
+    for i, name in enumerate(catalog.catalog_names()):
+        path = str(tmp_path / f"{i}.mat")
+        commands.append(["dual", "--matroid", name, "-o", path])
+        for m in (name, path):
+            commands += [
+                ["graphic", "--matroid", m],
+                ["graphic", "--certificate", "--matroid", m],
+                ["cocircuits", "--check-graphic", "--matroid", m],
+                ["info", "--matroid", m],
+            ]
+    for host in ("g7", "g24", "r15", "g1", "g12"):
+        for target in ("M_K5", "M_K33", "F7"):
+            commands.append(
+                ["minor", "--matroid", host, "--target", target, "--witness"]
+            )
+    return commands
+
+
+def _untimed(argv: list[str], out: str) -> str:
+    """``out`` without the times ``verify`` prints."""
+    if argv[0] != "verify":
+        return out
+    if "--json" not in argv:
+        return re.sub(r"\d+\.\d+s\b", "Ts", out)
+    rows = [json.loads(line) for line in out.splitlines()]
+    for row in rows:
+        del row["elapsed_s"]
+    return "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
+
+
+def test_cli_output_is_pinned(tmp_path, capsys):
+    lines = []
+    for argv in _cli_commands(tmp_path):
+        code = execute_command(argv)
+        out, err = capsys.readouterr()
+        record = [" ".join(argv), str(code), _untimed(argv, out), err]
+        lines.append("\n".join(record).replace(str(tmp_path), "TMP"))
+    text = "\n".join(lines)
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    if digest != CLI_PINNED_SHA256:
+        print(text)
+    assert digest == CLI_PINNED_SHA256
