@@ -2,7 +2,8 @@
 
 Rows are stored as Python ints (bit ``j`` of ``rows[i]`` is entry ``(i, j)``),
 so row operations are single word-parallel XORs.  Rank is computed by
-elimination on column vectors packed the same way (bit ``i`` = row ``i``).
+elimination on column vectors packed the same way (bit ``i`` = row ``i``);
+``columns`` reads all of them in one pass over the rows.
 Matrices are immutable; every operation returns a new value.
 """
 
@@ -92,6 +93,16 @@ class Gf2Matrix:
             out |= ((r >> j) & 1) << i
         return out
 
+    def columns(self) -> list[int]:
+        """Every column, as ``col_bits`` packs it, in one pass over the rows."""
+        cols = [0] * self.n_cols
+        for i, r in enumerate(self.rows):
+            while r:
+                low = r & -r
+                cols[low.bit_length() - 1] |= 1 << i
+                r ^= low
+        return cols
+
     def _check_row(self, i: int) -> None:
         if not 0 <= i < self.n_rows:
             raise InputError(f"row index {i} out of range [0,{self.n_rows})")
@@ -122,8 +133,7 @@ class Gf2Matrix:
         return Gf2Matrix(self.n_rows, self.n_cols, new_rows)
 
     def transpose(self) -> Gf2Matrix:
-        cols = tuple(self.col_bits(j) for j in range(self.n_cols))
-        return Gf2Matrix(self.n_cols, self.n_rows, cols)
+        return Gf2Matrix(self.n_cols, self.n_rows, tuple(self.columns()))
 
     def drop_row(self, i: int) -> Gf2Matrix:
         self._check_row(i)

@@ -159,22 +159,35 @@ class BinaryMatroid:
         return rank_of_vectors(self.full_column(lab) for lab in set(subset))
 
     def is_circuit(self, subset: Iterable[str]) -> bool:
-        """True iff ``subset`` is a minimal dependent set."""
-        subset = set(subset)
-        if not subset:
+        """True iff ``subset`` is a minimal dependent set.
+
+        One elimination over the subset's columns, each tagged with a bit of
+        its own: the subset is a circuit exactly when one column reduces to
+        zero and its tag, the elements whose columns sum to zero, covers the
+        whole subset.  A column that reduces to zero before the last cannot
+        cover the rest, so the first one decides.
+        """
+        columns = [self.full_column(lab) for lab in set(subset)]
+        if not columns:
             raise InputError("is_circuit needs a nonempty subset")
-        if self.rank(subset) != len(subset) - 1:
-            return False
-        return all(
-            self.rank(subset - {lab}) == len(subset) - 1 for lab in subset
-        )
+        n = len(columns)
+        pivots: dict[int, int] = {}
+        for k, col in enumerate(columns):
+            v = col << n | 1 << k
+            while v >> n:
+                lead = v.bit_length() - 1
+                if lead not in pivots:
+                    pivots[lead] = v
+                    break
+                v ^= pivots[lead]
+            else:
+                return v == (1 << n) - 1
+        return False
 
     def loops(self) -> frozenset[str]:
         """Elements whose [I | A] column is zero (cobasis columns only)."""
         return frozenset(
-            lab
-            for j, lab in enumerate(self.cobasis_labels)
-            if self.a.col_bits(j) == 0
+            lab for lab, col in zip(self.cobasis_labels, self.a.columns()) if not col
         )
 
     def coloops(self) -> frozenset[str]:
@@ -212,36 +225,6 @@ class BinaryMatroid:
 
     # -- minors -------------------------------------------------------------------
 
-    def _remove(self, op: MinorOp) -> tuple[BinaryMatroid, str]:
-        """Delete or contract one element; returns the minor and the route.
-
-        Contracting e is deleting e from the dual and dualizing back, so one
-        rule serves both with rows and columns swapped.  An element on the
-        side it leaves from (a cobasis column for a deletion, a basis row
-        for a contraction) loses that line.  Otherwise its line is pivoted
-        across at its first 1, the lowest stored position, and then dropped;
-        a zero line (a coloop's row, a loop's column) is dropped as it is.
-        """
-        plain, zero, pivot = _ROUTES[op.kind]
-        in_basis, idx = self._position(op.element)
-        m, route = self, plain
-        if in_basis != (op.kind == CONTRACT):
-            line = self.a.row_bits(idx) if in_basis else self.a.col_bits(idx)
-            route = zero
-            if line:
-                k = (line & -line).bit_length() - 1
-                if in_basis:
-                    m = self.exchange(op.element, self.cobasis_labels[k])
-                else:
-                    m = self.exchange(self.basis_labels[k], op.element)
-                in_basis, idx, route = not in_basis, k, pivot
-        basis, cobasis = m.basis_labels, m.cobasis_labels
-        if in_basis:
-            return BinaryMatroid(basis[:idx] + basis[idx + 1:], cobasis,
-                                 m.a.drop_row(idx)), route
-        return BinaryMatroid(basis, cobasis[:idx] + cobasis[idx + 1:],
-                             m.a.drop_col(idx)), route
-
     def apply_ops(
         self,
         ops: Iterable[MinorOp],
@@ -249,18 +232,44 @@ class BinaryMatroid:
     ) -> BinaryMatroid:
         """Apply deletions/contractions left to right.
 
-        Loop contraction and coloop deletion follow the standard conventions
-        (contract a loop = delete it, delete a coloop = contract it).  Pass a
-        list as ``trace`` to record which route each op took.
+        Contracting e is deleting e from the dual and dualizing back, so one
+        rule serves both with rows and columns swapped.  An element on the
+        side it leaves from (a cobasis column for a deletion, a basis row
+        for a contraction) loses that line.  Otherwise its line is pivoted
+        across at its first 1, the lowest stored position, and then dropped;
+        a zero line (a coloop's row, a loop's column) is dropped as it is,
+        so contracting a loop deletes it and deleting a coloop contracts it.
+        The ops are folded onto the label lists and the matrix, and one
+        matroid is built at the end.  Pass a list as ``trace`` to record
+        which route each op took.
         """
-        m = self
+        basis, cobasis, a = list(self.basis_labels), list(self.cobasis_labels), self.a
         for op in ops:
-            if m.size == 0:
+            if not basis and not cobasis:
                 raise InputError(f"cannot apply {op.kind} to an empty matroid")
-            m, route = m._remove(op)
+            in_basis = op.element in basis
+            if not in_basis and op.element not in cobasis:
+                raise InputError(f"unknown element label {op.element!r}")
+            idx = (basis if in_basis else cobasis).index(op.element)
+            route, zero, pivot = _ROUTES[op.kind]
+            if in_basis != (op.kind == CONTRACT):
+                line = a.rows[idx] if in_basis else a.col_bits(idx)
+                route = zero
+                if line:
+                    k = (line & -line).bit_length() - 1
+                    i, j = (idx, k) if in_basis else (k, idx)
+                    a = a.pivot(i, j)
+                    basis[i], cobasis[j] = cobasis[j], basis[i]
+                    in_basis, idx, route = not in_basis, k, pivot
+            if in_basis:
+                del basis[idx]
+                a = a.drop_row(idx)
+            else:
+                del cobasis[idx]
+                a = a.drop_col(idx)
             if trace is not None:
                 trace.append(OpTrace(op, route))
-        return m
+        return BinaryMatroid(tuple(basis), tuple(cobasis), a)
 
     def delete_all(self, labels: Iterable[str]) -> BinaryMatroid:
         return self.apply_ops(delete(lab) for lab in sorted(set(labels)))
@@ -276,9 +285,7 @@ class BinaryMatroid:
         except that a zero column yields the singleton vector of a loop.
         """
         r = self.a.n_rows
-        return [
-            self.a.col_bits(j) | (1 << (r + j)) for j in range(self.a.n_cols)
-        ]
+        return [col | 1 << (r + j) for j, col in enumerate(self.a.columns())]
 
     def circuit_masks(self) -> list[int]:
         """All minimal dependent sets, as bitmasks over elements() positions.

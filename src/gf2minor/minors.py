@@ -299,8 +299,10 @@ def find_minor_witness(
         return None
 
     elems = host.elements()
-    columns = [host.full_column(e) for e in elems]
     fundamental = host.fundamental_cycles()
+    r = host.full_rank
+    columns = [1 << i for i in range(r)]
+    columns += [v ^ 1 << (r + j) for j, v in enumerate(fundamental)]
     max_parallel, n_loops = tgt.max_parallel, tgt.n_loops
     for combo, reduced in _contract_sets(columns, c_size, tgt.n_classes):
         cmask = 0

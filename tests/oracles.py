@@ -11,8 +11,20 @@ from __future__ import annotations
 
 from itertools import combinations, permutations
 
+from gf2minor.errors import InputError
 from gf2minor.gf2 import Gf2Matrix
-from gf2minor.matroid import BinaryMatroid
+from gf2minor.matroid import (
+    CONTRACT,
+    DELETE,
+    ROUTE_CONTRACT_LOOP,
+    ROUTE_CONTRACT_PIVOT,
+    ROUTE_CONTRACT_ROW,
+    ROUTE_DELETE_COLOOP,
+    ROUTE_DELETE_COLUMN,
+    ROUTE_DELETE_PIVOT,
+    BinaryMatroid,
+    OpTrace,
+)
 
 
 def dense_rank(rows: list[list[int]]) -> int:
@@ -57,6 +69,76 @@ def circuits_by_enumeration(m) -> set[frozenset]:
     """All minimal dependent sets, by checking every subset with dense rank."""
     cols = dense_columns(m)
     return circuits_from_rank(sorted(cols), lambda s: subset_rank(cols, s))
+
+
+def is_circuit_reference(m, subset) -> bool:
+    """A circuit by its rank definition: rank |S| - 1, and so is every S - e.
+
+    Ranks are dense; unknown labels and the empty set raise the
+    ``InputError`` that ``BinaryMatroid.is_circuit`` raises.
+    """
+    subset = set(subset)
+    if not subset:
+        raise InputError("is_circuit needs a nonempty subset")
+    cols = dense_columns(m)
+    for lab in subset:
+        if lab not in cols:
+            raise InputError(f"unknown element label {lab!r}")
+    if subset_rank(cols, subset) != len(subset) - 1:
+        return False
+    return all(
+        subset_rank(cols, subset - {lab}) == len(subset) - 1 for lab in subset
+    )
+
+
+_ROUTES_REFERENCE = {
+    DELETE: (ROUTE_DELETE_COLUMN, ROUTE_DELETE_COLOOP, ROUTE_DELETE_PIVOT),
+    CONTRACT: (ROUTE_CONTRACT_ROW, ROUTE_CONTRACT_LOOP, ROUTE_CONTRACT_PIVOT),
+}
+
+
+def apply_ops_reference(m, ops, trace=None) -> BinaryMatroid:
+    """``BinaryMatroid.apply_ops`` as a chain of one-op minors.
+
+    Each op builds its own matroid: an element off the side it leaves from
+    is moved across by ``exchange`` at the lowest 1 of its line, then its
+    line is dropped.  ``apply_ops`` must give the same labels, matrix,
+    routes and ``InputError`` texts.
+    """
+    for op in ops:
+        if m.size == 0:
+            raise InputError(f"cannot apply {op.kind} to an empty matroid")
+        m, route = _remove_reference(m, op)
+        if trace is not None:
+            trace.append(OpTrace(op, route))
+    return m
+
+
+def _remove_reference(m, op):
+    plain, zero, pivot = _ROUTES_REFERENCE[op.kind]
+    if op.element in m.basis_labels:
+        in_basis, idx = True, m.basis_labels.index(op.element)
+    elif op.element in m.cobasis_labels:
+        in_basis, idx = False, m.cobasis_labels.index(op.element)
+    else:
+        raise InputError(f"unknown element label {op.element!r}")
+    route = plain
+    if in_basis != (op.kind == CONTRACT):
+        line = m.a.row_bits(idx) if in_basis else m.a.col_bits(idx)
+        route = zero
+        if line:
+            k = (line & -line).bit_length() - 1
+            if in_basis:
+                m = m.exchange(op.element, m.cobasis_labels[k])
+            else:
+                m = m.exchange(m.basis_labels[k], op.element)
+            in_basis, idx, route = not in_basis, k, pivot
+    basis, cobasis = m.basis_labels, m.cobasis_labels
+    if in_basis:
+        return BinaryMatroid(basis[:idx] + basis[idx + 1:], cobasis,
+                             m.a.drop_row(idx)), route
+    return BinaryMatroid(basis, cobasis[:idx] + cobasis[idx + 1:],
+                         m.a.drop_col(idx)), route
 
 
 def cycle_matroid_reference(g) -> BinaryMatroid:

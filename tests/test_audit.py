@@ -74,7 +74,7 @@ def test_audit_imports_only_the_stdlib_errors_gf2_rank_and_matroid_types():
 
 def test_audit_reads_matroids_only_through_dataclass_fields():
     banned = _behaviour(BinaryMatroid) | _behaviour(Gf2Matrix)
-    assert {"rank", "circuits", "ground_set", "col_bits"} <= banned
+    assert {"rank", "circuits", "ground_set", "col_bits", "columns"} <= banned
     read = {
         node.attr for node in ast.walk(_tree("audit"))
         if isinstance(node, ast.Attribute)

@@ -98,6 +98,15 @@ def test_rank_monotone_and_submodular_small():
                 assert r[a | b] + r[a & b] <= r[a] + r[b]
 
 
+def test_columns_reads_every_column():
+    rng = Random(2603)
+    shapes = [(0, 0), (0, 5), (5, 0)]
+    shapes += [(rng.randint(0, 9), rng.randint(0, 9)) for _ in range(100)]
+    for k, n in shapes:
+        m = Gf2Matrix(k, n, tuple(rng.getrandbits(n) for _ in range(k)))
+        assert m.columns() == [m.col_bits(j) for j in range(n)]
+
+
 def test_pivot_formula_example():
     m = Gf2Matrix.from_rows([[1, 1], [1, 0]])
     assert m.pivot(0, 0) == Gf2Matrix.from_rows([[1, 1], [1, 1]])

@@ -38,12 +38,14 @@ from gf2minor.realize import _components
 
 from gen import random_graph, random_matroid, relabeled_copy
 from oracles import (
+    apply_ops_reference,
     circuits_by_enumeration,
     components_reference,
     cycle_matroid_reference,
     dense_columns,
     equal_columns_reference,
     graph_circuits,
+    is_circuit_reference,
     subset_rank,
 )
 
@@ -131,6 +133,29 @@ def test_is_circuit_examples():
     assert not get_named("g1").is_circuit({"r1", "s1", "s3"})
 
 
+def with_loops_and_coloops(rng: Random, m: BinaryMatroid) -> BinaryMatroid:
+    """``m`` with about a quarter of its rows and columns of A cleared."""
+    keep = sum(1 << j for j in range(m.a.n_cols) if rng.random() > 0.25)
+    rows = tuple(r & keep if rng.random() > 0.25 else 0 for r in m.a.rows)
+    return BinaryMatroid(m.basis_labels, m.cobasis_labels,
+                         Gf2Matrix(m.a.n_rows, m.a.n_cols, rows))
+
+
+def test_is_circuit_matches_the_rank_definition_on_every_subset():
+    rng = Random(2601)
+    seen = Counter()
+    for _ in range(60):
+        m = with_loops_and_coloops(rng, random_matroid(rng, 8, min_elements=1))
+        elems = m.elements()
+        for size in range(1, len(elems) + 1):
+            for subset in combinations(elems, size):
+                got = m.is_circuit(subset)
+                assert got == is_circuit_reference(m, subset), (m, subset)
+                seen[got, size == 1] += 1
+    # circuits and non-circuits, loops and non-loops among the singletons
+    assert len(seen) == 4, seen
+
+
 def test_loop_is_a_one_element_circuit():
     m = BinaryMatroid(("r1",), ("s1",), Gf2Matrix(1, 1, (0,)))
     assert m.is_circuit({"s1"})
@@ -139,10 +164,12 @@ def test_loop_is_a_one_element_circuit():
 
 def test_is_circuit_rejects_empty_and_unknown():
     m = get_named("g1")
-    with pytest.raises(InputError):
-        m.is_circuit(set())
-    with pytest.raises(InputError):
-        m.is_circuit({"zz"})
+    for bad in (set(), {"zz"}, {"r1", "zz"}):
+        with pytest.raises(InputError) as got:
+            m.is_circuit(bad)
+        with pytest.raises(InputError) as want:
+            is_circuit_reference(m, bad)
+        assert str(got.value) == str(want.value)
 
 
 def test_triangle_has_single_circuit():
@@ -489,6 +516,37 @@ def test_apply_ops_unknown_label_and_empty():
     empty = BinaryMatroid((), (), Gf2Matrix(0, 0, ()))
     with pytest.raises(InputError):
         empty.apply_ops([delete("a")])
+
+
+def _outcome(apply, m, ops):
+    trace = []
+    try:
+        return apply(m, ops, trace), trace
+    except InputError as exc:
+        return str(exc), trace
+
+
+def test_apply_ops_matches_the_one_op_chain():
+    rng = Random(2602)
+    routes = Counter()
+    errors = set()
+    for _ in range(400):
+        m = with_loops_and_coloops(rng, random_matroid(rng, 12))
+        labels = list(m.elements())
+        rng.shuffle(labels)
+        labels = labels[:rng.randint(0, len(labels))]
+        if rng.random() < 0.2:  # a removed or unknown label, or one op too many
+            labels.insert(rng.randint(0, len(labels)), rng.choice(m.elements() + ("zz",)))
+        ops = [MinorOp(rng.choice(("contract", "delete")), lab) for lab in labels]
+        got, got_trace = _outcome(BinaryMatroid.apply_ops, m, ops)
+        want, want_trace = _outcome(apply_ops_reference, m, ops)
+        assert got == want, (m, ops)
+        assert got_trace == want_trace
+        routes.update(t.route for t in got_trace)
+        if isinstance(got, str):
+            errors.add(got.split(" ")[0])
+    assert len(routes) == 6, routes
+    assert errors == {"unknown", "cannot"}, errors
 
 
 def test_deletion_matches_oracle_circuits():
