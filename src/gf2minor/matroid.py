@@ -294,11 +294,7 @@ class BinaryMatroid:
         [I | A]) by Gray-code XOR over the fundamental vectors and keeps the
         inclusion-minimal supports.  Guarded by CIRCUIT_ENUM_LIMIT.
         """
-        if self.size > CIRCUIT_ENUM_LIMIT:
-            raise CapacityError(
-                f"circuit enumeration limited to {CIRCUIT_ENUM_LIMIT} elements, "
-                f"got {self.size}"
-            )
+        enumeration_guard(self.size)
         return minimal_supports(self.fundamental_cycles())
 
     def circuits(self) -> frozenset[frozenset[str]]:
@@ -316,6 +312,14 @@ class BinaryMatroid:
             f"basis {list(self.basis_labels)}, cobasis {list(self.cobasis_labels)})"
         )
         return head + ("\n" + str(self.a) if self.a.n_rows else "")
+
+
+def enumeration_guard(size: int) -> None:
+    """CapacityError past the size up to which (co)circuits are enumerated."""
+    if size > CIRCUIT_ENUM_LIMIT:
+        raise CapacityError(
+            f"circuit enumeration limited to {CIRCUIT_ENUM_LIMIT} elements, got {size}"
+        )
 
 
 def mask_positions(mask: int) -> Iterator[int]:
@@ -461,19 +465,30 @@ def eliminate(vectors: list[int], bit: int) -> list[int] | None:
 def delete_cycles(vectors: list[int], mask: int) -> tuple[list[int], int]:
     """A basis of the cycle space of M \\ mask, and its coloops among mask.
 
-    ``vectors`` span the cycle space of M; the bits of ``mask`` are
-    eliminated lowest first.  An element that no vector has when its turn
-    comes is a coloop of what is left: deleting it leaves the vectors as
-    they are, and it is counted, so the count is r(M) - r(M \\ mask).
-    Fundamental circuits stay fundamental circuits: the pivot's cobasis bit
-    joins the basis, and each vector it is added to keeps its own.
+    ``vectors`` span the cycle space of M.  In one pass each vector is
+    reduced at its lowest bit of ``mask`` by that bit's pivot until it has
+    none left and is kept, or becomes the pivot of a bit that has none yet:
+    elimination of ``mask`` lowest bit first, with the same pivots and
+    result.  A bit with no pivot is a coloop of what is left and is counted,
+    so the count is r(M) - r(M \\ mask).  Fundamental circuits stay
+    fundamental circuits: the pivot's cobasis bit joins the basis, and each
+    vector it is added to keeps its own.
     """
-    lost = 0
-    for p in mask_positions(mask):
-        reduced = eliminate(vectors, 1 << p)
-        lost += reduced is None
-        vectors = vectors if reduced is None else reduced
-    return vectors, lost
+    pivots: dict[int, int] = {}
+    kept = []
+    for v in vectors:
+        low = v & mask
+        while low:
+            low &= -low
+            pivot = pivots.get(low)
+            if pivot is None:
+                pivots[low] = v
+                break
+            v ^= pivot
+            low = v & mask
+        else:
+            kept.append(v)
+    return kept, mask.bit_count() - len(pivots)
 
 
 def contract_cycles(vectors: list[int], mask: int) -> list[int]:

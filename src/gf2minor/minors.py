@@ -9,7 +9,7 @@ the minor's cocycle space with the target's, sharing no code with the search.
 ``graphic_certificate`` decides graphicness with a certificate either way: a
 ``Graph`` from ``realize.realize_cycles``, or, when no graph exists, one of
 Tutte's excluded minors.  Graphicness is minor-closed, so a greedy walk over
-the elements contracts, else deletes, each one while ``realize_cycles``
+the elements contracts, else deletes, each one while ``realize.realizable``
 still fails, after removing every coloop, loop, series extra and parallel
 extra for free; it ends at a minor-minimal non-graphic minor, which one
 ``match_circuits`` call names.  ``audit.verify_graph`` checks the graph and
@@ -83,6 +83,7 @@ from .matroid import (
     delete,
     delete_cycles,
     eliminate,
+    enumeration_guard,
     equal_columns,
     mask_positions,
     mask_to_labels,
@@ -90,7 +91,7 @@ from .matroid import (
     support,
     weight_histogram,
 )
-from .realize import cocycle_rows, realize_cycles
+from .realize import cocycle_rows, realizable, realize_cycles
 
 HOST_LIMIT = 20
 TARGET_LIMIT = 12
@@ -420,14 +421,15 @@ def _reduce(
     (``_tidy``); if its size and rank are then those of one of
     ``GRAPHICNESS_EXCLUDED`` (no two of the four share both), one
     ``match_circuits`` call tries that one.  Otherwise the next unwalked
-    element e is contracted if ``realize_cycles`` still fails on the minor
-    / e, else deleted if it fails on the minor \\ e, else kept; a kept e
-    leaves the minor as it was, so the walk goes straight on to the next
-    element.  A kept e stays necessary in every later minor N: N / e and
-    N \\ e are minors of the graphic ones tested at its turn.  So the walk
-    ends at a minor-minimal non-graphic minor, one of the four by Tutte's
-    theorem, and makes at most two realizations per element.  MatroidError
-    if nothing matches, which would contradict that theorem.
+    element e is contracted if the minor / e is still not ``realizable``,
+    else deleted if the minor \\ e is not, else kept; a kept e leaves the
+    minor as it was, so the walk goes straight on to the next element.  A
+    kept e stays necessary in every later minor N: N / e and N \\ e are
+    minors of the graphic ones tested at its turn.  So the walk ends at a
+    minor-minimal non-graphic minor, one of the four by Tutte's theorem,
+    and makes at most two realizations per element, each a verdict only,
+    with no edges laid out.  MatroidError if nothing matches, which would
+    contradict that theorem.
     """
     targets = {}
     for name in GRAPHICNESS_EXCLUDED:
@@ -445,11 +447,11 @@ def _reduce(
         for p in mask_positions(alive & ~walked):
             bit = 1 << p
             shrunk = contract_cycles(cycles, bit)
-            if realize_cycles(shrunk, alive ^ bit) is None:
+            if not realizable(shrunk, alive ^ bit):
                 cycles, alive, contracted = shrunk, alive ^ bit, contracted | bit
                 break
             shrunk, _ = delete_cycles(cycles, bit)
-            if realize_cycles(shrunk, alive ^ bit) is None:
+            if not realizable(shrunk, alive ^ bit):
                 cycles, alive = shrunk, alive ^ bit
                 break
             walked |= bit
@@ -488,18 +490,23 @@ def _canonical_sets(sets: Iterable[frozenset[str]]) -> list[frozenset[str]]:
 def check_graphic_cocircuits(m: BinaryMatroid) -> CocircuitReport:
     """For every cocircuit Y, report whether m \\ Y is graphic.
 
-    Y is deleted from m's fundamental circuits by ``delete_cycles``, as in
-    the survivor search, and ``_certificate`` answers on what is left, a
-    graph or an excluded minor; m \\ Y is never built.
+    The cocircuits are read as masks from the span of m's cocycle rows and
+    sorted as ``_canonical_sets`` sorts them.  Y is deleted from m's
+    fundamental circuits by ``delete_cycles``, as in the survivor search,
+    and ``_certificate`` answers on what is left, a graph or an excluded
+    minor; m \\ Y is never built.
     """
+    enumeration_guard(m.size)
     elems = m.elements()
+    full = (1 << m.size) - 1
     cycles = m.fundamental_cycles()
+    cocircuits = minimal_supports(cocycle_rows(cycles, full))
+    cocircuits.sort(key=lambda y: (y.bit_count(), sorted(mask_to_labels(y, elems))))
     checks = []
-    for y in _canonical_sets(m.cocircuits()):
-        ymask = sum(1 << p for p, e in enumerate(elems) if e in y)
-        vectors, _ = delete_cycles(cycles, ymask)
-        cert = _certificate(vectors, (1 << m.size) - 1 & ~ymask, elems)
-        checks.append(CocircuitCheck(y, isinstance(cert, Graph)))
+    for y in cocircuits:
+        vectors, _ = delete_cycles(cycles, y)
+        cert = _certificate(vectors, full & ~y, elems)
+        checks.append(CocircuitCheck(mask_to_labels(y, elems), isinstance(cert, Graph)))
     return CocircuitReport(
         checks=tuple(checks),
         all_graphic=all(c.graphic for c in checks),

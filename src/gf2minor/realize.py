@@ -3,17 +3,20 @@
 ``realize_cycles`` realizes M|ground from fundamental circuits given as
 bitmasks over positions, per connected component, with edges named by
 position; ``minors._certificate`` labels them with the matroid's elements.
-Elements in series (equal columns over the cycle basis,
-``matroid.equal_columns``) are contracted to one edge and subdivided back
-afterwards; the cosimple rest of rank r >= 2 is graphic exactly when r + 1
-of its cocircuits, the vertex stars, cover every element twice and have
-rank r.  Cocircuits are read lazily, lightest first, from the span of
-``cocycle_rows``, until r + 1 forced stars are found or up to the weight
-that the stars still missing can carry.  None means not graphic;
-``minors._certificate`` then finds an excluded minor instead.  Only
-bitmask elimination (``matroid.delete_cycles`` for the forced stars) is used
-here, never the rank routine of ``audit``, so that ``audit.verify_graph``
-shares no code with the realization it checks.
+It has two stages.  ``_star_families`` contracts each class of elements
+in series (equal columns over the cycle basis, ``matroid.equal_columns``) to
+one edge; the cosimple rest of rank r >= 2 is graphic exactly when r + 1 of
+its cocircuits, the vertex stars, cover every element twice and have rank
+r.  Cocircuits are read lazily, lightest first, from the span of
+``cocycle_rows``, until r + 1 forced stars are found (Y is forced when the
+component that ``_component`` grows in M \\ Y is all of it) or up to the
+weight that the stars still missing can carry.  ``_lay_out`` joins the
+stars by edges and subdivides each series edge back; ``realizable`` is the
+verdict of the first stage alone.  None means not graphic, and
+``minors._certificate`` then finds an excluded minor.  Only bitmask
+elimination (``matroid.delete_cycles`` for the forced stars) is used here,
+never the rank routine of ``audit``, so that ``audit.verify_graph`` shares
+no code with the realization it checks.
 """
 
 from __future__ import annotations
@@ -42,27 +45,35 @@ def cocycle_rows(cycles: list[int], ground: int) -> list[int]:
     ]
 
 
-def _components(circuits: list[int], ground: int) -> list[int]:
-    """Connected components of M|ground, as bitmasks, lowest element first.
+def _component(circuits: list[int], ground: int) -> int:
+    """The connected component of M|ground holding the lowest element of
+    ``ground`` (0 if it is empty), grown by each circuit that meets it.
 
     ``circuits`` are circuits of M|ground that span its cycle space, such as
-    fundamental circuits: two elements lie in one component exactly when a
-    chain of these circuits joins them.  (An arbitrary basis would not do,
-    since a sum of cycles from two components would merge them.)  An element
-    in no circuit is a coloop, a component of its own.
+    fundamental circuits.  (An arbitrary basis would not do, since a sum of
+    cycles from two components would merge them.)  A coloop stays alone.
     """
-    comps: list[int] = []
-    for c in circuits:
-        merged, rest = c, []
-        for comp in comps:
-            if comp & c:
-                merged |= comp
+    comp, size = ground & -ground, -1
+    while size != len(circuits):
+        size, rest = len(circuits), []
+        for c in circuits:
+            if c & comp:
+                comp |= c
             else:
-                rest.append(comp)
-        comps = rest + [merged]
-        ground &= ~merged
-    comps += [1 << p for p in mask_positions(ground)]
-    return sorted(comps, key=lambda comp: comp & -comp)
+                rest.append(c)
+        circuits = rest
+    return comp
+
+
+def _components(circuits: list[int], ground: int) -> list[int]:
+    """Connected components of M|ground, peeled off lowest element first."""
+    comps = []
+    while ground:
+        comp = _component(circuits, ground)
+        comps.append(comp)
+        ground &= ~comp
+        circuits = [c for c in circuits if not c & comp]
+    return comps
 
 
 def _stars(cycles: list[int], ground: int, rank: int) -> list[int] | None:
@@ -113,7 +124,8 @@ def _stars(cycles: list[int], ground: int, rank: int) -> list[int] | None:
         if y.bit_count() - 3 > spare:
             break  # too heavy for any family holding the forced stars
         read.append(y)
-        if len(_components(delete_cycles(cycles, y)[0], ground & ~y)) > 1:
+        rest = ground & ~y
+        if _component(delete_cycles(cycles, y)[0], rest) != rest:
             continue
         if y & twice:
             return None
@@ -183,47 +195,61 @@ def _star_search(
     return None
 
 
-def _realize_component(
-    cycles: list[int], comp: int
-) -> tuple[int, list[tuple[int, int, int]]] | None:
-    """Graph of the connected M|comp: vertex count, (position, u, v) edges.
-
-    ``cycles`` are fundamental circuits of M|comp.  Elements with equal
-    columns over them are in series.  All of such a class but its first
-    element are contracted by clearing their bits, which leaves each vector
-    a private bit; the cosimple rest is realized, and the first element's
-    edge is then subdivided into the class's path, in host order.  A loop
-    is a one-vertex loop, a polygon is one class around such a loop, and a
-    rank-1 rest is a bundle of parallel edges (a coloop is a bundle of one).
+def _star_families(cycles: list[int], ground: int) -> list[tuple[dict, int, list[int]]] | None:
+    """Series classes, cosimple rest and vertex stars of each component of
+    M|ground, whose fundamental circuits are ``cycles``, lowest element
+    first; None at the first that is not graphic.  All of a series class but
+    its first element are contracted by clearing their bits, which leaves
+    each vector a private bit.  A rest of rank 0 is a loop, at a vertex in
+    no star; of rank 1, a bundle of parallel edges joining two.
     """
-    # Series classes by their lowest bit; a missing key is a class of one.
-    series = {cls & -cls: cls for cls in equal_columns(cycles, comp)}
-    contracted = sum(cls & (cls - 1) for cls in series.values())  # classes are disjoint
-    ground = comp & ~contracted
-    cycles = [v & ~contracted for v in cycles]
-    rank = ground.bit_count() - len(cycles)
-    if rank == 0:
-        n, ends = 1, {ground.bit_length() - 1: (0, 0)}
-    elif rank == 1:
-        n, ends = 2, {p: (0, 1) for p in mask_positions(ground)}
-    else:
-        stars = _stars(cycles, ground, rank)
-        if stars is None:
-            return None
-        stars.sort()
-        # tuple() of lists here and below, as in iso.match_circuits.
-        n, ends = len(stars), {
-            p: tuple([i for i, s in enumerate(stars) if s >> p & 1])
-            for p in mask_positions(ground)
-        }
-    edges = []
-    for first in mask_positions(ground):
-        cls = series.get(1 << first, 1 << first)
-        u, v = ends[first]
-        path = [u, *range(n, n + cls.bit_count() - 1), v]
-        n += len(path) - 2
-        edges += [(p, *sorted(path[i:i + 2])) for i, p in enumerate(mask_positions(cls))]
-    return n, edges
+    families = []
+    for comp in _components(cycles, ground):
+        vectors = [v for v in cycles if v & comp]
+        # Series classes by their lowest bit; a missing key is a class of one.
+        series = {cls & -cls: cls for cls in equal_columns(vectors, comp)}
+        contracted = sum(cls & (cls - 1) for cls in series.values())  # classes are disjoint
+        rest = comp & ~contracted
+        vectors = [v & ~contracted for v in vectors]
+        rank = rest.bit_count() - len(vectors)
+        if rank < 2:
+            stars = [rest, rest] if rank else [0]
+        else:
+            stars = _stars(vectors, rest, rank)
+            if stars is None:
+                return None
+        families.append((series, rest, stars))
+    return families
+
+
+def _lay_out(families: list[tuple[dict, int, list[int]]]) -> tuple[int, list[tuple]]:
+    """Vertex count and sorted (position, u, v) edges of ``_star_families``:
+    per component, its sorted stars, each read once for the ends of its
+    edges (a loop sits at the first), then the inner vertices of each series
+    class's path, into which the edge of its first element is subdivided."""
+    n, edges = 0, []
+    for series, ground, stars in families:
+        ends: dict[int, list[int]] = {}
+        for i, star in enumerate(sorted(stars), n):
+            for p in mask_positions(star):
+                ends.setdefault(p, []).append(i)
+        loop = (n, n)
+        n += len(stars)
+        for first in mask_positions(ground):
+            u, v = ends.get(first, loop)  # stars are numbered in order: u <= v
+            cls = series.get(1 << first)
+            if cls is None:
+                edges.append((first, u, v))
+                continue
+            path = [u, *range(n, n + cls.bit_count() - 1), v]
+            n += len(path) - 2
+            edges += [(p, *sorted(path[i:i + 2])) for i, p in enumerate(mask_positions(cls))]
+    return n, sorted(edges)
+
+
+def realizable(cycles: list[int], ground: int) -> bool:
+    """Whether M|ground is graphic: ``realize_cycles`` without the edges."""
+    return _star_families(cycles, ground) is not None
 
 
 def realize_cycles(
@@ -233,17 +259,7 @@ def realize_cycles(
 
     ``cycles`` are fundamental circuits of M|ground with respect to some
     basis, as ``_components`` requires; None if M|ground is not graphic.
-    Each connected component gets vertices of its own, so the graph is the
-    disjoint union of its components' graphs.
+    The graph is the disjoint union of its components' graphs.
     """
-    edges: list[tuple[int, int, int]] = []
-    n = 0
-    for comp in _components(cycles, ground):
-        part = _realize_component([v for v in cycles if v & comp], comp)
-        if part is None:
-            return None
-        n_comp, comp_edges = part
-        edges += [(p, u + n, v + n) for p, u, v in comp_edges]
-        n += n_comp
-    return n, sorted(edges)
-
+    families = _star_families(cycles, ground)
+    return None if families is None else _lay_out(families)

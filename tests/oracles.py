@@ -450,6 +450,49 @@ def components_reference(elements, circuits):
     return {frozenset(g) for g in groups.values()}
 
 
+def components_by_merging_reference(circuits, ground):
+    """Connected components of M|ground as bitmasks, lowest element first,
+    by merging: each circuit merges every component it meets.
+
+    ``circuits`` span the cycle space of M|ground and are circuits of it,
+    such as fundamental circuits; an element in no circuit is a coloop, a
+    component of its own.  This is the merging loop that the package's
+    peeling replaced, kept to check it.
+    """
+    comps = []
+    for c in circuits:
+        merged, rest = c, []
+        for comp in comps:
+            if comp & c:
+                merged |= comp
+            else:
+                rest.append(comp)
+        comps = rest + [merged]
+        ground &= ~merged
+    comps += [1 << p for p in range(ground.bit_length()) if ground >> p & 1]
+    return sorted(comps, key=lambda comp: comp & -comp)
+
+
+def delete_cycles_reference(vectors, mask):
+    """``matroid.delete_cycles`` one bit at a time: the bits of ``mask`` are
+    eliminated lowest first.  The pivot of a bit is the first vector that
+    has it; it is dropped and added to every later vector with the bit.  A
+    bit that no vector has is counted as a coloop and changes nothing.
+    """
+    lost = 0
+    for p in range(mask.bit_length()):
+        if not mask >> p & 1:
+            continue
+        holders = [i for i, v in enumerate(vectors) if v >> p & 1]
+        if not holders:
+            lost += 1
+            continue
+        pivot = vectors[holders[0]]
+        vectors = [v ^ pivot if v >> p & 1 else v
+                   for i, v in enumerate(vectors) if i != holders[0]]
+    return vectors, lost
+
+
 def cocircuits_reference(cycles, ground):
     """The cocircuits of M|ground, lightest first, from fundamental circuits.
 

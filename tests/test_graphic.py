@@ -177,16 +177,30 @@ def k5_with_extras() -> BinaryMatroid:
 
 
 def counting_realizations(monkeypatch) -> list[int]:
-    """One entry per ``realize_cycles`` call, the first realization included."""
-    kernel = realize.realize_cycles
+    """One entry per realization of ``graphic_certificate``: the first
+    ``realize_cycles`` call and each ``realizable`` verdict of the reduction."""
     calls: list[int] = []
 
-    def counted(cycles, ground):
-        calls.append(ground)
-        return kernel(cycles, ground)
+    def counted(kernel):
+        def call(cycles, ground):
+            calls.append(ground)
+            return kernel(cycles, ground)
+        return call
 
-    monkeypatch.setattr(minors, "realize_cycles", counted)
+    for name in ("realize_cycles", "realizable"):
+        monkeypatch.setattr(minors, name, counted(getattr(realize, name)))
     return calls
+
+
+def direct_sum(m1: BinaryMatroid, m2: BinaryMatroid) -> BinaryMatroid:
+    """The direct sum of m1 and m2, labels prefixed "a" and "b"; m1's first
+    basis element comes first."""
+    rows = list(m1.a.rows) + [r << m1.corank for r in m2.a.rows]
+    return BinaryMatroid(
+        tuple("a" + x for x in m1.basis_labels) + tuple("b" + x for x in m2.basis_labels),
+        tuple("a" + x for x in m1.cobasis_labels) + tuple("b" + x for x in m2.cobasis_labels),
+        Gf2Matrix(len(rows), m1.corank + m2.corank, tuple(rows)),
+    )
 
 
 def test_nonplanar_duals_match_the_oracle():
@@ -212,15 +226,42 @@ def test_excluded_minor_witness_is_minor_minimal():
 
 def test_reduction_realizes_at_most_twice_per_element(monkeypatch):
     # The walk tests a contraction and a deletion per element at most, after
-    # the one realization that failed: 2n + 1 in all.
+    # the one realization that failed: 2n + 1 in all.  r15 and r16 are
+    # pinned exactly, so a counter that missed the verdicts would fail.
     calls = counting_realizations(monkeypatch)
     for m in non_graphic_bank():
         del calls[:]
         graphic_certificate(m)
         assert len(calls) <= 2 * m.size + 1, str(m)
-    del calls[:]
-    graphic_certificate(get_named("r16"))
-    assert len(calls) - 1 <= 8
+    for name, count in [("r15", 9), ("r16", 5)]:
+        del calls[:]
+        graphic_certificate(get_named(name))
+        assert len(calls) == count, name
+
+
+def test_edges_are_laid_out_only_for_a_graph(monkeypatch):
+    # A non-graphic input gets verdicts only, even when a graphic component
+    # comes before the one that is not; a graphic input is laid out once.
+    lay_out = realize._lay_out
+    calls = []
+
+    def counted(families):
+        calls.append(families)
+        return lay_out(families)
+
+    monkeypatch.setattr(realize, "_lay_out", counted)
+    triangle = cycle_matroid(complete_graph(3))
+    mixed = direct_sum(triangle, get_named("F7"))
+    assert realization(triangle) is not None
+    assert realization(mixed) is None
+    for m in (mixed, *non_graphic_bank()):
+        del calls[:]
+        verdict, _ = certified_verdict(m)
+        assert not verdict and not calls, str(m)
+    for name in ("g6", "M(K5)"):
+        del calls[:]
+        assert certified_verdict(get_named(name)) == (True, None)
+        assert len(calls) == 1
 
 
 def test_reduction_never_tidies_an_unchanged_minor(monkeypatch):
@@ -292,9 +333,7 @@ def star_searches(m: BinaryMatroid, monkeypatch) -> list[tuple]:
     def spy(cycles, ground, rank):
         before = len(reads)
         stars = search(cycles, ground, rank)
-        # A copy: the caller sorts the list in place.
-        calls.append((cycles, ground, rank, stars and list(stars),
-                      reads[-1] if len(reads) > before else 0))
+        calls.append((cycles, ground, rank, stars, reads[-1] if len(reads) > before else 0))
         return stars
 
     monkeypatch.setattr(realize, "_stars", spy)
@@ -304,9 +343,14 @@ def star_searches(m: BinaryMatroid, monkeypatch) -> list[tuple]:
 
 
 def forced_flags(cycles, ground) -> list[bool]:
-    """For each cocircuit, lightest first, whether it is a forced star."""
+    """For each cocircuit, lightest first, whether it is a forced star; the
+    forced-star test of ``_stars`` must say the same on each."""
     _, cocircuits = cocircuits_reference(cycles, ground)
-    return [connected_after_deleting_reference(cycles, ground, y) for y in cocircuits]
+    flags = [connected_after_deleting_reference(cycles, ground, y) for y in cocircuits]
+    # The test grows the component of the lowest element left after Y.
+    grown = [realize._component(delete_cycles(cycles, y)[0], ground & ~y) for y in cocircuits]
+    assert flags == [comp == ground & ~y for comp, y in zip(grown, cocircuits)]
+    return flags
 
 
 def assert_stars_match_the_reference(matroids, monkeypatch) -> Counter:

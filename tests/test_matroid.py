@@ -32,16 +32,19 @@ from gf2minor.matroid import (
     equal_columns,
     mask_to_labels,
     minimal_supports,
+    support,
     weight_histogram,
 )
-from gf2minor.realize import _components
+from gf2minor.realize import _component, _components
 
 from gen import random_graph, random_matroid, relabeled_copy
 from oracles import (
     apply_ops_reference,
     circuits_by_enumeration,
+    components_by_merging_reference,
     components_reference,
     cycle_matroid_reference,
+    delete_cycles_reference,
     dense_columns,
     equal_columns_reference,
     graph_circuits,
@@ -351,6 +354,55 @@ def test_delete_cycles_matches_deletion():
         seen["loops"] += bool(m.loops())
         seen["coloops"] += bool(m.coloops())
     assert all(seen[k] for k in ("coloop deleted", "several components", "loops", "coloops"))
+
+
+def test_delete_cycles_matches_the_per_bit_reference():
+    # The one-pass elimination gives the per-bit one's vectors, in the same
+    # order, and the same count: on fundamental circuits, on lists with
+    # dependent and zero vectors, and with mask bits that no vector has.
+    rng = Random(0xDE1C8)
+    seen = Counter()
+    for _ in range(400):
+        m = random_matroid(rng, 12)
+        vectors = m.fundamental_cycles()
+        if rng.random() < 0.5:
+            for _ in range(rng.randint(1, 3)):
+                v = 0
+                if vectors and rng.random() < 0.7:
+                    for w in rng.sample(vectors, rng.randint(1, len(vectors))):
+                        v ^= w
+                vectors.insert(rng.randint(0, len(vectors)), v)
+                seen["zero" if not v else "dependent"] += 1
+        mask = rng.getrandbits(m.size + 3)
+        seen["absent bit"] += bool(mask & ~support(vectors))
+        found = delete_cycles(vectors, mask)
+        assert found == delete_cycles_reference(vectors, mask), (vectors, mask)
+        seen["lost"] += found[1] > 0
+    assert all(seen[k] for k in ("zero", "dependent", "absent bit", "lost"))
+
+
+def test_components_peel_as_the_merging_reference():
+    # Components peeled lowest element first by _component are the merged
+    # ones, in the same order: with an empty ground, with coloops, in one
+    # component, and after deletions.
+    rng = Random(0xC0A9)
+    seen = Counter()
+    cases = [([], 0), ([], 0b101), ([0b111], 0b111)]
+    for _ in range(200):
+        m = random_matroid(rng, 12)
+        full = (1 << m.size) - 1
+        mask = full & rng.getrandbits(m.size)
+        cases += [(m.fundamental_cycles(), full),
+                  (delete_cycles(m.fundamental_cycles(), mask)[0], full & ~mask)]
+    for circuits, ground in cases:
+        comps = _components(circuits, ground)
+        assert comps == components_by_merging_reference(circuits, ground)
+        assert _component(circuits, ground) == (comps[0] if comps else 0)
+        seen["empty"] += not ground
+        seen["coloop"] += bool(ground & ~support(circuits))
+        seen["one"] += len(comps) == 1 and bool(ground & (ground - 1))
+        seen["several"] += len(comps) > 1
+    assert all(seen[k] for k in ("empty", "coloop", "one", "several"))
 
 
 def test_contract_cycles_matches_contraction():

@@ -821,6 +821,24 @@ def test_cocircuit_check_capacity_guard():
     assert str(err.value) == "graphicness test limited to 20 elements, got 21"
 
 
+def test_cocircuit_check_enumeration_guard():
+    # Past 24 elements the check refuses to enumerate the cocircuits, with
+    # the error that m.cocircuits() raises.  At 24 it enumerates them, and
+    # the graphicness test refuses the first deletion, of the coloop x1.
+    def host(size: int) -> BinaryMatroid:
+        ys = tuple(f"y{i}" for i in range(size - 2))
+        return BinaryMatroid(("x0", "x1"), ys, Gf2Matrix(2, len(ys), ((1 << len(ys)) - 1, 0)))
+
+    message = "circuit enumeration limited to 24 elements, got 25"
+    for check in (check_graphic_cocircuits, BinaryMatroid.cocircuits):
+        with pytest.raises(CapacityError) as err:
+            check(host(25))
+        assert str(err.value) == message
+    with pytest.raises(CapacityError) as err:
+        check_graphic_cocircuits(host(24))
+    assert str(err.value) == "graphicness test limited to 20 elements, got 23"
+
+
 # -- covering_cocircuit_witness ---------------------------------------------------------------
 
 
