@@ -16,10 +16,10 @@ from pathlib import Path
 from . import catalog, certify
 from .audit import verify_graph, verify_witness
 from .errors import InputError, MatroidError
-from .matroid import BinaryMatroid, Graph, MinorOp, contract, delete
+from .matroid import BinaryMatroid, Graph, MinorOp, contract, delete, mask_to_labels
 from .minors import (
-    _canonical_sets,
     check_graphic_cocircuits,
+    cocircuit_masks,
     find_minor_witness,
     graphic_certificate,
     is_graphic,
@@ -160,8 +160,9 @@ def cmd_graphic(args: argparse.Namespace) -> int:
 def cmd_cocircuits(args: argparse.Namespace) -> int:
     m = _load_matroid(args.matroid)
     if not args.check_graphic:
-        for c in _canonical_sets(m.cocircuits()):
-            print(_set_str(c))
+        elems = m.elements()
+        for y in cocircuit_masks(m):
+            print(_set_str(mask_to_labels(y, elems)))
         return EXIT_OK
     report = check_graphic_cocircuits(m)
     for check in report.checks:

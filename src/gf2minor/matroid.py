@@ -198,30 +198,12 @@ class BinaryMatroid:
             if self.a.row_bits(i) == 0
         )
 
-    # -- duality and representation changes ---------------------------------------
+    # -- duality ------------------------------------------------------------------
 
     def dual(self) -> BinaryMatroid:
         """Dual matroid: compact matrix transposed, label lists swapped."""
         return BinaryMatroid(self.cobasis_labels, self.basis_labels,
                              self.a.transpose())
-
-    def exchange(self, basis_label: str, cobasis_label: str) -> BinaryMatroid:
-        """Re-pivot the representation, swapping one basis/cobasis pair.
-
-        The result represents the same matroid (every subset keeps its rank);
-        only the standard form changes.
-        """
-        in_basis, i = self._position(basis_label)
-        if not in_basis:
-            raise InputError(f"{basis_label!r} is not a basis element")
-        in_basis2, j = self._position(cobasis_label)
-        if in_basis2:
-            raise InputError(f"{cobasis_label!r} is not a cobasis element")
-        new_a = self.a.pivot(i, j)
-        new_basis = list(self.basis_labels)
-        new_cobasis = list(self.cobasis_labels)
-        new_basis[i], new_cobasis[j] = new_cobasis[j], new_basis[i]
-        return BinaryMatroid(tuple(new_basis), tuple(new_cobasis), new_a)
 
     # -- minors -------------------------------------------------------------------
 

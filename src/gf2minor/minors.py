@@ -141,7 +141,7 @@ def _by_label(elems: tuple[str, ...], mask: int) -> list[int]:
 def _contract_sets(columns: list[int], c_size: int, n_classes: int = 0):
     """Greedy bases of ``c_size`` host positions, in lexicographic order.
 
-    Yields (positions, reduced columns) for each independent C that is the
+    Yields (mask of C, reduced columns) for each independent C that is the
     greedy (lexicographically first) basis of cl(C): host / C depends only
     on cl(C), so the other bases of that flat would repeat its minors.  The
     walk eliminates one chosen column from all host columns per level, so a
@@ -163,25 +163,25 @@ def _contract_sets(columns: list[int], c_size: int, n_classes: int = 0):
     pool cannot hold a target with ``n_classes`` classes (restriction keeps
     parallelism), so it never drops a hit.
     """
-    return _greedy_bases(0, (), list(columns), (), c_size, n_classes)
+    return _greedy_bases(0, 0, list(columns), (), c_size, n_classes)
 
 
 def _greedy_bases(
-    start: int, chosen: tuple[int, ...], cols: list[int], skipped: tuple[int, ...],
-    c_size: int, n_classes: int,
+    start: int, cmask: int, cols: list[int], skipped: tuple[int, ...],
+    left: int, n_classes: int,
 ):
-    """The walk of ``_contract_sets`` below the prefix ``chosen``.
+    """The walk of ``_contract_sets`` below the prefix ``cmask``, with
+    ``left`` more positions to choose.
 
     A module-level generator rather than a closure, so that a walk leaves
     no reference cycle behind.
     """
-    left = c_size - len(chosen)
     classes = set(cols)
     classes.discard(0)
     if len(classes) - left < n_classes:
         return
     if not left:
-        yield chosen, cols
+        yield cmask, cols
         return
     passed = {cols[j] for j in skipped}
     for idx in range(start, len(cols) - left + 1):
@@ -190,8 +190,8 @@ def _greedy_bases(
             continue
         low = piv & -piv
         yield from _greedy_bases(
-            idx + 1, chosen + (idx,), [x ^ piv if x & low else x for x in cols],
-            skipped, c_size, n_classes,
+            idx + 1, cmask | 1 << idx, [x ^ piv if x & low else x for x in cols],
+            skipped, left - 1, n_classes,
         )
         passed.add(piv)
         skipped += (idx,)
@@ -218,10 +218,10 @@ def _match(
 
 
 def _dead(tgt: _TargetData, vectors: list[int], alive: int) -> bool:
-    """Whether no spanning survivor set within M|alive can match ``tgt``."""
-    if tgt.cosimple:  # a coloop or a series pair (equal columns)
-        return bool(_coloops(vectors, alive) or equal_columns(vectors, alive))
-    return _coloops(vectors, alive) > tgt.n_coloops
+    """Whether no spanning survivor set within M|alive can match ``tgt``: it
+    has more coloops, or a series pair (equal columns) when tgt is cosimple."""
+    return (_coloops(vectors, alive) > tgt.n_coloops
+            or tgt.cosimple and bool(equal_columns(vectors, alive)))
 
 
 def _walk(
@@ -305,10 +305,7 @@ def find_minor_witness(
     columns = [1 << i for i in range(r)]
     columns += [v ^ 1 << (r + j) for j, v in enumerate(fundamental)]
     max_parallel, n_loops = tgt.max_parallel, tgt.n_loops
-    for combo, reduced in _contract_sets(columns, c_size, tgt.n_classes):
-        cmask = 0
-        for idx in combo:
-            cmask |= 1 << idx
+    for cmask, reduced in _contract_sets(columns, c_size, tgt.n_classes):
         # C is independent, so clearing its bits maps the host's cycle
         # space one-to-one onto that of host / C: still a basis.
         cycles = [v & ~cmask for v in fundamental]
@@ -483,27 +480,31 @@ class CocircuitReport:
     all_graphic: bool
 
 
-def _canonical_sets(sets: Iterable[frozenset[str]]) -> list[frozenset[str]]:
-    return sorted(sets, key=lambda s: (len(s), sorted(s)))
+def cocircuit_masks(m: BinaryMatroid) -> list[int]:
+    """The cocircuits of ``m``, masks over ``m.elements()`` positions, in the
+    one canonical order: by size, then by sorted labels.  The minimal
+    supports of the span of m's cocycle rows; CapacityError as ``cocircuits()``.
+    """
+    enumeration_guard(m.size)
+    elems = m.elements()
+    masks = minimal_supports(cocycle_rows(m.fundamental_cycles(), (1 << m.size) - 1))
+    masks.sort(key=lambda y: (y.bit_count(), sorted(mask_to_labels(y, elems))))
+    return masks
 
 
 def check_graphic_cocircuits(m: BinaryMatroid) -> CocircuitReport:
     """For every cocircuit Y, report whether m \\ Y is graphic.
 
-    The cocircuits are read as masks from the span of m's cocycle rows and
-    sorted as ``_canonical_sets`` sorts them.  Y is deleted from m's
-    fundamental circuits by ``delete_cycles``, as in the survivor search,
-    and ``_certificate`` answers on what is left, a graph or an excluded
-    minor; m \\ Y is never built.
+    The cocircuits come in the order of ``cocircuit_masks``.  Y is deleted
+    from m's fundamental circuits by ``delete_cycles``, as in the survivor
+    search, and ``_certificate`` answers on what is left, a graph or an
+    excluded minor; m \\ Y is never built.
     """
-    enumeration_guard(m.size)
     elems = m.elements()
     full = (1 << m.size) - 1
     cycles = m.fundamental_cycles()
-    cocircuits = minimal_supports(cocycle_rows(cycles, full))
-    cocircuits.sort(key=lambda y: (y.bit_count(), sorted(mask_to_labels(y, elems))))
     checks = []
-    for y in cocircuits:
+    for y in cocircuit_masks(m):
         vectors, _ = delete_cycles(cycles, y)
         cert = _certificate(vectors, full & ~y, elems)
         checks.append(CocircuitCheck(mask_to_labels(y, elems), isinstance(cert, Graph)))

@@ -112,20 +112,16 @@ def _stars(cycles: list[int], ground: int, rank: int) -> list[int] | None:
     if spare < 0:
         return None
     rows = cocycle_rows(cycles, ground)
-    # Each element's parallel class by its bit; a missing one is alone.
-    parallel = {1 << p: c for c in equal_columns(rows, ground) for p in mask_positions(c)}
-
-    cocircuits = lightest_minimal(span_vectors(rows))
     chosen: list[int] = []
     span: list[int] = []
     once = twice = 0
-    read: list[int] = []
-    for y in cocircuits:
+    read: list[int] = []  # the cocircuits read that are not forced
+    for y in lightest_minimal(span_vectors(rows)):
         if y.bit_count() - 3 > spare:
             break  # too heavy for any family holding the forced stars
-        read.append(y)
         rest = ground & ~y
         if _component(delete_cycles(cycles, y)[0], rest) != rest:
+            read.append(y)
             continue
         if y & twice:
             return None
@@ -142,11 +138,11 @@ def _stars(cycles: list[int], ground: int, rank: int) -> list[int] | None:
             # The only possible star family; if it is one, every later
             # forced cocircuit would be one of its stars.
             return chosen if twice == ground else None
-    cocircuits = read
+    # Each element's parallel class by its bit; a missing one is alone.
+    parallel = {1 << p: c for c in equal_columns(rows, ground) for p in mask_positions(c)}
     candidates = [
-        y for y in cocircuits
-        if not y & twice and y not in chosen
-        and all(_meets_in_a_class(parallel, y, star) for star in chosen)
+        y for y in read
+        if not y & twice and all(_meets_in_a_class(parallel, y, star) for star in chosen)
     ]
     return _star_search(need, ground, parallel, chosen, span, once, twice, candidates)
 

@@ -23,6 +23,16 @@ def random_matroid(rng: Random, max_elements: int, min_elements: int = 0) -> Bin
     return BinaryMatroid(basis, cobasis, a)
 
 
+def exchanged(m: BinaryMatroid, basis_label: str, cobasis_label: str) -> BinaryMatroid:
+    """``m`` in the standard form that swaps one basis element for one
+    cobasis element, whose entry of A must be 1: every subset keeps its
+    rank, and only the representation changes."""
+    i, j = m.basis_labels.index(basis_label), m.cobasis_labels.index(cobasis_label)
+    basis, cobasis = list(m.basis_labels), list(m.cobasis_labels)
+    basis[i], cobasis[j] = cobasis[j], basis[i]
+    return BinaryMatroid(tuple(basis), tuple(cobasis), m.a.pivot(i, j))
+
+
 def random_graph(rng: Random, max_vertices: int, max_edges: int) -> Graph:
     nv = rng.randint(1, max_vertices)
     ne = rng.randint(0, max_edges)

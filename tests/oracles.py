@@ -26,6 +26,8 @@ from gf2minor.matroid import (
     OpTrace,
 )
 
+from gen import exchanged
+
 
 def dense_rank(rows: list[list[int]]) -> int:
     """Gaussian elimination over GF(2) on dense 0/1 rows."""
@@ -101,7 +103,7 @@ def apply_ops_reference(m, ops, trace=None) -> BinaryMatroid:
     """``BinaryMatroid.apply_ops`` as a chain of one-op minors.
 
     Each op builds its own matroid: an element off the side it leaves from
-    is moved across by ``exchange`` at the lowest 1 of its line, then its
+    is moved across by ``gen.exchanged`` at the lowest 1 of its line, then its
     line is dropped.  ``apply_ops`` must give the same labels, matrix,
     routes and ``InputError`` texts.
     """
@@ -129,9 +131,9 @@ def _remove_reference(m, op):
         if line:
             k = (line & -line).bit_length() - 1
             if in_basis:
-                m = m.exchange(op.element, m.cobasis_labels[k])
+                m = exchanged(m, op.element, m.cobasis_labels[k])
             else:
-                m = m.exchange(m.basis_labels[k], op.element)
+                m = exchanged(m, m.basis_labels[k], op.element)
             in_basis, idx, route = not in_basis, k, pivot
     basis, cobasis = m.basis_labels, m.cobasis_labels
     if in_basis:

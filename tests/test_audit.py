@@ -24,7 +24,7 @@ from gf2minor.certify import builtin_cases, replay_case
 from gf2minor.gf2 import Gf2Matrix
 from gf2minor.matroid import BinaryMatroid, contract, delete
 
-from gen import planted_host, random_matroid
+from gen import exchanged, planted_host, random_matroid
 from oracles import circuits_by_enumeration, minor_circuits, verify_witness_reference
 
 SRC = Path(audit.__file__).parent
@@ -187,7 +187,7 @@ def _repivoted(rng: Random, m: BinaryMatroid) -> BinaryMatroid:
             for j in range(m.a.n_cols) if row >> j & 1
         ]
         if entries:
-            m = m.exchange(*rng.choice(entries))
+            m = exchanged(m, *rng.choice(entries))
     return m
 
 
@@ -196,8 +196,8 @@ def _random_triple(rng: Random):
 
     The contract set is any subset, dependent ones included.  The target is
     the minor itself under fresh labels, the same re-pivoted with
-    ``exchange``, the minor with two images swapped, or an unrelated random
-    matroid on as many elements.
+    ``gen.exchanged``, the minor with two images swapped, or an unrelated
+    random matroid on as many elements.
     """
     host = random_matroid(rng, 9, 1)
     elems = list(host.elements())

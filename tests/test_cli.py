@@ -7,13 +7,15 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from random import Random
 
 import pytest
 
-from gf2minor.catalog import get_named, parse_matrix_file, write_matrix_file
+from gf2minor.catalog import catalog_names, get_named, parse_matrix_file, write_matrix_file
 from gf2minor.cli import execute_command, main
+from gf2minor.minors import check_graphic_cocircuits
 
-from gen import coloop_host_of_22_elements
+from gen import coloop_host_of_22_elements, random_matroid
 
 
 def run(capsys, *argv):
@@ -213,10 +215,28 @@ def test_info_f7(capsys):
     assert "circuits: 14" in out
 
 
-def test_cocircuits_listing(capsys):
+def test_cocircuits_listing(tmp_path, capsys):
     code, out, _ = run(capsys, "cocircuits", "--matroid", "M(K5)")
     assert code == 0
     assert len(out.strip().splitlines()) == 15
+    # On every catalog entry and its dual as written by ``dual -o``, the
+    # listing and the check both give the cocircuits that the label route,
+    # ``cocircuits()``, finds, in order of size and then sorted labels.
+    for i, name in enumerate(catalog_names()):
+        path = tmp_path / f"{i}.mat"
+        assert run(capsys, "dual", "--matroid", name, "-o", str(path))[0] == 0
+        dual = parse_matrix_file(path.read_text())
+        for arg, m in ((name, get_named(name)), (str(path), dual)):
+            expected = sorted(m.cocircuits(), key=lambda s: (len(s), sorted(s)))
+            code, out, _ = run(capsys, "cocircuits", "--matroid", arg)
+            assert code == 0
+            assert out.splitlines() == ["{" + ",".join(sorted(c)) + "}" for c in expected]
+            assert [c.cocircuit for c in check_graphic_cocircuits(m).checks] == expected
+    path = tmp_path / "big.mat"
+    path.write_text(write_matrix_file(random_matroid(Random(25), 25, 25)))
+    code, out, err = run(capsys, "cocircuits", "--matroid", str(path))
+    assert code == 2 and out == ""
+    assert "circuit enumeration limited to 24 elements, got 25" in err
 
 
 def test_cocircuits_check_graphic(capsys):

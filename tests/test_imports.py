@@ -1,5 +1,6 @@
 """No module of the package binds an imported name that it never reads,
-and no private function or class goes unread."""
+imports a private name from another, or leaves a private function or class
+unread."""
 
 from __future__ import annotations
 
@@ -52,6 +53,39 @@ def test_no_module_has_an_unused_import():
         for name in unused_imports(ast.parse(path.read_text(encoding="utf-8")))
     }
     assert found == KEPT
+
+
+def private_imports(tree: ast.Module) -> set[str]:
+    """``_``-prefixed names that ``tree`` imports from a package module,
+    by a relative import or from ``gf2minor``."""
+    return {
+        a.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").partition(".")[0] == "gf2minor")
+        for a in node.names
+        if a.name.startswith("_") and not a.name.startswith("__")
+    }
+
+
+def test_private_imports_are_found():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "from os.path import _joinrealpath\n"
+        "from .minors import _canonical_sets, check_graphic_cocircuits\n"
+        "from . import _private_module\n"
+        "from gf2minor.realize import _stars\n"
+    )
+    assert private_imports(tree) == {"_canonical_sets", "_private_module", "_stars"}
+
+
+def test_no_module_imports_a_private_name():
+    found = {
+        (path.stem, name)
+        for path in sorted(SRC.glob("*.py"))
+        for name in private_imports(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert found == set()
 
 
 def reads(node: ast.AST) -> Counter:

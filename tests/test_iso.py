@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 from collections import Counter
 from random import Random
 
@@ -32,7 +33,7 @@ from gf2minor.matroid import (
     minimal_supports,
 )
 
-from gen import random_matroid, relabeled_copy
+from gen import exchanged, random_matroid, relabeled_copy
 from oracles import (
     bijection_maps_circuits,
     circuits_by_enumeration,
@@ -70,7 +71,7 @@ def test_signature_is_label_free():
         ]
         if ones:
             i, j = rng.choice(ones)
-            moved = m.exchange(m.basis_labels[i], m.cobasis_labels[j])
+            moved = exchanged(m, m.basis_labels[i], m.cobasis_labels[j])
             assert profile_multiset(moved) == profile_multiset(m)
 
 
@@ -204,6 +205,55 @@ def test_agreement_with_all_bijections_oracle():
             m2.ground_set, circuits_by_enumeration(m2),
         )
         assert (find_isomorphism(m1, m2) is not None) == expected
+
+
+def test_isomorphism_of_a_low_rank_pair_is_matched_on_the_duals():
+    # Rank 2 and corank 22: the cycle space has 2^22 vectors, the cocycle
+    # space 2^2, and a bijection is an isomorphism exactly when it is one of
+    # the duals.
+    m1 = random_matroid(Random(2), 24, 24)
+    m2 = relabeled_copy(Random(3), m1)
+    assert (m1.full_rank, m1.corank) == (2, 22)
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        mapping = find_isomorphism(m1, m2)
+        best = min(best, time.perf_counter() - start)
+    assert best < 0.05
+    assert mapping is not None and sorted(mapping.values()) == sorted(m2.elements())
+    assert bijection_maps_circuits(mapping, m1.cocircuits(), m2.cocircuits())
+
+
+def test_low_rank_pairs_get_the_primal_verdict():
+    # Pairs with rank < corank, relabeled copies and unrelated matroids of
+    # the same size and rank: the answer is None exactly when matching the
+    # primal circuits finds nothing, and every bijection maps circuits onto
+    # circuits by the brute-force enumeration.
+    rng = Random(0x150)
+    found = missed = done = 0
+    while done < 30:
+        m1 = random_matroid(rng, 12, 8)
+        if m1.full_rank >= m1.corank:
+            continue
+        m2 = random_matroid(rng, m1.size, m1.size) if done % 2 else relabeled_copy(rng, m1)
+        while m2.full_rank != m1.full_rank:
+            m2 = random_matroid(rng, m1.size, m1.size)
+        e1, e2 = m1.elements(), m2.elements()
+        primal = match_circuits(
+            prepare_side(sorted(range(m1.size), key=e1.__getitem__), m1.circuit_masks()),
+            sorted(range(m2.size), key=e2.__getitem__), m2.circuit_masks(),
+        )
+        mapping = find_isomorphism(m1, m2)
+        assert (mapping is None) == (primal is None)
+        if mapping is not None:
+            assert bijection_maps_circuits(
+                mapping, circuits_by_enumeration(m1), circuits_by_enumeration(m2)
+            )
+            found += 1
+        else:
+            missed += 1
+        done += 1
+    assert found >= 15 and missed >= 10
 
 
 def test_match_circuits_on_raw_families():

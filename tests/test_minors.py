@@ -342,9 +342,9 @@ def closure(host: BinaryMatroid, subset) -> frozenset[str]:
 
 
 def test_contract_set_walk_finds_parallel_classes_of_the_contraction():
-    # The walk yields, in combinations order, exactly the first independent
-    # combination of each rank-c_size flat (host / C depends only on cl(C)),
-    # and its reduced columns are equal exactly for parallel elements of
+    # The walk yields, in combinations order, the mask of exactly the first
+    # independent combination of each rank-c_size flat (host / C depends
+    # only on cl(C)), and its reduced columns are equal exactly for parallel elements of
     # host / C and zero exactly for its loops and for C itself.
     rng = Random(0xC0DE)
     cut = kept = 0
@@ -354,13 +354,14 @@ def test_contract_set_walk_finds_parallel_classes_of_the_contraction():
         c_size = rng.randint(0, host.full_rank)
         columns = [host.full_column(e) for e in elems]
         walked = list(_contract_sets(columns, c_size))
-        first_of_flat: dict[frozenset[str], tuple[int, ...]] = {}
+        first_of_flat: dict[frozenset[str], int] = {}
         for combo in combinations(range(host.size), c_size):
             chosen = [elems[i] for i in combo]
             if host.rank(chosen) == c_size:
-                first_of_flat.setdefault(closure(host, chosen), combo)
-        assert [combo for combo, _ in walked] == list(first_of_flat.values())
-        for combo, reduced in walked:
+                first_of_flat.setdefault(closure(host, chosen), sum(1 << i for i in combo))
+        assert [cmask for cmask, _ in walked] == list(first_of_flat.values())
+        for cmask, reduced in walked:
+            combo = [i for i in range(host.size) if cmask >> i & 1]
             minor = host.apply_ops(contract(elems[i]) for i in combo)
             rest = [i for i in range(host.size) if i not in combo]
             assert all(reduced[i] == 0 for i in combo)
@@ -373,7 +374,7 @@ def test_contract_set_walk_finds_parallel_classes_of_the_contraction():
         # With a class count k the walk yields exactly the leaves of the
         # uncut walk with at least k parallel classes of non-loops, in order.
         k = rng.randint(0, host.size + 1)
-        expected = [(combo, reduced) for combo, reduced in walked
+        expected = [(cmask, reduced) for cmask, reduced in walked
                     if len(set(reduced) - {0}) >= k]
         assert list(_contract_sets(columns, c_size, k)) == expected
         cut += len(expected) < len(walked)
