@@ -11,8 +11,9 @@ the minor's cocycle space with the target's, sharing no code with the search.
 Tutte's excluded minors.  Graphicness is minor-closed, so a greedy walk over
 the elements contracts, else deletes, each one while ``realize.realizable``
 still fails, after removing every coloop, loop, series extra and parallel
-extra for free; it ends at a minor-minimal non-graphic minor, which one
-``match_circuits`` call names.  ``audit.verify_graph`` checks the graph and
+extra for free (``_tidy``, with no cocycle fold); it ends at a
+minor-minimal non-graphic minor, which one ``match_circuits`` call
+names.  ``audit.verify_graph`` checks the graph and
 ``audit.verify_witness`` the minor; ``is_graphic`` is the bare verdict.
 Every graphicness answer, of m or of m \\ Y, comes from one routine,
 ``_certificate``, on fundamental circuits: ``check_graphic_cocircuits``
@@ -386,10 +387,19 @@ def _tidy(cycles: list[int], alive: int) -> tuple[list[int], int, int]:
     deleted, until none is left; none of these steps changes whether the
     matroid is graphic.  Returns the cycles and elements left and the mask
     of the contracted elements, which leaves the loops out.
+
+    Parallel classes are read off the circuits with no fold.  With no loop,
+    coloop or series pair left, a basis element held by one vector only
+    would be in series with its cobasis element, so the bits ``twice`` in
+    two or more vectors are the basis, over which a cobasis element's
+    column is ``v & twice`` and a basis element's its own bit.
     """
     contracted = 0
     while True:
-        once = support(cycles)  # the elements in some vector
+        once = twice = 0  # the elements in some vector, in two or more
+        for v in cycles:
+            twice |= once & v
+            once |= v
         coloops = alive & ~once
         loops = sum(v for v in cycles if not v & (v - 1))
         series = sum(c & (c - 1) for c in equal_columns(cycles, alive & once))
@@ -398,8 +408,11 @@ def _tidy(cycles: list[int], alive: int) -> tuple[list[int], int, int]:
             alive &= ~(coloops | loops | series)
             cycles = contract_cycles(cycles, loops | series)
             continue
-        rows = cocycle_rows(cycles, alive)
-        parallel = sum(c & (c - 1) for c in equal_columns(rows, alive))
+        classes: dict[int, int] = {}  # column -> the elements with it
+        for v in cycles:
+            col = v & twice
+            classes[col] = classes.get(col, 0 if col & (col - 1) else col) | v & ~twice
+        parallel = sum(c & (c - 1) for c in classes.values())
         if not parallel:
             return cycles, alive, contracted
         alive &= ~parallel

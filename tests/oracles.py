@@ -24,7 +24,12 @@ from gf2minor.matroid import (
     ROUTE_DELETE_PIVOT,
     BinaryMatroid,
     OpTrace,
+    contract_cycles,
+    delete_cycles,
+    equal_columns,
+    support,
 )
+from gf2minor.realize import cocycle_rows
 
 from gen import exchanged
 
@@ -493,6 +498,33 @@ def delete_cycles_reference(vectors, mask):
         vectors = [v ^ pivot if v >> p & 1 else v
                    for i, v in enumerate(vectors) if i != holders[0]]
     return vectors, lost
+
+
+def tidy_reference(cycles, alive):
+    """``minors._tidy`` with its parallel classes read as equal columns over
+    the reduced echelon cocycle rows (``realize.cocycle_rows``), a fold per
+    call.  This is the loop that the direct read off the fundamental
+    circuits replaced, kept to check it; same arguments and result.  Its
+    other steps call the same kernels as ``_tidy``, which their own
+    references check.
+    """
+    contracted = 0
+    while True:
+        once = support(cycles)
+        coloops = alive & ~once
+        loops = sum(v for v in cycles if not v & (v - 1))
+        series = sum(c & (c - 1) for c in equal_columns(cycles, alive & once))
+        if coloops or loops or series:
+            contracted |= coloops | series
+            alive &= ~(coloops | loops | series)
+            cycles = contract_cycles(cycles, loops | series)
+            continue
+        rows = cocycle_rows(cycles, alive)
+        parallel = sum(c & (c - 1) for c in equal_columns(rows, alive))
+        if not parallel:
+            return cycles, alive, contracted
+        alive &= ~parallel
+        cycles, _ = delete_cycles(cycles, parallel)
 
 
 def cocircuits_reference(cycles, ground):

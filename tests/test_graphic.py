@@ -14,6 +14,7 @@ from __future__ import annotations
 import time
 from collections import Counter
 from functools import cache
+from itertools import combinations_with_replacement
 from random import Random
 
 import pytest
@@ -51,6 +52,7 @@ from oracles import (
     equal_columns_reference,
     reduced_echelon_reference,
     stars_reference,
+    tidy_reference,
 )
 
 
@@ -125,6 +127,41 @@ def test_planted_excluded_minors_are_not_graphic(name):
         verdict, found = certified_verdict(host)
         assert not verdict
         assert not excluded_minor_oracle(host, first=found)
+
+
+def standard_form(width: int, rows: tuple[int, ...]) -> BinaryMatroid:
+    """[I | A] with basis x1, x2, ..., cobasis y1, y2, ... and the rows of A
+    as bitmasks of ``width`` bits."""
+    return BinaryMatroid(
+        tuple(f"x{i + 1}" for i in range(len(rows))),
+        tuple(f"y{j + 1}" for j in range(width)),
+        Gf2Matrix(len(rows), width, rows),
+    )
+
+
+def standard_forms(max_elements: int):
+    """Every [I | A] of at most ``max_elements`` elements, one per multiset of
+    columns of A, the empty one included."""
+    for size in range(max_elements + 1):
+        for rank in range(size + 1):
+            for cols in combinations_with_replacement(range(1 << rank), size - rank):
+                yield standard_form(size - rank, tuple(
+                    sum((c >> i & 1) << j for j, c in enumerate(cols)) for i in range(rank)
+                ))
+
+
+def test_tutte_identity_on_every_standard_form_up_to_8_elements():
+    # Every answer is certified, and a form is non-graphic exactly when it
+    # has an F7 or F7* minor: M*(K5) and M*(K33) have 10 and 9 elements.
+    # Every non-graphic form here runs the reduction and its tidy step.
+    fano = [get_named("F7"), get_named("F7*")]
+    verdicts = Counter()
+    for m in standard_forms(8):
+        verdict, name = certified_verdict(m)
+        assert name in (None, "F7", "F7*")
+        assert verdict == all(find_minor_witness(m, t) is None for t in fano), str(m)
+        verdicts[verdict] += 1
+    assert verdicts == {True: 14967, False: 240}
 
 
 # -- the greedy reduction to an excluded minor ------------------------------------
@@ -300,6 +337,65 @@ def test_k5_with_parallel_edges_and_loops_dual(monkeypatch):
     assert len(calls) <= 2 * m.size + 1
     assert name == "M*(K5)"
     assert verify_witness(m, get_named(name), w)
+
+
+# -- the tidy step against its reference -----------------------------------------
+
+
+def tidy_inputs(rng: Random, count: int):
+    """``count`` fundamental circuits (cycles, alive): standard forms of 1-16
+    elements, every other one with sparse A (each entry 1 with probability
+    1/4), after random contractions and deletions of up to half of them."""
+    for i in range(count):
+        size = rng.randint(1, 16)
+        rank = rng.randint(0, size)
+        width = size - rank
+        m = standard_form(width, tuple(
+            rng.getrandbits(width) & rng.getrandbits(width) if i % 2 else rng.getrandbits(width)
+            for _ in range(rank)
+        ))
+        cycles, alive = m.fundamental_cycles(), (1 << size) - 1
+        for _ in range(rng.randint(0, size // 2)):
+            bit = 1 << rng.choice([p for p in range(size) if alive >> p & 1])
+            if rng.random() < 0.5:
+                cycles = contract_cycles(cycles, bit)
+            else:
+                cycles, _ = delete_cycles(cycles, bit)
+            alive ^= bit
+        yield cycles, alive
+
+
+def test_tidy_matches_the_reference_on_seeded_inputs():
+    # The parallel classes read off the fundamental circuits are those of
+    # equal columns over the folded cocycle rows, so every result is the
+    # reference's, cycles included.  Some inputs lose loops or parallel
+    # extras, and some lose no element.
+    deleted = Counter()
+    for cycles, alive in tidy_inputs(Random(0x71D7), 2400):
+        expected = tidy_reference(cycles, alive)
+        assert minors._tidy(cycles, alive) == expected, (cycles, alive)
+        deleted[expected[1] | expected[2] != alive] += 1
+    assert deleted[True] > 400 and deleted[False] > 400
+
+
+def test_tidy_matches_the_reference_on_every_catalog_call(monkeypatch):
+    # Every tidy step of the reductions on the catalog entries and their
+    # duals, caught as it runs, gives the reference's result.
+    tidy = minors._tidy
+    calls = []
+
+    def recorded(cycles, alive):
+        out = tidy(cycles, alive)
+        calls.append((cycles, alive, out))
+        return out
+
+    monkeypatch.setattr(minors, "_tidy", recorded)
+    for name in catalog_names():
+        graphic_certificate(get_named(name))
+        graphic_certificate(get_named(name).dual())
+    assert len(calls) > len(non_graphic_catalog())
+    for cycles, alive, out in calls:
+        assert out == tidy_reference(cycles, alive), (cycles, alive)
 
 
 # -- the star search against its eager reference ----------------------------------
