@@ -11,11 +11,13 @@ it against many survivor sets.
 The prepared side fixes the search order (positions rarest profile class
 first), the step at which each circuit is fully placed, and a key for every
 pair of positions: for each circuit size, how many circuits of that size
-contain both.  The second side's pair keys come from one pass over its
-circuits; their diagonal is the element profile, which must have the same
-multiset on both sides.  The backtracking search then drops a candidate as
-soon as its key to an already placed position differs from the first
-side's, or a fully placed circuit lands outside the other circuit set.  Any
+contain both.  Each side packs its keys into one integer per position,
+``pair_rows``, whose slot b holds the key to position b; the diagonal slot
+is the element profile, which must have the same multiset on both sides.
+The backtracking search carries, for every later step, the slot mask of the
+images already placed and the pattern the first side's keys ask for there,
+so a candidate whose masked row differs is dropped with one compare, as is
+one that completes a circuit landing outside the other circuit set.  Any
 bijection mapping one circuit set onto the other preserves every pair key,
 so the pair test cuts only prefixes that cannot be completed: the first
 bijection found is the one the search finds without it.
@@ -44,27 +46,36 @@ def element_profiles(
     return {p: tuple(sorted(cnt.items())) for p, cnt in per.items()}
 
 
-def pair_keys(
-    positions: list[int], circuits: Iterable[int], width: int
-) -> list[list[int]]:
-    """keys[a][b]: the circuits containing positions[a] and positions[b].
+def pair_rows(
+    positions: list[int], circuits: Iterable[int], width: int, slot: int
+) -> list[int]:
+    """rows[a]: every pair key of positions[a], packed one per slot.
 
-    The circuits are counted per size: the count for size k sits in the
-    ``width`` bits from bit width * k, so the keys of two pairs are equal
-    exactly when their counts are, provided every count is below
-    2 ** width; ``len(circuits).bit_length()`` bits suffice.  keys[a][a] is
-    the element profile of positions[a] in the same encoding.
+    Slot b of rows[a], the ``slot`` bits from bit slot * b, holds key(a, b):
+    the circuits containing positions[a] and positions[b], counted per
+    size.  The count for size k sits in the ``width`` bits from bit
+    width * k, so two keys are equal exactly when their counts are, provided
+    every count is below 2 ** width (``len(circuits).bit_length()`` bits
+    suffice) and ``slot`` is at least width * (largest circuit size + 1),
+    so that no key spills into the next slot.  Slot a of rows[a] is the
+    element profile of positions[a] in the same encoding.  Each circuit is
+    added once to each of its members' rows.
     """
-    keys = [[0] * len(positions) for _ in positions]
-    bits = [(a, 1 << p) for a, p in enumerate(positions)]
+    # Keyed by a position's bit: its row and its slot's lowest bit.
+    place = {1 << p: (a, 1 << slot * a) for a, p in enumerate(positions)}
+    rows = [0] * len(positions)
     for c in circuits:
-        field = 1 << width * c.bit_count()
-        members = [a for a, bit in bits if c & bit]
+        members, add = [], 0
+        while c:
+            low = c & -c
+            a, unit = place[low]
+            members.append(a)
+            add += unit
+            c ^= low
+        add <<= width * len(members)
         for a in members:
-            row = keys[a]
-            for b in members:
-                row[b] += field
-    return keys
+            rows[a] += add
+    return rows
 
 
 @dataclass(frozen=True)
@@ -73,10 +84,13 @@ class CircuitSide:
 
     order: tuple[int, ...]  # positions, in search order
     n_circuits: int
+    longest: int  # the size of the largest circuit
     width: int  # bits per circuit size in a pair key
-    # keys[i][j] = key(order[i], order[j]) for j < i; diagonal[i] for j = i.
-    keys: tuple[tuple[int, ...], ...]
-    diagonal: tuple[int, ...]
+    slot: int  # bits per pair key in a packed row
+    diagonal: tuple[int, ...]  # diagonal[i]: key(order[i], order[i])
+    # ahead[i]: key(order[i + 1 + t], order[i]) in the slot-wide field from
+    # bit t * slot * len(order), for every later step i + 1 + t.
+    ahead: tuple[int, ...]
     # checks[i]: the circuits, as steps, whose last position is order[i].
     checks: tuple[tuple[tuple[int, ...], ...], ...]
 
@@ -98,14 +112,24 @@ def prepare_side(positions: Iterable[int], circuits: Iterable[int]) -> CircuitSi
         members = tuple(step[p] for p in mask_positions(c))
         checks[max(members)].append(members)
     width = len(circ).bit_length()
-    keys = pair_keys(order, circ, width)
-    diagonal = tuple(keys[i][i] for i in range(len(order)))
+    longest = max(map(int.bit_count, circ), default=0)
+    slot = width * (longest + 1)
+    rows = pair_rows(order, circ, width, slot)
+    n, full = len(order), (1 << slot) - 1
     return CircuitSide(
         order=tuple(order),
         n_circuits=len(circ),
+        longest=longest,
         width=width,
-        keys=tuple(tuple(row[:i]) for i, row in enumerate(keys)),
-        diagonal=diagonal,
+        slot=slot,
+        diagonal=tuple(row >> slot * i & full for i, row in enumerate(rows)),
+        ahead=tuple(
+            sum(
+                (row >> slot * j & full) << slot * n * (j - i - 1)
+                for j in range(i + 1, n)
+            )
+            for i, row in enumerate(rows)
+        ),
         checks=tuple(map(tuple, checks)),
     )
 
@@ -119,17 +143,25 @@ def match_circuits(
     The answer is exact for any families.  Equal profile multisets are
     necessary: a coloop has the empty profile, and summing count_k over the
     positions gives k times the number of k-element circuits, loops
-    included.  Positions of side 1 are assigned in ``side1.order``; each is
-    tried against the positions of side 2 with its profile, in the order
-    given, and dropped when a pair key to an earlier position disagrees.
-    Returns the first bijection in that order, or None.
+    included.  So is every circuit of circuits2 lying within positions2,
+    and none being longer than side1's longest, which keeps each pair key
+    of circuits2 within its slot.  Positions of side 1 are assigned in
+    ``side1.order``; each is tried against the positions of side 2 with its
+    profile, in the order given, and dropped when a pair key to an earlier
+    position disagrees: one masked compare of its packed row.  Returns the
+    first bijection in that order, or None.
     """
     pos2, circ2 = list(positions2), frozenset(circuits2)
     order = side1.order
-    if len(pos2) != len(order) or len(circ2) != side1.n_circuits:
+    if (len(pos2) != len(order) or len(circ2) != side1.n_circuits
+            or max(map(int.bit_count, circ2), default=0) > side1.longest):
         return None
-    keys2 = pair_keys(pos2, circ2, side1.width)
-    diagonal2 = [row[b] for b, row in enumerate(keys2)]
+    try:
+        rows2 = pair_rows(pos2, circ2, side1.width, side1.slot)
+    except KeyError:  # a circuit with a bit outside positions2
+        return None
+    slot, full = side1.slot, (1 << side1.slot) - 1
+    diagonal2 = [row >> slot * b & full for b, row in enumerate(rows2)]
     if sorted(diagonal2) != sorted(side1.diagonal):
         return None
 
@@ -137,43 +169,52 @@ def match_circuits(
     for b, d in enumerate(diagonal2):
         by_profile.setdefault(d, []).append(b)
     candidates = [by_profile[d] for d in side1.diagonal]
-    images = _extend(side1, candidates, keys2, pos2, circ2, [], [], 0)
+    images = _extend(side1, candidates, rows2, pos2, circ2, [], [], 0, 0, 0)
     if images is None:
         return None
     return {p: pos2[b] for p, b in zip(order, images)}
 
 
 def _extend(
-    side1: CircuitSide, candidates: list[list[int]], keys2: list[list[int]],
+    side1: CircuitSide, candidates: list[list[int]], rows2: list[int],
     pos2: list[int], circ2: frozenset[int], images: list[int], bits: list[int],
-    used: int,
+    used: int, mask: int, expect: int,
 ) -> list[int] | None:
     """The search of ``match_circuits`` below the images placed so far.
 
     ``images`` holds the indices into ``pos2`` of the images of
     ``side1.order[:i]``, ``bits`` their bits and ``used`` the union of those.
-    Depth-first: each candidate for order[i] that passes the pair-key test
-    and completes only circuits of ``circ2`` is placed, and the rest of the
-    order is searched below it before the next candidate is tried.  Returns
-    the completed ``images``, or None.  A module-level function rather than
-    a closure, so that a search leaves no reference cycle behind.
+    ``mask`` covers their slots in a side-2 row, and ``expect`` holds, one
+    block of slot * n bits per step from i on, the pattern each later
+    step's image must show there: key(order[i'], order[j]) in slot
+    images[j].  Depth-first: each candidate for order[i] whose masked row
+    equals the first block and that completes only circuits of ``circ2``
+    is placed, and the rest of the order is searched below it before the
+    next candidate is tried.  Returns the completed ``images``, or None.  A
+    module-level function rather than a closure, so that a search leaves no
+    reference cycle behind.
     """
-    i = len(images)
-    if i == len(side1.order):
+    i, n = len(images), len(side1.order)
+    if i == n:
         return images
-    key, checks = side1.keys[i], side1.checks[i]
+    slot = side1.slot
+    block = slot * n
+    want = expect & (1 << block) - 1
+    checks = side1.checks[i]
     for b in candidates[i]:
         bit = 1 << pos2[b]
-        # tuple() of a list, not of an iterator: that would allocate ten
-        # slots and shrink, moving tuples between CPython's per-size free
-        # lists, which then grow (up to 2,000 tuples a size) with use.
-        if used & bit or tuple([keys2[b][j] for j in images]) != key:
+        if used & bit or rows2[b] & mask != want:
             continue
         images.append(b)
         bits.append(bit)
         # Images are distinct bits, so their sum is the image mask.
         if all(sum(bits[j] for j in c) in circ2 for c in checks):
-            found = _extend(side1, candidates, keys2, pos2, circ2, images, bits, used | bit)
+            shift = slot * b
+            found = _extend(
+                side1, candidates, rows2, pos2, circ2, images, bits, used | bit,
+                mask | ((1 << slot) - 1) << shift,
+                (expect >> block) + (side1.ahead[i] << shift),
+            )
             if found is not None:
                 return found
         images.pop()

@@ -221,11 +221,12 @@ class BinaryMatroid:
         across at its first 1, the lowest stored position, and then dropped;
         a zero line (a coloop's row, a loop's column) is dropped as it is,
         so contracting a loop deletes it and deleting a coloop contracts it.
-        The ops are folded onto the label lists and the matrix, and one
-        matroid is built at the end.  Pass a list as ``trace`` to record
-        which route each op took.
+        The ops are folded onto the label lists and the rows of the matrix,
+        as bitmasks, and one matrix and one matroid are built at the end.
+        Pass a list as ``trace`` to record which route each op took.
         """
-        basis, cobasis, a = list(self.basis_labels), list(self.cobasis_labels), self.a
+        basis, cobasis = list(self.basis_labels), list(self.cobasis_labels)
+        rows = list(self.a.rows)
         for op in ops:
             if not basis and not cobasis:
                 raise InputError(f"cannot apply {op.kind} to an empty matroid")
@@ -235,23 +236,30 @@ class BinaryMatroid:
             idx = (basis if in_basis else cobasis).index(op.element)
             route, zero, pivot = _ROUTES[op.kind]
             if in_basis != (op.kind == CONTRACT):
-                line = a.rows[idx] if in_basis else a.col_bits(idx)
+                line = rows[idx] if in_basis else sum(
+                    (r >> idx & 1) << k for k, r in enumerate(rows)
+                )
                 route = zero
                 if line:
                     k = (line & -line).bit_length() - 1
                     i, j = (idx, k) if in_basis else (k, idx)
-                    a = a.pivot(i, j)
+                    add = rows[i] & ~(1 << j)  # column j stays as it is
+                    rows = [r ^ add if h != i and r >> j & 1 else r
+                            for h, r in enumerate(rows)]
                     basis[i], cobasis[j] = cobasis[j], basis[i]
                     in_basis, idx, route = not in_basis, k, pivot
             if in_basis:
                 del basis[idx]
-                a = a.drop_row(idx)
+                del rows[idx]
             else:
                 del cobasis[idx]
-                a = a.drop_col(idx)
+                low = (1 << idx) - 1
+                rows = [(r & low) | ((r >> (idx + 1)) << idx) for r in rows]
             if trace is not None:
                 trace.append(OpTrace(op, route))
-        return BinaryMatroid(tuple(basis), tuple(cobasis), a)
+        return BinaryMatroid(
+            tuple(basis), tuple(cobasis), Gf2Matrix(len(basis), len(cobasis), tuple(rows))
+        )
 
     def delete_all(self, labels: Iterable[str]) -> BinaryMatroid:
         return self.apply_ops(delete(lab) for lab in sorted(set(labels)))

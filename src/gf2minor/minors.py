@@ -52,13 +52,14 @@ extracts its circuits for ``iso.match_circuits``, stopping as soon as some
 weight occurs more often than in the target's (a label-free invariant).
 The target's side of that match is prepared once with the rest of its
 search data (``iso.prepare_side``: search order, check schedule and pair
-keys), so each survivor set pays only for its own pair keys, one pass over
-its circuits.  The kernel rejects a different element-profile multiset,
-then searches for the bijection, dropping a candidate whose pair key with
-an already placed element differs from the target's; that drops only
-prefixes no bijection completes, so the first bijection, and with it the
-witness, is unchanged.  All enumeration guards raise CapacityError rather
-than degrade silently.
+keys), so each survivor set pays only for its own pair keys: one packed
+row per element, each circuit added once to its members' rows.  The kernel
+rejects a different element-profile multiset, then searches for the
+bijection, dropping a candidate whose row, masked to the slots of the
+elements already placed, differs from the pattern the target's keys ask
+for there; that drops only prefixes no bijection completes, so the first
+bijection, and with it the witness, is unchanged.  All enumeration guards
+raise CapacityError rather than degrade silently.
 """
 
 from __future__ import annotations

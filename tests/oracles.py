@@ -338,7 +338,8 @@ def match_circuits_reference(positions1, circuits1, positions2, circuits2):
     each is tried against the side-2 positions with its profile, in the
     order given, and a circuit is checked once all its positions are placed.
     Returns the first bijection in that order, or None; ``iso.match_circuits``
-    must return exactly this one.
+    must return exactly this one.  A circuit of ``circuits2`` with a bit
+    outside ``positions2`` is the image of no side-1 circuit.
     """
 
     def members(c):
@@ -349,7 +350,8 @@ def match_circuits_reference(positions1, circuits1, positions2, circuits2):
         for c in circuits:
             size = len(members(c))
             for p in members(c):
-                per[p][size] = per[p].get(size, 0) + 1
+                if p in per:  # a bit outside the positions has no profile
+                    per[p][size] = per[p].get(size, 0) + 1
         return {p: tuple(sorted(cnt.items())) for p, cnt in per.items()}
 
     pos1, pos2 = list(positions1), list(positions2)
@@ -386,6 +388,26 @@ def match_circuits_reference(positions1, circuits1, positions2, circuits2):
     if dfs(0, frozenset()):
         return {p: image[p] for p in order}
     return None
+
+
+def pair_keys_reference(positions, circuits, width):
+    """keys[a][b]: the circuits containing positions[a] and positions[b].
+
+    The circuits are counted per size: the count for size k sits in the
+    ``width`` bits from bit width * k.  keys[a][a] is the element profile of
+    positions[a] in the same encoding.  One nested loop over each circuit's
+    members; ``iso.pair_rows`` must hold keys[a][b] in slot b of row a.
+    """
+    keys = [[0] * len(positions) for _ in positions]
+    bits = [(a, 1 << p) for a, p in enumerate(positions)]
+    for c in circuits:
+        field = 1 << width * c.bit_count()
+        members = [a for a, bit in bits if c & bit]
+        for a in members:
+            row = keys[a]
+            for b in members:
+                row[b] += field
+    return keys
 
 
 def equal_columns_reference(vectors, ground):

@@ -17,7 +17,7 @@ from gf2minor.iso import (
     element_profiles,
     find_isomorphism,
     match_circuits,
-    pair_keys,
+    pair_rows,
     prepare_side,
 )
 from gf2minor.matroid import (
@@ -39,6 +39,7 @@ from oracles import (
     circuits_by_enumeration,
     isomorphic_all_bijections,
     match_circuits_reference,
+    pair_keys_reference,
 )
 
 
@@ -444,6 +445,18 @@ def _decoded(key: int, width: int) -> Counter:
     })
 
 
+def _packed(positions, circuits) -> tuple[list[int], int, int]:
+    """``pair_rows`` of a family, with the width and slot ``prepare_side``
+    would give it."""
+    width = len(circuits).bit_length()
+    slot = width * (max(c.bit_count() for c in circuits) + 1)
+    return pair_rows(list(positions), circuits, width, slot), width, slot
+
+
+def _slot(rows: list[int], a: int, b: int, slot: int) -> int:
+    return rows[a] >> slot * b & (1 << slot) - 1
+
+
 def test_pair_keys_hold_every_count_in_its_own_field():
     # Pair {0, 1} lies in every circuit of a size: its count equals the
     # number of circuits, the largest a field has to hold.
@@ -455,13 +468,14 @@ def test_pair_keys_hold_every_count_in_its_own_field():
         for _ in range(40)
     ]
     for family in [through_pair, mixed] + randoms:
-        width = len(family).bit_length()
-        keys = pair_keys(list(range(10)), family, width)
+        rows, width, slot = _packed(range(10), family)
         counts = _pair_counts(range(10), family)
         for x in range(10):
             for y in range(10):
-                assert _decoded(keys[x][y], width) == counts[x, y]
-    assert pair_keys([0, 1], through_pair, 4)[0][1] == 8 << 4 * 3
+                assert _decoded(_slot(rows, x, y, slot), width) == counts[x, y]
+    rows, width, slot = _packed(range(10), through_pair)
+    assert (width, slot) == (4, 16)
+    assert _slot(rows, 0, 1, slot) == 8 << 4 * 3
 
 
 def test_families_differing_only_in_one_pair_count_are_told_apart():
@@ -471,8 +485,10 @@ def test_families_differing_only_in_one_pair_count_are_told_apart():
     # field and the two keys would be equal.
     many = [0b000111, 0b001011, 0b010011, 0b100011]
     one = [0b001111, 0b010100, 0b101000, 0b110000]
-    assert pair_keys([0, 1], many, 3)[0][1] == 4 << 9
-    assert pair_keys([0, 1], one, 3)[0][1] == 1 << 12
+    rows, width, slot = _packed(range(6), many)
+    assert (width, slot) == (3, 12) and _slot(rows, 0, 1, slot) == 4 << 9
+    rows, width, slot = _packed(range(6), one)
+    assert (width, slot) == (3, 15) and _slot(rows, 0, 1, slot) == 1 << 12
     assert 4 << 2 * 3 == 1 << 2 * 4
     # Equal profile multisets, but pair {0, 1} lies in two triangles of
     # ``a`` and no pair of ``b`` does: no bijection.
@@ -484,6 +500,85 @@ def test_families_differing_only_in_one_pair_count_are_told_apart():
     for fam1, fam2 in ((a, b), (b, a), (many, one)):
         assert match_circuits(prepare_side(range(6), fam1), range(6), fam2) is None
         assert match_circuits_reference(range(6), fam1, range(6), fam2) is None
+
+
+def _assert_rows_hold_the_reference_keys(positions, family) -> list[int]:
+    rows, width, slot = _packed(positions, family)
+    keys = pair_keys_reference(positions, family, width)
+    n = len(positions)
+    for a in range(n):
+        assert rows[a] >> slot * n == 0  # nothing past the last slot
+        for b in range(n):
+            assert _slot(rows, a, b, slot) == keys[a][b]
+    return rows
+
+
+def test_pair_rows_hold_the_reference_keys_slot_by_slot():
+    rng = Random(3030)
+    for _ in range(200):
+        n = rng.randint(1, 12)
+        positions = _random_positions(rng, n)
+        family = {
+            sum(1 << positions[a] for a in rng.sample(range(n), rng.randint(1, n)))
+            for _ in range(rng.randint(1, 30))
+        }
+        _assert_rows_hold_the_reference_keys(positions, family)
+    # 12 positions with circuits of every size up to 12, the whole set
+    # included.
+    positions = _random_positions(rng, 12)
+    family = {
+        sum(1 << positions[a] for a in rng.sample(range(12), size))
+        for size in range(1, 13) for _ in range(3)
+    }
+    assert max(c.bit_count() for c in family) == 12
+    _assert_rows_hold_the_reference_keys(positions, family)
+    # Pair {0, 1} in all 7 circuits, each of the largest size 4: 3-bit
+    # fields, the count 7 fills the top field of its 15-bit slot, and the
+    # slots beside it (0's profile, and pair {0, 2} in one circuit) keep
+    # their own values.
+    family = [0b11 | 0b11 << j for j in range(2, 9)]
+    rows = _assert_rows_hold_the_reference_keys(list(range(10)), family)
+    assert _slot(rows, 0, 1, 15) == 7 << 12 == (1 << 15) - (1 << 12)
+    assert _slot(rows, 0, 0, 15) == 7 << 12
+    assert _slot(rows, 0, 2, 15) == 1 << 12
+
+
+def test_edge_families_get_the_reference_answer():
+    # Side 2 with a circuit longer than any of side 1, which would spill
+    # out of its slot, or with circuit bits outside positions2, which have
+    # no slot: the matcher answers as the reference does.
+    rng = Random(6060)
+    cases = 0
+    for _ in range(300):
+        n = rng.randint(2, 8)
+        pos1, pos2 = _random_positions(rng, n), _random_positions(rng, n)
+        m = random_matroid(rng, n, min_elements=n)
+        fam1 = _moved(m.circuit_masks(), list(range(n)), pos1)
+        if not fam1:
+            continue
+        shuffled = pos2[:]
+        rng.shuffle(shuffled)
+        fam2 = sorted(_moved(fam1, pos1, shuffled))
+        k = rng.randrange(len(fam2))
+        if rng.random() < 0.5:
+            longest = max(c.bit_count() for c in fam1)
+            if longest == n:
+                continue
+            outside_k = [p for p in pos2 if not fam2[k] >> p & 1]
+            while fam2[k].bit_count() <= longest:
+                fam2[k] |= 1 << outside_k.pop()
+        else:
+            fam2[k] |= 1 << rng.choice([p for p in range(100) if p not in pos2])
+        if len(set(fam2)) != len(fam2):
+            continue
+        got = match_circuits(prepare_side(pos1, fam1), pos2, fam2)
+        assert got is None
+        assert got == match_circuits_reference(pos1, fam1, pos2, fam2)
+        cases += 1
+    assert cases > 100
+    # A side-1 triangle against a side-2 circuit with its third bit outside.
+    assert match_circuits(prepare_side([0, 1, 2], [0b111]), [0, 1, 2], [0b1011]) is None
+    assert match_circuits_reference([0, 1, 2], [0b111], [0, 1, 2], [0b1011]) is None
 
 
 def test_match_circuits_on_positions_beyond_a_fixed_shift():
