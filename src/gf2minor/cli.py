@@ -66,6 +66,18 @@ def _set_str(labels) -> str:
     return "{" + ",".join(sorted(labels)) + "}"
 
 
+def _audit(m: BinaryMatroid, cert, deleted: frozenset[str] = frozenset()) -> bool:
+    """Whether ``audit`` accepts ``cert``, a graph of m \\ deleted or an
+    excluded minor of m and its witness; a rejection is reported on stderr."""
+    if isinstance(cert, Graph):
+        audited = verify_graph(m.delete_all(deleted), cert)
+    else:
+        audited = verify_witness(m, catalog.get_named(cert[0]), cert[1])
+    if not audited:
+        print("error: certificate REJECTED by the independent check", file=sys.stderr)
+    return audited
+
+
 # -- subcommands ---------------------------------------------------------------------
 
 
@@ -144,15 +156,10 @@ def cmd_graphic(args: argparse.Namespace) -> int:
         print(f"vertices {cert.n_vertices}")
         for u, v, label in sorted(cert.edges):
             print(f"{u} {v} {label}")
-        audited = verify_graph(m, cert)
     else:
-        name, w = cert
-        print(f"excluded minor: {name}")
-        print(json.dumps(w.as_dict(), indent=2, sort_keys=True))
-        audited = verify_witness(m, catalog.get_named(name), w)
-    if not audited:
-        print("error: certificate REJECTED by the independent check",
-              file=sys.stderr)
+        print(f"excluded minor: {cert[0]}")
+        print(json.dumps(cert[1].as_dict(), indent=2, sort_keys=True))
+    if not _audit(m, cert):
         return EXIT_ERROR
     return EXIT_OK if verdict else EXIT_FAIL
 
@@ -169,6 +176,8 @@ def cmd_cocircuits(args: argparse.Namespace) -> int:
         flag = "graphic" if check.graphic else "NOT graphic"
         print(f"{_set_str(check.cocircuit)}: deletion {flag}")
     print(f"all cocircuits graphic: {'yes' if report.all_graphic else 'no'}")
+    if not all([_audit(m, c.certificate, c.cocircuit) for c in report.checks]):
+        return EXIT_ERROR
     return EXIT_OK if report.all_graphic else EXIT_FAIL
 
 

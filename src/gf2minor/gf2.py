@@ -135,17 +135,6 @@ class Gf2Matrix:
     def transpose(self) -> Gf2Matrix:
         return Gf2Matrix(self.n_cols, self.n_rows, tuple(self.columns()))
 
-    def drop_row(self, i: int) -> Gf2Matrix:
-        self._check_row(i)
-        return Gf2Matrix(self.n_rows - 1, self.n_cols,
-                         self.rows[:i] + self.rows[i + 1:])
-
-    def drop_col(self, j: int) -> Gf2Matrix:
-        self._check_col(j)
-        low = (1 << j) - 1
-        new_rows = tuple((r & low) | ((r >> (j + 1)) << j) for r in self.rows)
-        return Gf2Matrix(self.n_rows, self.n_cols - 1, new_rows)
-
     def __str__(self) -> str:
         if self.n_rows == 0 or self.n_cols == 0:
             return f"<empty {self.n_rows}x{self.n_cols}>"

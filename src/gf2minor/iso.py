@@ -223,13 +223,14 @@ def _extend(
 
 
 def find_isomorphism(m1: BinaryMatroid, m2: BinaryMatroid) -> dict[str, str] | None:
-    """Witnessing bijection E(m1) -> E(m2), or None.
-
-    Matched on the duals when m1's rank is below its corank: they keep the
-    labels, have 2^rank cycle vectors, and share every isomorphism.
-    Elements are tried in label order; ``circuit_masks`` enforces the
-    enumeration limit.
+    """Witnessing bijection E(m1) -> E(m2), or None, at once when the ranks
+    or the coranks differ.  Matched on the duals when m1's rank is below its
+    corank: they keep the labels, have 2^rank cycle vectors, and share every
+    isomorphism.  Elements are tried in label order; ``circuit_masks``
+    enforces the enumeration limit.
     """
+    if (m1.full_rank, m1.corank) != (m2.full_rank, m2.corank):
+        return None
     if m1.full_rank < m1.corank:
         return find_isomorphism(m1.dual(), m2.dual())
     e1, e2 = m1.elements(), m2.elements()

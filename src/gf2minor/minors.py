@@ -1,10 +1,12 @@
 """Minor containment search, graphicness, and cocircuit checks.
 
 ``find_minor_witness`` decides whether a host matroid has a minor isomorphic
-to a small target and, if so, returns an explicit certificate: which elements
-to contract, which to delete, and a bijection from the target onto the
-survivors.  ``audit.verify_witness`` checks such a certificate by comparing
-the minor's cocycle space with the target's, sharing no code with the search.
+to a target and, if so, returns an explicit certificate: which elements to
+contract, which to delete, and a bijection from the target onto the
+survivors.  Rank and corank answer before any guard: a target of higher
+rank or corank than the host is no minor of it.  ``audit.verify_witness``
+checks a certificate by comparing the minor's cocycle space with the
+target's, sharing no code with the search.
 
 ``graphic_certificate`` decides graphicness with a certificate either way: a
 ``Graph`` from ``realize.realize_cycles``, or, when no graph exists, one of
@@ -96,6 +98,7 @@ from .matroid import (
 from .realize import cocycle_rows, realizable, realize_cycles
 
 HOST_LIMIT = 20
+# Read by nothing in src; kept for bench/test_bench.py until ROADMAP item 3.
 TARGET_LIMIT = 12
 
 # Tutte's excluded minors for graphicness of a binary matroid.
@@ -105,7 +108,6 @@ GRAPHICNESS_EXCLUDED = ("F7", "F7*", "M*(K5)", "M*(K33)")
 @dataclass(frozen=True)
 class _TargetData:
     elements: tuple[str, ...]
-    rank: int
     n_coloops: int
     n_loops: int
     max_parallel: int  # size of the largest parallel class of non-loops
@@ -124,7 +126,6 @@ def _target_data(target: BinaryMatroid) -> _TargetData:
     n_coloops = _coloops(cycles, everything)
     return _TargetData(
         elements=elements,
-        rank=target.full_rank,
         n_coloops=n_coloops,
         n_loops=len(target.loops()),
         max_parallel=max(classes.values(), default=0),
@@ -278,28 +279,23 @@ def find_minor_witness(
 ) -> MinorWitness | None:
     """Search for a minor of ``host`` isomorphic to ``target``.
 
-    Deterministic: the returned witness is the first hit in the canonical
-    order the module docstring sets out (greedy contract sets, then
-    class-prefix survivor sets, both lexicographic in host positions).  The
-    target's search data are cached by value (``BinaryMatroid`` is a frozen,
-    hashable value), so repeated searches for one target build them once.
+    None at once, at any size, for a target of higher rank or corank than
+    the host.  Otherwise CapacityError past ``HOST_LIMIT`` host elements,
+    which bounds the target too.  Deterministic: the returned witness is the
+    first hit in the canonical order the module docstring sets out (greedy
+    contract sets, then class-prefix survivor sets, both lexicographic in
+    host positions).  The target's search data are cached by value, so
+    repeated searches for one target build them once.
     """
+    c_size = host.full_rank - target.full_rank
+    if c_size < 0 or host.corank < target.corank:
+        return None
     if host.size > HOST_LIMIT:
         raise CapacityError(
             f"minor search hosts limited to {HOST_LIMIT} elements, got {host.size}"
         )
-    if target.size > TARGET_LIMIT:
-        raise CapacityError(
-            f"minor search targets limited to {TARGET_LIMIT} elements, "
-            f"got {target.size}"
-        )
     tgt = _target_data(target)
-    t = len(tgt.elements)
-    c_size = host.full_rank - tgt.rank
-    # d_size is corank(host) - corank(target).
-    d_size = host.size - c_size - t
-    if c_size < 0 or d_size < 0:
-        return None
+    t = target.size
 
     elems = host.elements()
     fundamental = host.fundamental_cycles()
@@ -444,8 +440,8 @@ def _reduce(
     """
     targets = {}
     for name in GRAPHICNESS_EXCLUDED:
-        tgt = _target_data(catalog.get_named(name))
-        targets[len(tgt.elements), tgt.rank] = name, tgt
+        m = catalog.get_named(name)
+        targets[m.size, m.full_rank] = name, _target_data(m)
     contracted = walked = 0
     while True:
         cycles, alive, freed = _tidy(cycles, alive)
@@ -485,7 +481,11 @@ def is_graphic(m: BinaryMatroid) -> bool:
 @dataclass(frozen=True)
 class CocircuitCheck:
     cocircuit: frozenset[str]
-    graphic: bool
+    certificate: Graph | tuple[str, MinorWitness]
+
+    @property
+    def graphic(self) -> bool:
+        return isinstance(self.certificate, Graph)
 
 
 @dataclass(frozen=True)
@@ -512,7 +512,7 @@ def check_graphic_cocircuits(m: BinaryMatroid) -> CocircuitReport:
     The cocircuits come in the order of ``cocircuit_masks``.  Y is deleted
     from m's fundamental circuits by ``delete_cycles``, as in the survivor
     search, and ``_certificate`` answers on what is left, a graph or an
-    excluded minor; m \\ Y is never built.
+    excluded minor, kept as each check's certificate; m \\ Y is never built.
     """
     elems = m.elements()
     full = (1 << m.size) - 1
@@ -521,7 +521,7 @@ def check_graphic_cocircuits(m: BinaryMatroid) -> CocircuitReport:
     for y in cocircuit_masks(m):
         vectors, _ = delete_cycles(cycles, y)
         cert = _certificate(vectors, full & ~y, elems)
-        checks.append(CocircuitCheck(mask_to_labels(y, elems), isinstance(cert, Graph)))
+        checks.append(CocircuitCheck(mask_to_labels(y, elems), cert))
     return CocircuitReport(
         checks=tuple(checks),
         all_graphic=all(c.graphic for c in checks),

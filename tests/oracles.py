@@ -104,6 +104,20 @@ _ROUTES_REFERENCE = {
 }
 
 
+def drop_row(a: Gf2Matrix, i: int) -> Gf2Matrix:
+    """``a`` without row ``i``; InputError if there is no such row."""
+    a.row_bits(i)
+    return Gf2Matrix(a.n_rows - 1, a.n_cols, a.rows[:i] + a.rows[i + 1:])
+
+
+def drop_col(a: Gf2Matrix, j: int) -> Gf2Matrix:
+    """``a`` without column ``j``; InputError if there is no such column."""
+    a.col_bits(j)
+    low = (1 << j) - 1
+    rows = tuple((r & low) | ((r >> (j + 1)) << j) for r in a.rows)
+    return Gf2Matrix(a.n_rows, a.n_cols - 1, rows)
+
+
 def apply_ops_reference(m, ops, trace=None) -> BinaryMatroid:
     """``BinaryMatroid.apply_ops`` as a chain of one-op minors.
 
@@ -143,9 +157,9 @@ def _remove_reference(m, op):
     basis, cobasis = m.basis_labels, m.cobasis_labels
     if in_basis:
         return BinaryMatroid(basis[:idx] + basis[idx + 1:], cobasis,
-                             m.a.drop_row(idx)), route
+                             drop_row(m.a, idx)), route
     return BinaryMatroid(basis, cobasis[:idx] + cobasis[idx + 1:],
-                         m.a.drop_col(idx)), route
+                         drop_col(m.a, idx)), route
 
 
 def cycle_matroid_reference(g) -> BinaryMatroid:

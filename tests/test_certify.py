@@ -153,24 +153,27 @@ def test_replay_case_error_carries_case_name():
 
 
 def test_replay_keeps_the_search_capacity_guards():
-    # A host of 22 elements, or a catalog target of 18, exceeds the minor
-    # search's limits; replay reports the CapacityError as an InputError.
+    # A host of 21 elements (22 less one deletion) whose rank and corank
+    # leave M(K5) open exceeds the minor search's host limit; replay reports
+    # the CapacityError as an InputError.
     wide = BinaryMatroid(
-        ("b1",), tuple(f"s{j}" for j in range(22)), Gf2Matrix(1, 22, (0,))
+        tuple(f"b{i}" for i in range(5)), tuple(f"s{j}" for j in range(17)),
+        Gf2Matrix(5, 17, (0,) * 5),
     )
-    cases = [
-        CertificateCase(
-            name="wide", base=write_matrix_file(wide, name="wide"),
-            ops=(delete("s0"),), targets=("M(K5)",), expected="M(K5)",
-        ),
-        CertificateCase(
-            name="big-target", base="g25", ops=(contract("r5"),),
-            targets=("g1",), expected="g1",
-        ),
-    ]
-    for case in cases:
-        with pytest.raises(InputError, match=f"{case.name}: .*limited to"):
-            replay_case(case)
+    case = CertificateCase(
+        name="wide", base=write_matrix_file(wide, name="wide"),
+        ops=(delete("s0"),), targets=("M(K5)",), expected="M(K5)",
+    )
+    with pytest.raises(InputError, match="wide: minor search hosts limited to 20"):
+        replay_case(case)
+    # A target of 18 elements has no limit of its own: g1 has rank 7, above
+    # the 6 of g25 / r5, so the counts answer "no" with no search.
+    big_target = CertificateCase(
+        name="big-target", base="g25", ops=(contract("r5"),),
+        targets=("g1",), expected="g1",
+    )
+    report = replay_case(big_target)
+    assert report.verdict is None and not report.matched_expected
 
 
 def test_replay_all_empty_list():

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 from random import Random
 
@@ -13,6 +14,8 @@ import pytest
 
 from gf2minor.catalog import catalog_names, get_named, parse_matrix_file, write_matrix_file
 from gf2minor.cli import execute_command, main
+from gf2minor.gf2 import Gf2Matrix
+from gf2minor.matroid import BinaryMatroid, Graph
 from gf2minor.minors import check_graphic_cocircuits
 
 from gen import coloop_host_of_22_elements, random_matroid
@@ -118,6 +121,25 @@ def test_minor_size_obstruction(capsys):
     code, out, _ = run(capsys, "minor", "--matroid", "M_K33", "--target", "M_K5")
     assert code == 1
     assert "no minor" in out
+
+
+@pytest.mark.parametrize("rank, code, text", [
+    (0, 1, "no minor: F7 not contained in"),
+    (5, 2, "minor search hosts limited to 20 elements, got 21"),
+], ids=["counted-out", "open"])
+def test_minor_hosts_past_the_limit(tmp_path, capsys, rank, code, text):
+    # Rank and corank answer before the 20-element host guard: 21 loops
+    # (rank 0) cannot hold F7 (rank 3), while a host of rank 5 and corank
+    # 16 leaves the question open and is refused.
+    c = 21 - rank
+    host = BinaryMatroid(
+        tuple(f"b{i}" for i in range(rank)), tuple(f"s{j}" for j in range(c)),
+        Gf2Matrix(rank, c, (0,) * rank),
+    )
+    path = tmp_path / "host.mat"
+    path.write_text(write_matrix_file(host))
+    got, out, err = run(capsys, "minor", "--matroid", str(path), "--target", "F7")
+    assert got == code and text in out + err
 
 
 def test_minor_with_ops_and_witness(capsys):
@@ -245,6 +267,64 @@ def test_cocircuits_check_graphic(capsys):
     )
     assert code == 0
     assert "all cocircuits graphic: yes" in out
+
+
+def f7_with_a_coloop() -> BinaryMatroid:
+    """F7 and a coloop c: deleting the cocircuit {c} leaves F7, and deleting
+    any other cocircuit leaves a graphic matroid."""
+    f7 = get_named("F7")
+    return BinaryMatroid(
+        f7.basis_labels + ("c",), f7.cobasis_labels,
+        Gf2Matrix(4, 4, f7.a.rows + (0,)),
+    )
+
+
+def test_cocircuits_check_graphic_audits_every_certificate(tmp_path, capsys, monkeypatch):
+    import gf2minor.cli as cli
+
+    m = f7_with_a_coloop()
+    path = tmp_path / "f7c.mat"
+    path.write_text(write_matrix_file(m))
+    calls = []
+    for name in ("verify_graph", "verify_witness"):
+        real = getattr(cli, name)
+        monkeypatch.setattr(
+            cli, name, lambda *a, real=real: calls.append(a) or real(*a)
+        )
+    code, out, err = run(capsys, "cocircuits", "--matroid", str(path), "--check-graphic")
+    assert code == 1 and err == ""
+    assert "{c}: deletion NOT graphic" in out
+    assert len(calls) == len(check_graphic_cocircuits(m).checks) > 1
+
+
+def test_cocircuits_check_graphic_rejected_certificate_exits_2(tmp_path, capsys, monkeypatch):
+    import gf2minor.cli as cli
+    from gf2minor.audit import MinorWitness, verify_graph, verify_witness
+
+    m = f7_with_a_coloop()
+    path = tmp_path / "f7c.mat"
+    path.write_text(write_matrix_file(m))
+    report = check_graphic_cocircuits(m)
+    graph_at = next(i for i, c in enumerate(report.checks) if c.graphic)
+    minor_at = next(i for i, c in enumerate(report.checks) if not c.graphic)
+    g = report.checks[graph_at].certificate
+    *rest, (u, v, label) = g.edges
+    moved = Graph(g.n_vertices, (*rest, (u, (v + 1) % g.n_vertices, label)))
+    name, w = report.checks[minor_at].certificate
+    (t1, h1), (t2, h2), *pairs = w.mapping
+    swapped = (name, MinorWitness(
+        w.contract_set, w.delete_set, ((t1, h2), (t2, h1), *pairs)
+    ))
+    assert not verify_graph(m.delete_all(report.checks[graph_at].cocircuit), moved)
+    assert not verify_witness(m, get_named(name), swapped[1])
+    for at, cert in ((graph_at, moved), (minor_at, swapped)):
+        checks = list(report.checks)
+        checks[at] = replace(checks[at], certificate=cert)
+        tampered = replace(report, checks=tuple(checks))
+        monkeypatch.setattr(cli, "check_graphic_cocircuits", lambda m: tampered)
+        code, _, err = run(capsys, "cocircuits", "--matroid", str(path), "--check-graphic")
+        assert code == 2
+        assert err == "error: certificate REJECTED by the independent check\n"
 
 
 def test_cocircuits_check_graphic_capacity_guard_exits_2(tmp_path, capsys):

@@ -1,6 +1,6 @@
 """No module of the package binds an imported name that it never reads,
 imports a private name from another, or leaves a private function or class
-unread."""
+unread; no source file needs a Python newer than 3.10."""
 
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ from pathlib import Path
 import gf2minor
 
 SRC = Path(gf2minor.__file__).parent
+ROOT = SRC.parents[1]
 
 # Re-exports kept only because the benchmark reads them at ``minors``;
 # ROADMAP item 3's benchmark change points it at their home modules and
@@ -136,3 +137,68 @@ def test_every_private_definition_is_read():
         for path in sorted(SRC.glob("*.py"))
     }
     assert unread_private_definitions(trees) == set()
+
+
+def test_no_module_reads_the_target_limit():
+    # Rank and corank answer first, and HOST_LIMIT bounds every target the
+    # search meets; minors.TARGET_LIMIT stays bound for bench/test_bench.py.
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")]
+    assert sum(reads(tree)["TARGET_LIMIT"] for tree in trees) == 0
+    assert gf2minor.minors.TARGET_LIMIT == 12
+
+
+# Standard-library names that Python 3.11 added, by module; "builtins" are
+# read without an import.
+NEW_IN_3_11 = {
+    "tomllib": None,
+    "typing": {"Self"},
+    "enum": {"StrEnum"},
+    "datetime": {"UTC"},
+    "asyncio": {"TaskGroup"},
+    "builtins": {"ExceptionGroup", "BaseExceptionGroup"},
+}
+
+
+def names_new_in_3_11(tree: ast.Module) -> set[str]:
+    """The names of ``NEW_IN_3_11`` that ``tree`` imports or reads."""
+    def new(module: str, name: str | None = None) -> bool:
+        return module in NEW_IN_3_11 and (
+            NEW_IN_3_11[module] is None or name in NEW_IN_3_11[module]
+        )
+
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(a.name for a in node.names if new(a.name.partition(".")[0]))
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.update(
+                f"{node.module}.{a.name}" for a in node.names if new(node.module, a.name)
+            )
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if new(node.value.id, node.attr):
+                found.add(f"{node.value.id}.{node.attr}")
+        elif isinstance(node, ast.Name) and new("builtins", node.id):
+            found.add(node.id)
+    return found
+
+
+def test_names_new_in_3_11_are_found():
+    tree = ast.parse(
+        "import tomllib, typing\n"
+        "from typing import Self, Any\n"
+        "from enum import StrEnum\n"
+        "import datetime, asyncio\n"
+        "print(datetime.UTC, asyncio.TaskGroup, typing.Optional, ExceptionGroup)\n"
+    )
+    assert names_new_in_3_11(tree) == {
+        "tomllib", "typing.Self", "enum.StrEnum", "datetime.UTC",
+        "asyncio.TaskGroup", "ExceptionGroup",
+    }
+
+
+def test_every_source_file_runs_on_python_3_10():
+    paths = [p for d in ("src", "tests", "bench") for p in sorted((ROOT / d).rglob("*.py"))]
+    assert len(paths) > 20
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+        assert names_new_in_3_11(tree) == set(), path

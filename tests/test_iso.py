@@ -125,6 +125,13 @@ def test_signature_capacity_guard():
         find_isomorphism(m, m)
 
 
+def test_ranks_and_coranks_answer_past_the_enumeration_limit():
+    big, small = random_matroid(Random(25), 25, 25), random_matroid(Random(8), 8, 8)
+    assert (big.size, small.size) == (25, 8)
+    assert find_isomorphism(big, small) is None
+    assert find_isomorphism(small, big) is None
+
+
 def test_reflexivity_with_identity_on_catalog():
     for name in catalog_names():
         m = get_named(name)

@@ -81,18 +81,49 @@ def test_minors_never_gain_elements():
     assert find_minor_witness(get_named("F7"), get_named("M(K5)")) is None
 
 
-def test_search_capacity_guards():
-    big = BinaryMatroid(
-        (), tuple(f"s{j}" for j in range(21)), Gf2Matrix(0, 21, ())
+def standard_form(rng: Random, size: int, rank: int) -> BinaryMatroid:
+    """A random matroid of the given size and rank, labels x1.. and y1.."""
+    c = size - rank
+    return BinaryMatroid(
+        tuple(f"x{i + 1}" for i in range(rank)), tuple(f"y{j + 1}" for j in range(c)),
+        Gf2Matrix(rank, c, tuple(rng.getrandbits(c) for _ in range(rank))),
     )
-    with pytest.raises(CapacityError):
-        find_minor_witness(big, get_named("F7"))
-    host = get_named("F7")
+
+
+def test_search_capacity_guards():
+    # The host guard holds when rank and corank leave the question open
+    # (F7 has rank 3 and corank 4); a target has no size limit of its own.
+    host = standard_form(Random(21), 21, 5)
+    with pytest.raises(CapacityError) as err:
+        find_minor_witness(host, get_named("F7"))
+    assert str(err.value) == "minor search hosts limited to 20 elements, got 21"
     wide = BinaryMatroid(
         (), tuple(f"s{j}" for j in range(13)), Gf2Matrix(0, 13, ())
     )
-    with pytest.raises(CapacityError):
-        find_minor_witness(host, wide)
+    assert find_minor_witness(get_named("F7"), wide) is None
+
+
+@pytest.mark.parametrize("size, rank, seed", [(13, 8, 21), (20, 12, 32)])
+def test_targets_past_twelve_elements_are_searched(size, rank, seed):
+    rng = Random(seed)
+    target = standard_form(rng, size, rank)
+    host = planted_host(rng, target, 20 - size)
+    assert host.size == 20
+    w = find_minor_witness(host, target)
+    assert w is not None and verify_witness(host, target, w)
+
+
+def test_rank_and_corank_answer_before_any_guard():
+    f7 = get_named("F7")
+    coloops = BinaryMatroid(
+        tuple(f"b{i}" for i in range(30)), (), Gf2Matrix(30, 0, (0,) * 30)
+    )
+    loops = BinaryMatroid((), tuple(f"s{j}" for j in range(21)), Gf2Matrix(0, 21, ()))
+    before = minors._target_data.cache_info()
+    assert find_minor_witness(f7, coloops) is None  # higher rank, 30 elements
+    assert find_minor_witness(f7, loops) is None  # higher corank
+    assert find_minor_witness(loops, f7) is None  # a 21-element host of rank 0
+    assert minors._target_data.cache_info() == before
 
 
 def test_search_is_deterministic():
