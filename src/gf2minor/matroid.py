@@ -332,10 +332,18 @@ def minimal_supports(basis: list[int],
     cycle vectors, which each own a private bit).  With ``histogram`` the
     answer is None unless it is ``weight_histogram(basis)``; the walk stops
     at the first weight that occurs too often, usually after a few XORs.
-    Lightest first, as ``lightest_minimal`` yields them.
+    Lightest first: the span sorted by weight, stably, less each vector
+    that holds one kept before it.
     """
     vectors = span_vectors(basis, histogram)
-    return None if vectors is None else list(lightest_minimal(vectors))
+    if vectors is None:
+        return None
+    vectors.sort(key=int.bit_count)
+    minimal: list[int] = []
+    for s in vectors:
+        if not any(m & s == m for m in minimal):
+            minimal.append(s)
+    return minimal
 
 
 def span_vectors(basis: list[int],
@@ -361,21 +369,6 @@ def span_vectors(basis: list[int],
             if left[w] < 0:
                 return None
     return vectors
-
-
-def lightest_minimal(vectors: list[int]) -> Iterator[int]:
-    """The inclusion-minimal supports among ``vectors``, lightest first.
-
-    ``vectors`` is sorted in place by weight, stably, so ties keep their
-    order; each minimal support is yielded as soon as it is found, and a
-    caller that stops early skips the minimality test on the rest.
-    """
-    vectors.sort(key=int.bit_count)
-    minimal: list[int] = []
-    for s in vectors:
-        if not any(m & s == m for m in minimal):
-            minimal.append(s)
-            yield s
 
 
 def weight_histogram(basis: list[int]) -> tuple[int, ...]:

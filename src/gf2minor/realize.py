@@ -7,23 +7,23 @@ It has two stages.  ``_star_families`` contracts each class of elements
 in series (equal columns over the cycle basis, ``matroid.equal_columns``) to
 one edge; the cosimple rest of rank r >= 2 is graphic exactly when r + 1 of
 its cocircuits, the vertex stars, cover every element twice and have rank
-r.  Cocircuits are read lazily, lightest first, from the span of
-``cocycle_rows``, until r + 1 forced stars are found (Y is forced when the
-component that ``_component`` grows in M \\ Y is all of it) or up to the
-weight that the stars still missing can carry.  ``_lay_out`` joins the
-stars by edges and subdivides each series edge back; ``realizable`` is the
-verdict of the first stage alone.  None means not graphic, and
-``minors._certificate`` then finds an excluded minor.  Only bitmask
-elimination (``matroid.delete_cycles`` for the forced stars) is used here,
-never the rank routine of ``audit``, so that ``audit.verify_graph`` shares
-no code with the realization it checks.
+r.  Cocycles, the span of ``cocycle_rows``, are read lightest first and
+each deleted from the cycle basis: a rank drop of 1 marks a cocircuit Y,
+forced when the component ``_component`` grows in M \\ Y is all of it.
+Reading stops at r + 1 forced stars or past the weight that the stars
+still missing can carry.  ``_lay_out`` joins the stars by edges and
+subdivides each series edge back; ``realizable`` is the verdict of the
+first stage alone.  None means not graphic, and ``minors._certificate``
+then finds an excluded minor.  Only bitmask elimination
+(``matroid.delete_cycles``, once per cocycle read) is used here, never the
+rank routine of ``audit``, so that ``audit.verify_graph`` shares no code
+with the realization it checks.
 """
 
 from __future__ import annotations
 
 from .matroid import (
-    delete_cycles, equal_columns, extend_echelon, lightest_minimal, mask_positions,
-    span_vectors,
+    delete_cycles, equal_columns, extend_echelon, mask_positions, span_vectors,
 )
 
 
@@ -86,17 +86,20 @@ def _stars(cycles: list[int], ground: int, rank: int) -> list[int] | None:
     ``rank``.  Conversely such a family is the star family of a graph whose
     cut space, hence whose cycle matroid, is M's.
 
-    A cocircuit Y with M \\ Y connected, a bond whose sides do not both
-    have an edge (read off ``cycles`` with Y deleted), is a star of every
-    such G.  These forced stars F are taken first, from the cocircuits read
-    lightest first.  A star family holds F, and its ``rank`` + 1 members
-    weigh at least 3 each and 2|ground| in all, so no other member weighs
-    more than 3 + spare, where spare is 2|ground| - 3(``rank`` + 1) less the
-    sum of |f| - 3 over F.  The reading stops at the first heavier
-    cocircuit, before the first if spare < 0, or once F has ``rank`` + 1
-    members, which can then only be the family.  The verdict is that of a
-    full read: a forced cocircuit left unread is a star of every
-    realization, so of any family found among those read, which it is not.
+    The cocycles, the span of ``cocycle_rows``, are read lightest first.
+    Deleting one, Y, from ``cycles`` lowers the rank by its nullity in M*:
+    1 for a cocircuit, at least k for a union of k disjoint ones, which is
+    skipped.  A cocircuit Y with M \\ Y connected (read off the same
+    deletion: a bond whose sides do not both have an edge) is a star of
+    every such G.  These forced stars F are taken first.  A star family
+    holds F, and its ``rank`` + 1 members weigh at least 3 each and
+    2|ground| in all, so no other member weighs more than 3 + spare, where
+    spare is 2|ground| - 3(``rank`` + 1) less the sum of |f| - 3 over F.
+    The reading stops at the first heavier cocycle, before the first if
+    spare < 0, or once F has ``rank`` + 1 members, which can then only be
+    the family.  The verdict is that of a full read: a forced cocircuit
+    left unread is a star of every realization, so of any family found
+    among those read, which it is not.
 
     When the forced stars fall short, the rest are found among those read
     by an exact depth-first search that branches on the open element with
@@ -116,11 +119,14 @@ def _stars(cycles: list[int], ground: int, rank: int) -> list[int] | None:
     span: list[int] = []
     once = twice = 0
     read: list[int] = []  # the cocircuits read that are not forced
-    for y in lightest_minimal(span_vectors(rows)):
+    for y in sorted(span_vectors(rows), key=int.bit_count):
         if y.bit_count() - 3 > spare:
             break  # too heavy for any family holding the forced stars
+        left, drop = delete_cycles(cycles, y)
+        if drop != 1:
+            continue  # a union of two or more cocircuits
         rest = ground & ~y
-        if _component(delete_cycles(cycles, y)[0], rest) != rest:
+        if _component(left, rest) != rest:
             read.append(y)
             continue
         if y & twice:

@@ -17,7 +17,7 @@ from functools import cached_property
 from pathlib import Path
 from random import Random
 
-from gf2minor import audit, matroid, minors, realize
+from gf2minor import audit, matroid, minors
 from gf2minor.audit import MinorWitness, verify_witness
 from gf2minor.catalog import get_named
 from gf2minor.certify import builtin_cases, replay_case
@@ -149,17 +149,12 @@ def test_audit_survives_a_corrupted_circuit_kernel(monkeypatch):
     ]
 
     kernel = matroid.minimal_supports
-    lazy_kernel = matroid.lightest_minimal
 
     def drop_last(basis):
         return kernel(basis)[:-1]
 
-    def drop_last_lazily(vectors):
-        return iter(list(lazy_kernel(vectors))[:-1])
-
     for module in (matroid, minors):
         monkeypatch.setattr(module, "minimal_supports", drop_last)
-    monkeypatch.setattr(realize, "lightest_minimal", drop_last_lazily)
     assert len(target.circuits()) == 36  # M(K5) has 37: the mutation bites
     assert verify_witness(host, target, w)
     for t in tampered:

@@ -23,7 +23,7 @@ from gf2minor import minors, realize
 from gf2minor.audit import verify_graph, verify_witness
 from gf2minor.catalog import catalog_names, get_named
 from gf2minor.errors import InputError
-from gf2minor.gf2 import Gf2Matrix
+from gf2minor.gf2 import Gf2Matrix, rank_of_vectors
 from gf2minor.matroid import (
     BinaryMatroid,
     Graph,
@@ -36,6 +36,9 @@ from gf2minor.matroid import (
     delete_cycles,
     equal_columns,
     extend_echelon,
+    mask_positions,
+    span_vectors,
+    support,
 )
 from gf2minor.minors import (
     GRAPHICNESS_EXCLUDED,
@@ -402,20 +405,18 @@ def test_tidy_matches_the_reference_on_every_catalog_call(monkeypatch):
 
 
 def counting_reads(monkeypatch) -> list[int]:
-    """Cocircuits the star search reads from its stream, one count per call."""
-    stream = realize.lightest_minimal
+    """Cocircuits the star search reads, in order: the cocycles whose
+    deletion from the cycle basis lowers the rank by exactly 1."""
+    kernel = realize.delete_cycles
     reads: list[int] = []
 
-    def counted(vectors):
-        reads.append(0)
-        return each(stream(vectors), len(reads) - 1)
+    def counted(vectors, mask):
+        out = kernel(vectors, mask)
+        if out[1] == 1:
+            reads.append(mask)
+        return out
 
-    def each(cocircuits, call):
-        for y in cocircuits:
-            reads[call] += 1
-            yield y
-
-    monkeypatch.setattr(realize, "lightest_minimal", counted)
+    monkeypatch.setattr(realize, "delete_cycles", counted)
     return reads
 
 
@@ -429,7 +430,7 @@ def star_searches(m: BinaryMatroid, monkeypatch) -> list[tuple]:
     def spy(cycles, ground, rank):
         before = len(reads)
         stars = search(cycles, ground, rank)
-        calls.append((cycles, ground, rank, stars, reads[-1] if len(reads) > before else 0))
+        calls.append((cycles, ground, rank, stars, len(reads) - before))
         return stars
 
     monkeypatch.setattr(realize, "_stars", spy)
@@ -453,7 +454,7 @@ def assert_stars_match_the_reference(matroids, monkeypatch) -> Counter:
     """``_stars`` answers as ``stars_reference`` on each call; outcome counts.
 
     "dfs" counts the families found with fewer than rank + 1 forced stars,
-    "cut" the calls whose forced stars fell short and whose stream stopped
+    "cut" the calls whose forced stars fell short and whose reading stopped
     before its last cocircuit, and "past" those with a forced cocircuit
     left unread, which must answer None.
     """
@@ -560,7 +561,7 @@ def test_stars_match_the_reference_on_2_sums(monkeypatch):
     # Two graphs glued along an edge that is then deleted are 2-connected
     # but not 3-connected, as g6 is: the stars at the two glued vertices are
     # not forced, so the depth-first search runs on the cocircuits read
-    # before the stream stopped at the weight the missing stars can carry.
+    # before reading stopped at the weight the missing stars can carry.
     # With an excluded minor on one side a forced cocircuit can lie past
     # that cut, and then no star family exists.
     rng = Random(0x57A28)
@@ -613,36 +614,32 @@ def test_cubic_graphs_use_the_whole_weight_budget(monkeypatch):
 
 def star_deletions(m: BinaryMatroid, monkeypatch) -> int:
     """Cocircuits that ``graphic_certificate(m)`` deletes from the cycle
-    basis; m must be graphic."""
-    eliminations = []
-    kernel = realize.delete_cycles
-
-    def counting(vectors, mask):
-        eliminations.append(mask)
-        return kernel(vectors, mask)
-
-    monkeypatch.setattr(realize, "delete_cycles", counting)
+    basis, told from unions of cocircuits by their rank drop of 1; m must
+    be graphic."""
+    reads = counting_reads(monkeypatch)
     assert verify_graph(m, graphic_certificate(m))
-    return len(eliminations)
+    return len(reads)
 
 
-@pytest.mark.parametrize("name", ["g18", "M(K5)"])
-def test_forced_star_test_stops_at_a_complete_family(name, monkeypatch):
+@pytest.mark.parametrize(
+    "name, read", [pytest.param("g18", 11, id="g18"), pytest.param("M(K5)", 5, id="M(K5)")])
+def test_forced_star_test_stops_at_a_complete_family(name, read, monkeypatch):
     # The forced-star test deletes each cocircuit it reads from the cycle
     # basis; once rank + 1 forced stars are found no more are read.  On g18
     # the 10 stars are the first 11 of its 146 cocircuits by weight.
     m = get_named(name)
-    assert star_deletions(m, monkeypatch) <= m.full_rank + 2
+    assert star_deletions(m, monkeypatch) == read <= m.full_rank + 2
 
 
-@pytest.mark.parametrize("name, most", [("g6", 46), ("g1", 42)])
-def test_forced_star_test_stops_at_the_weight_budget(name, most, monkeypatch):
+@pytest.mark.parametrize("name, read", [("g6", 46), ("g1", 42)])
+def test_forced_star_test_stops_at_the_weight_budget(name, read, monkeypatch):
     # g6's forced stars fall short (8 of 10), so the search cannot stop at a
-    # complete family; it stops at the first cocircuit heavier than the
+    # complete family; it stops at the first cocycle heavier than the
     # missing two stars can be, after 46 of its 147 cocircuits.  On g1 the
     # cut comes after 42 of 78 only because each forced star heavier than 3
-    # lowers the weight left for the others.
-    assert star_deletions(get_named(name), monkeypatch) <= most
+    # lowers the weight left for the others.  The unions of cocircuits met
+    # on the way are deleted too, and skipped by their rank drop.
+    assert star_deletions(get_named(name), monkeypatch) == read
 
 
 def test_the_cut_can_change_which_star_family_comes_first():
@@ -736,6 +733,47 @@ def test_cocycle_rows_span_the_cocycle_space():
             seen["simple"] += not expected and len(vectors) > 1
     assert seen["parallel"] and seen["simple"]
 
+
+def test_rank_drop_of_a_cocycle_is_one_exactly_for_a_cocircuit():
+    # Deleting a mask from a cycle basis counts r(M) - r(M \ mask), the
+    # nullity of the mask in M*: on random masks it matches ranks of the
+    # columns of the reference's cocycle rows, and over the cocycles it is
+    # 1 exactly on the cocircuits, which ``_stars`` picks out by it alone.
+    # Fundamental circuits of random matroids, with loops and coloops, and
+    # of their deletions and contractions.
+    rng = Random(0xD50F)
+    seen = Counter()
+    for _ in range(60):
+        m = random_matroid(rng, 10)
+        full = (1 << m.size) - 1
+        cycles = m.fundamental_cycles()
+        mask = full & rng.getrandbits(m.size)
+        cases = [
+            (cycles, full),
+            (delete_cycles(cycles, mask)[0], full & ~mask),
+            (contract_cycles(cycles, mask), full & ~mask),
+        ]
+        for vectors, ground in cases:
+            rows, cocircuits = cocircuits_reference(vectors, ground)
+            cocycles = span_vectors(cocycle_rows(vectors, ground))
+            drops = {y: delete_cycles(vectors, y)[1] for y in cocycles}
+            assert {y for y, drop in drops.items() if drop == 1} == set(cocircuits)
+            seen.update(drops.values())
+            columns = {
+                p: sum(1 << i for i, row in enumerate(rows) if row >> p & 1)
+                for p in mask_positions(ground)
+            }
+
+            def rank(x: int) -> int:
+                return rank_of_vectors(columns[p] for p in mask_positions(x))
+
+            assert rank(ground) == len(rows)
+            for _ in range(4):
+                x = ground & rng.getrandbits(m.size)
+                assert delete_cycles(vectors, x)[1] == rank(ground) - rank(ground & ~x)
+            seen["loop"] += any(v.bit_count() == 1 for v in vectors)
+            seen["coloop"] += bool(ground & ~support(vectors))
+    assert seen[1] and seen[2] and seen[3] and seen["loop"] and seen["coloop"]
 
 # -- edge cases -------------------------------------------------------------------
 
