@@ -7,9 +7,10 @@ It has two stages.  ``_star_families`` contracts each class of elements
 in series (equal columns over the cycle basis, ``matroid.equal_columns``) to
 one edge; the cosimple rest of rank r >= 2 is graphic exactly when r + 1 of
 its cocircuits, the vertex stars, cover every element twice and have rank
-r.  Cocycles, the span of ``cocycle_rows``, are read lightest first and
-each deleted from the cycle basis: a rank drop of 1 marks a cocircuit Y,
-forced when the component ``_component`` grows in M \\ Y is all of it.
+r.  Cocycles, the span of the rows of [I | A] that ``cocycle_rows`` reads
+off the fundamental circuits with no elimination, are read lightest first
+and each deleted from the cycle basis: a rank drop of 1 marks a cocircuit
+Y, forced when the component ``_component`` grows in M \\ Y is all of it.
 Reading stops at r + 1 forced stars or past the weight that the stars
 still missing can carry.  ``_lay_out`` joins the stars by edges and
 subdivides each series edge back; ``realizable`` is the verdict of the
@@ -28,21 +29,25 @@ from .matroid import (
 
 
 def cocycle_rows(cycles: list[int], ground: int) -> list[int]:
-    """Rows of [I | A] spanning the cocycle space of M|ground, whose cycle
-    space ``cycles`` span.  In their reduced echelon basis
-    (``matroid.extend_echelon``) the pivots are a cobasis; each other element
-    f gets its fundamental cocircuit, f and the pivots of the basis vectors
-    holding f."""
-    basis: list[int] = []
+    """Rows of [I | A] spanning the cocycle space of M|ground, read off its
+    fundamental circuits ``cycles`` as the rows of their transpose.  Each
+    circuit has a bit that no other has; its highest such bit is its cobasis
+    element f, as in ``fundamental_cycles``.  Every other element e gets its
+    fundamental cocircuit, e and the f of each circuit holding e (none for a
+    coloop)."""
+    once = twice = 0
     for v in cycles:
-        basis = extend_echelon(basis, v) or basis
-    pivots = 0
-    for b in basis:
-        pivots |= b & -b
-    return [
-        1 << f | sum(b & -b for b in basis if b >> f & 1)
-        for f in mask_positions(ground & ~pivots)
-    ]
+        twice |= once & v
+        once |= v
+    own = [(1 << (v & ~twice).bit_length()) >> 1 for v in cycles]
+    rows = []
+    for e in mask_positions(ground & ~sum(own)):
+        row = bit = 1 << e
+        for v, f in zip(cycles, own):
+            if v & bit:
+                row |= f
+        rows.append(row)
+    return rows
 
 
 def _component(circuits: list[int], ground: int) -> int:

@@ -29,7 +29,6 @@ from gf2minor.matroid import (
     equal_columns,
     support,
 )
-from gf2minor.realize import cocycle_rows
 
 from gen import exchanged
 
@@ -536,13 +535,28 @@ def delete_cycles_reference(vectors, mask):
     return vectors, lost
 
 
+def echelon_cocycle_rows_reference(cycles, ground):
+    """Rows of [I | A] spanning the cocycle space of M|ground, whose cycle
+    space ``cycles`` span, by a fold: in their reduced echelon basis the
+    pivots are a cobasis, and each other element f of ``ground`` gets f and
+    the pivots of the basis vectors holding f.  Any spanning set will do.
+    """
+    basis = reduced_echelon_reference(cycles)
+    pivots = [b & -b for b in basis]
+    return [
+        1 << f | sum(pivot for b, pivot in zip(basis, pivots) if b >> f & 1)
+        for f in range(ground.bit_length())
+        if ground >> f & 1 and 1 << f not in pivots
+    ]
+
+
 def tidy_reference(cycles, alive):
     """``minors._tidy`` with its parallel classes read as equal columns over
-    the reduced echelon cocycle rows (``realize.cocycle_rows``), a fold per
-    call.  This is the loop that the direct read off the fundamental
-    circuits replaced, kept to check it; same arguments and result.  Its
-    other steps call the same kernels as ``_tidy``, which their own
-    references check.
+    the cocycle rows of a reduced echelon fold
+    (``echelon_cocycle_rows_reference``), one per call.  This is the loop
+    that the direct read off the fundamental circuits replaced, kept to
+    check it; same arguments and result.  Its other steps call the same
+    kernels as ``_tidy``, which their own references check.
     """
     contracted = 0
     while True:
@@ -555,7 +569,7 @@ def tidy_reference(cycles, alive):
             alive &= ~(coloops | loops | series)
             cycles = contract_cycles(cycles, loops | series)
             continue
-        rows = cocycle_rows(cycles, alive)
+        rows = echelon_cocycle_rows_reference(cycles, alive)
         parallel = sum(c & (c - 1) for c in equal_columns(rows, alive))
         if not parallel:
             return cycles, alive, contracted
@@ -566,19 +580,21 @@ def tidy_reference(cycles, alive):
 def cocircuits_reference(cycles, ground):
     """The cocircuits of M|ground, lightest first, from fundamental circuits.
 
-    ``cycles`` are fundamental circuits of M|ground.  Their reduced echelon
-    basis gives the rows of [I | A] over the non-pivot elements, which span
-    the cocycles; the g-th nonzero combination of the rows, g = 1, 2, ...,
-    takes the rows set in the Gray code g ^ (g >> 1).  The combinations are
-    sorted by weight, ties kept in that order, and the inclusion-minimal
-    ones are kept.
+    ``cycles`` are fundamental circuits of M|ground: each has a position
+    that no other has, and its highest such position is its cobasis
+    element.  Every other position f of ``ground`` gets a row of [I | A],
+    f and the cobasis elements of the circuits that hold f; together the
+    rows span the cocycles.  The g-th nonzero combination of the rows,
+    g = 1, 2, ..., takes the rows set in the Gray code g ^ (g >> 1).  The
+    combinations are sorted by weight, ties kept in that order, and the
+    inclusion-minimal ones are kept.
     """
-    basis = reduced_echelon_reference(cycles)
-    pivots = [b & -b for b in basis]
+    holders = {p: [c for c in cycles if c >> p & 1] for p in range(ground.bit_length())}
+    own = [max(p for p in range(c.bit_length()) if holders[p] == [c]) for c in cycles]
     rows = [
-        1 << f | sum(pivot for b, pivot in zip(basis, pivots) if b >> f & 1)
+        1 << f | sum(1 << p for c, p in zip(cycles, own) if c >> f & 1)
         for f in range(ground.bit_length())
-        if ground >> f & 1 and 1 << f not in pivots
+        if ground >> f & 1 and f not in own
     ]
     combos = []
     for g in range(1, 1 << len(rows)):

@@ -665,7 +665,7 @@ def test_the_cut_can_change_which_star_family_comes_first():
 
 def test_extend_fold_matches_the_reduced_echelon_reference():
     # Folding extend_echelon over a list gives the reference's basis, vectors and
-    # order alike, so the rows of cocycle_rows cannot drift; None comes
+    # order alike, so cycle_matroid's forest cannot drift; None comes
     # exactly when the rank does not grow, and the basis passed in, which
     # the star search shares between branches, is left as it was.
     rng = Random(0xEC4E1)
@@ -694,12 +694,18 @@ def test_extend_fold_matches_the_reduced_echelon_reference():
 
 
 def test_cocycle_rows_span_the_cocycle_space():
-    # On fundamental circuits of random matroids and of their deletions and
-    # contractions, the rows are cocycles (each meets every cycle evenly) of
-    # rank |ground| - corank, so they span the cocycle space; another
-    # spanning set of the same cycle space, with a redundant vector, gives
-    # the same rows; and over them equal columns are the parallel classes
-    # (loops as one), as over the whole cocycle space.
+    # The rows are read off fundamental circuits, each with a bit that no
+    # other has.  On those of random matroids, of their deletions and
+    # contractions, and of each of these with its series extras cleared as
+    # ``_star_families`` clears them, the rows are cocycles (each meets
+    # every cycle evenly) of rank |ground| - corank, so they span the
+    # cocycle space; and over them equal columns are the parallel classes
+    # (loops as one), as over the whole cocycle space.  On m's own circuits
+    # they are the rows of [I | A].
+    for name in catalog_names():
+        for m in (get_named(name), get_named(name).dual()):
+            rows = cocycle_rows(m.fundamental_cycles(), (1 << m.size) - 1)
+            assert rows == [1 << i | row << m.full_rank for i, row in enumerate(m.a.rows)]
     rng = Random(0xC0C1C)
     seen = Counter()
     for _ in range(50):
@@ -712,17 +718,15 @@ def test_cocycle_rows_span_the_cocycle_space():
             (delete_cycles(cycles, mask)[0], full & ~mask),
             (contract_cycles(cycles, mask), full & ~mask),
         ]
+        for vectors, ground in list(cases):
+            extras = sum(cls & (cls - 1) for cls in equal_columns(vectors, ground))
+            cases.append(([v & ~extras for v in vectors], ground & ~extras))
+            seen["series"] += any(v & extras for v in vectors)
         for vectors, ground in cases:
             rows = cocycle_rows(vectors, ground)
             assert all(not row & ~ground for row in rows)
             assert all((row & c).bit_count() % 2 == 0 for row in rows for c in vectors)
             assert len(reduced_echelon_reference(rows)) == ground.bit_count() - len(vectors)
-            redundant = 0
-            for v in rng.sample(vectors, len(vectors) // 2):
-                redundant ^= v
-            other = [v ^ w for v, w in zip(vectors, vectors[1:] + [0])] + [redundant]
-            rng.shuffle(other)
-            assert cocycle_rows(other, ground) == rows
             expected = [
                 sum(1 << p for p in cls)
                 for cls in equal_columns_reference(cocycles_reference(vectors, ground), ground)
@@ -731,7 +735,44 @@ def test_cocycle_rows_span_the_cocycle_space():
             assert sorted(equal_columns(rows, ground)) == sorted(expected)
             seen["parallel"] += bool(expected)
             seen["simple"] += not expected and len(vectors) > 1
-    assert seen["parallel"] and seen["simple"]
+    assert seen["parallel"] and seen["simple"] and seen["series"]
+
+
+def test_minor_steps_keep_a_private_bit_in_every_circuit():
+    # cocycle_rows takes each circuit's cobasis element from a bit that no
+    # other circuit has.  Deletion, contraction, the two chained, and the
+    # tidy step after each keep such a bit in every vector they return, so
+    # every caller's circuits meet that contract.  The masks hold about a
+    # quarter of the elements each.
+    def private(vectors):
+        return all(
+            any(sum(w >> p & 1 for w in vectors) == 1 for p in mask_positions(v))
+            for v in vectors
+        )
+
+    rng = Random(0x9B1D)
+    seen = Counter()
+    for _ in range(60):
+        m = random_matroid(rng, 12, 8)
+        full = (1 << m.size) - 1
+        cycles = m.fundamental_cycles()
+        x, y = (full & rng.getrandbits(m.size) & rng.getrandbits(m.size) for _ in "xy")
+        deleted = delete_cycles(cycles, x)[0]
+        contracted = contract_cycles(cycles, x)
+        cases = [
+            (cycles, full),
+            (deleted, full & ~x),
+            (contracted, full & ~x),
+            (contract_cycles(deleted, y & ~x), full & ~x & ~y),
+            (delete_cycles(contracted, y & ~x)[0], full & ~x & ~y),
+        ]
+        for vectors, ground in cases:
+            assert private(vectors), (vectors, ground)
+            tidied, alive, _ = minors._tidy(vectors, ground)
+            assert private(tidied), (vectors, ground)
+            seen["tidied"] += alive != ground
+            seen["shared"] += support(vectors).bit_count() < sum(map(int.bit_count, vectors))
+    assert seen["tidied"] > 250 and seen["shared"] > 100
 
 
 def test_rank_drop_of_a_cocycle_is_one_exactly_for_a_cocircuit():
