@@ -8,13 +8,21 @@ searches and seeded isomorphism searches; on a mismatch it is printed so
 the differing lines can be found.  CLI_PINNED_SHA256 pins, the same way, what
 the command line prints and returns for a fixed set of commands, so that a
 change meant to keep behaviour can show the CLI's output byte-identical.
+REPORT_PINNED_SHA256 pins the paper's check: ``check_graphic_cocircuits`` on
+the 29 matroids N, the duals of the g and r catalog entries, with every
+cocircuit's labels and its certificate (the graph, or the excluded minor and
+its witness), computed under two hash seeds.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 from random import Random
 
 from gf2minor import catalog
@@ -29,6 +37,7 @@ from gen import planted_host, random_matroid, relabeled_copy
 
 PINNED_SHA256 = "00840d2e8d2e3e357dbe57b30ed9c85c774f7faf188f19cd1e2429c2f4291be9"
 CLI_PINNED_SHA256 = "650ccf7c4d3b65782182a449b5dd5b3bf5cf5da3d9ba39944e0353a560c175f4"
+REPORT_PINNED_SHA256 = "23305e33bcb05232d773fdc2d898825c4e07fa53457bb2675584720b5946126c"
 
 
 def _witness_text(w) -> str:
@@ -146,3 +155,41 @@ def test_cli_output_is_pinned(tmp_path, capsys):
     if digest != CLI_PINNED_SHA256:
         print(text)
     assert digest == CLI_PINNED_SHA256
+
+
+# One line per cocircuit check of each N: its sorted labels, then its graph
+# (vertex count and edges) or its excluded minor and witness.
+REPORT_SCRIPT = """
+import json, re
+from gf2minor import catalog
+from gf2minor.matroid import Graph
+from gf2minor.minors import check_graphic_cocircuits
+for name in catalog.catalog_names():
+    if not re.fullmatch(r"[gr][0-9]+", name):
+        continue
+    for check in check_graphic_cocircuits(catalog.get_named(name).dual()).checks:
+        cert = check.certificate
+        if isinstance(cert, Graph):
+            text = f"graph {cert.n_vertices} {list(cert.edges)}"
+        else:
+            text = f"minor {cert[0]} {json.dumps(cert[1].as_dict(), sort_keys=True)}"
+        print(f"{name}* {sorted(check.cocircuit)} {text}")
+"""
+
+
+def test_cocircuit_reports_are_pinned_across_hash_seeds():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    for seed in ("0", "31337"):
+        res = subprocess.run(
+            [sys.executable, "-c", REPORT_SCRIPT],
+            env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+        )
+        assert res.returncode == 0, res.stderr
+        assert len({line.split()[0] for line in res.stdout.splitlines()}) == 29
+        digest = hashlib.sha256(res.stdout.encode()).hexdigest()
+        if digest != REPORT_PINNED_SHA256:
+            print(res.stdout)
+        assert digest == REPORT_PINNED_SHA256, seed
