@@ -168,7 +168,7 @@ def cmd_cocircuits(args: argparse.Namespace) -> int:
     m = _load_matroid(args.matroid)
     if not args.check_graphic:
         elems = m.elements()
-        for y in cocircuit_masks(m):
+        for y, _ in cocircuit_masks(m):
             print(_set_str(mask_to_labels(y, elems)))
         return EXIT_OK
     report = check_graphic_cocircuits(m)
@@ -183,7 +183,7 @@ def cmd_cocircuits(args: argparse.Namespace) -> int:
 
 def cmd_info(args: argparse.Namespace) -> int:
     m = _load_matroid(args.matroid)
-    circuits = m.circuits()
+    circuits = m.circuit_masks()
     print(f"elements: {m.size}")
     print(f"rank: {m.full_rank}")
     print(f"corank: {m.corank}")

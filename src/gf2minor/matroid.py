@@ -292,10 +292,6 @@ class BinaryMatroid:
         elems = self.elements()
         return frozenset(mask_to_labels(m, elems) for m in self.circuit_masks())
 
-    def cocircuits(self) -> frozenset[frozenset[str]]:
-        """Circuits of the dual."""
-        return self.dual().circuits()
-
     def __str__(self) -> str:
         head = (
             f"BinaryMatroid(rank {self.full_rank}, {self.size} elements; "

@@ -19,9 +19,9 @@ names.  ``audit.verify_graph`` checks the graph and
 ``audit.verify_witness`` the minor; ``is_graphic`` is the bare verdict.
 Every graphicness answer, of m or of m \\ Y, comes from one routine,
 ``_certificate``, on fundamental circuits: ``check_graphic_cocircuits``
-deletes each Y from m's (``matroid.delete_cycles``) and never builds
-m \\ Y.  ``covering_cocircuit_witness`` is the paper's Lemma 1, solved by
-elimination on m's cocycle rows: no search and no size limit.
+reads each Y with its deletion from ``realize.cocircuit_deletions``, and
+never builds m \\ Y.  ``covering_cocircuit_witness`` is the paper's Lemma 1,
+solved by elimination on m's cocycle rows: no search and no size limit.
 
 Search shape: every minor arises as host / C \\ D with C independent of size
 rank(host) - rank(target) and D coindependent.  Since host / C depends only
@@ -92,10 +92,11 @@ from .matroid import (
     mask_positions,
     mask_to_labels,
     minimal_supports,
+    span_vectors,
     support,
     weight_histogram,
 )
-from .realize import cocycle_rows, realizable, realize_cycles
+from .realize import cocircuit_deletions, cocycle_rows, realizable, realize_cycles
 
 HOST_LIMIT = 20
 # Read by nothing in src; kept for bench/test_bench.py until ROADMAP item 3.
@@ -494,32 +495,32 @@ class CocircuitReport:
     all_graphic: bool
 
 
-def cocircuit_masks(m: BinaryMatroid) -> list[int]:
-    """The cocircuits of ``m``, masks over ``m.elements()`` positions, in the
-    one canonical order: by size, then by sorted labels.  The minimal
-    supports of the span of m's cocycle rows; CapacityError as ``cocircuits()``.
-    """
+def cocircuit_masks(m: BinaryMatroid) -> list[tuple[int, list[int]]]:
+    """The cocircuits Y of ``m``, masks over ``m.elements()`` positions, with
+    the fundamental circuits of m \\ Y, from ``cocircuit_deletions`` over
+    the span of m's cocycle rows, in the one canonical order: by size, then
+    by sorted labels.  CapacityError as ``circuit_masks``."""
     enumeration_guard(m.size)
     elems = m.elements()
-    masks = minimal_supports(cocycle_rows(m.fundamental_cycles(), (1 << m.size) - 1))
-    masks.sort(key=lambda y: (y.bit_count(), sorted(mask_to_labels(y, elems))))
-    return masks
+    cycles = m.fundamental_cycles()
+    cocycles = span_vectors(cocycle_rows(cycles, (1 << m.size) - 1))
+    pairs = list(cocircuit_deletions(cycles, cocycles))
+    pairs.sort(key=lambda pair: (pair[0].bit_count(), sorted(mask_to_labels(pair[0], elems))))
+    return pairs
 
 
 def check_graphic_cocircuits(m: BinaryMatroid) -> CocircuitReport:
     """For every cocircuit Y, report whether m \\ Y is graphic.
 
-    The cocircuits come in the order of ``cocircuit_masks``.  Y is deleted
-    from m's fundamental circuits by ``delete_cycles``, as in the survivor
-    search, and ``_certificate`` answers on what is left, a graph or an
-    excluded minor, kept as each check's certificate; m \\ Y is never built.
+    The cocircuits come in the order of ``cocircuit_masks``, each with the
+    circuits its deletion left, and ``_certificate`` answers on those, a
+    graph or an excluded minor, kept as each check's certificate; m \\ Y is
+    never built.
     """
     elems = m.elements()
     full = (1 << m.size) - 1
-    cycles = m.fundamental_cycles()
     checks = []
-    for y in cocircuit_masks(m):
-        vectors, _ = delete_cycles(cycles, y)
+    for y, vectors in cocircuit_masks(m):
         cert = _certificate(vectors, full & ~y, elems)
         checks.append(CocircuitCheck(mask_to_labels(y, elems), cert))
     return CocircuitReport(

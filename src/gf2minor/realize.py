@@ -9,10 +9,10 @@ one edge; the cosimple rest of rank r >= 2 is graphic exactly when r + 1 of
 its cocircuits, the vertex stars, cover every element twice and have rank
 r.  Cocycles, the span of the rows of [I | A] that ``cocycle_rows`` reads
 off the fundamental circuits with no elimination, are read lightest first
-and each deleted from the cycle basis: a rank drop of 1 marks a cocircuit
-Y, forced when the component ``_component`` grows in M \\ Y is all of it.
-Reading stops at r + 1 forced stars or past the weight that the stars
-still missing can carry.  ``_lay_out`` joins the stars by edges and
+and each deleted from the cycle basis: ``cocircuit_deletions`` keeps a
+cocircuit Y, forced when the component ``_component`` grows in M \\ Y is
+all of it.  Reading stops at r + 1 forced stars or past the weight that
+the stars still missing can carry.  ``_lay_out`` joins the stars by edges and
 subdivides each series edge back; ``realizable`` is the verdict of the
 first stage alone.  None means not graphic, and ``minors._certificate``
 then finds an excluded minor.  Only bitmask elimination
@@ -22,6 +22,9 @@ with the realization it checks.
 """
 
 from __future__ import annotations
+
+from itertools import takewhile
+from typing import Iterable, Iterator
 
 from .matroid import (
     delete_cycles, equal_columns, extend_echelon, mask_positions, span_vectors,
@@ -48,6 +51,18 @@ def cocycle_rows(cycles: list[int], ground: int) -> list[int]:
                 row |= f
         rows.append(row)
     return rows
+
+
+def cocircuit_deletions(cycles: list[int],
+                        cocycles: Iterable[int]) -> Iterator[tuple[int, list[int]]]:
+    """Each cocircuit Y among ``cocycles``, in order, with the fundamental
+    circuits of M \\ Y left by deleting Y from ``cycles``, those of M.  The
+    rank drops by Y's nullity in M*: 1 for a cocircuit, at least k for a
+    union of k disjoint ones, which is skipped."""
+    for y in cocycles:
+        left, drop = delete_cycles(cycles, y)
+        if drop == 1:
+            yield y, left
 
 
 def _component(circuits: list[int], ground: int) -> int:
@@ -91,13 +106,11 @@ def _stars(cycles: list[int], ground: int, rank: int) -> list[int] | None:
     ``rank``.  Conversely such a family is the star family of a graph whose
     cut space, hence whose cycle matroid, is M's.
 
-    The cocycles, the span of ``cocycle_rows``, are read lightest first.
-    Deleting one, Y, from ``cycles`` lowers the rank by its nullity in M*:
-    1 for a cocircuit, at least k for a union of k disjoint ones, which is
-    skipped.  A cocircuit Y with M \\ Y connected (read off the same
-    deletion: a bond whose sides do not both have an edge) is a star of
-    every such G.  These forced stars F are taken first.  A star family
-    holds F, and its ``rank`` + 1 members weigh at least 3 each and
+    The cocycles, the span of ``cocycle_rows``, are read lightest first
+    through ``cocircuit_deletions``.  A cocircuit Y with M \\ Y connected
+    (read off its deletion: a bond whose sides do not both have an edge) is
+    a star of every such G.  These forced stars F are taken first.  A star
+    family holds F, and its ``rank`` + 1 members weigh at least 3 each and
     2|ground| in all, so no other member weighs more than 3 + spare, where
     spare is 2|ground| - 3(``rank`` + 1) less the sum of |f| - 3 over F.
     The reading stops at the first heavier cocycle, before the first if
@@ -124,12 +137,10 @@ def _stars(cycles: list[int], ground: int, rank: int) -> list[int] | None:
     span: list[int] = []
     once = twice = 0
     read: list[int] = []  # the cocircuits read that are not forced
-    for y in sorted(span_vectors(rows), key=int.bit_count):
-        if y.bit_count() - 3 > spare:
-            break  # too heavy for any family holding the forced stars
-        left, drop = delete_cycles(cycles, y)
-        if drop != 1:
-            continue  # a union of two or more cocircuits
+    # Heavier cocycles fit no family holding the forced stars; spare is read per draw.
+    lightest = sorted(span_vectors(rows), key=int.bit_count)
+    fitting = takewhile(lambda y: y.bit_count() - 3 <= spare, lightest)
+    for y, left in cocircuit_deletions(cycles, fitting):
         rest = ground & ~y
         if _component(left, rest) != rest:
             read.append(y)

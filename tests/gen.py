@@ -116,7 +116,7 @@ def covering_instances(rng: Random, count: int, min_elements: int):
             mm = mm.apply_ops([op])
         if not ops:
             continue
-        cocircuits = sorted(mm.cocircuits(), key=lambda s: (len(s), sorted(s)))
+        cocircuits = sorted(mm.dual().circuits(), key=lambda s: (len(s), sorted(s)))
         if not cocircuits:
             continue
         yield m, ops, rng.choice(cocircuits)

@@ -45,13 +45,14 @@ from gf2minor.minors import (
     find_minor_witness,
     graphic_certificate,
 )
-from gf2minor.realize import cocycle_rows
+from gf2minor.realize import cocircuit_deletions, cocycle_rows
 
 from gen import planted_host, random_graph, random_matroid, random_simple_graph
 from oracles import (
     cocircuits_reference,
     cocycles_reference,
     connected_after_deleting_reference,
+    delete_cycles_reference,
     equal_columns_reference,
     reduced_echelon_reference,
     stars_reference,
@@ -815,6 +816,61 @@ def test_rank_drop_of_a_cocycle_is_one_exactly_for_a_cocircuit():
             seen["loop"] += any(v.bit_count() == 1 for v in vectors)
             seen["coloop"] += bool(ground & ~support(vectors))
     assert seen[1] and seen[2] and seen[3] and seen["loop"] and seen["coloop"]
+
+
+def stream_faults(cases) -> Counter:
+    """Read ``cocircuit_deletions`` over the weight-sorted span of the
+    cocycle rows of each (fundamental circuits, ground) case, and count
+    where it departs from the references: "order" when the cocircuits
+    yielded are not ``cocircuits_reference``'s, as a list in its order, and
+    "basis" for a basis that does not span the cycle space of M \\ Y that
+    ``delete_cycles_reference`` leaves, or whose vectors are not
+    fundamental circuits (each with a bit of its own)."""
+    faults = Counter()
+    for cycles, ground in cases:
+        cocycles = sorted(span_vectors(cocycle_rows(cycles, ground)), key=int.bit_count)
+        pairs = list(cocircuit_deletions(cycles, cocycles))
+        faults["order"] += [y for y, _ in pairs] != cocircuits_reference(cycles, ground)[1]
+        for y, left in pairs:
+            span = reduced_echelon_reference(delete_cycles_reference(cycles, y)[0])
+            own = [v & ~support(left[:i] + left[i + 1:]) for i, v in enumerate(left)]
+            faults["basis"] += (
+                sorted(reduced_echelon_reference(left)) != sorted(span)
+                or len(left) != len(span) or not all(own)
+            )
+    return faults
+
+
+def test_cocircuit_stream_matches_the_references(monkeypatch):
+    # Random matroids with loops, coloops and more than one component, then
+    # the 29 paper matroids N, the duals of the g and r catalog entries.
+    rng = Random(0x5743A)
+    cases, seen = [], Counter()
+    for _ in range(150):
+        m = random_matroid(rng, 10)
+        cycles, ground = m.fundamental_cycles(), (1 << m.size) - 1
+        cases.append((cycles, ground))
+        seen["loop"] += bool(m.loops())
+        seen["coloop"] += bool(m.coloops())
+        seen["split"] += len(realize._components(cycles, ground)) > 1
+    assert seen["loop"] and seen["coloop"] and seen["split"]
+    for name in catalog_names():
+        if name[0] in "gr":
+            m = get_named(name).dual()
+            cases.append((m.fundamental_cycles(), (1 << m.size) - 1))
+    assert len(cases) == 150 + 29
+    assert stream_faults(cases) == {"order": 0, "basis": 0}
+    # A mutant that also takes a rank drop of 2, a union of two disjoint
+    # cocircuits, is caught.
+    kernel = realize.delete_cycles
+
+    def lenient(vectors, mask):
+        left, drop = kernel(vectors, mask)
+        return left, 1 if drop == 2 else drop
+
+    monkeypatch.setattr(realize, "delete_cycles", lenient)
+    assert stream_faults(cases)["order"] > 0
+
 
 # -- edge cases -------------------------------------------------------------------
 

@@ -229,7 +229,7 @@ def test_isomorphism_of_a_low_rank_pair_is_matched_on_the_duals():
         best = min(best, time.perf_counter() - start)
     assert best < 0.05
     assert mapping is not None and sorted(mapping.values()) == sorted(m2.elements())
-    assert bijection_maps_circuits(mapping, m1.cocircuits(), m2.cocircuits())
+    assert bijection_maps_circuits(mapping, m1.dual().circuits(), m2.dual().circuits())
 
 
 def test_low_rank_pairs_get_the_primal_verdict():

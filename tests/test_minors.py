@@ -774,7 +774,7 @@ def assert_cocircuit_checks_match_deletion(m: BinaryMatroid) -> Counter:
     leave more than one component of two or more elements, and deletions
     that are not graphic.
     """
-    ys = sorted(m.cocircuits(), key=lambda s: (len(s), sorted(s)))
+    ys = sorted(m.dual().circuits(), key=lambda s: (len(s), sorted(s)))
     report = check_graphic_cocircuits(m)
     assert [c.cocircuit for c in report.checks] == ys
     expected = [is_graphic(m.delete_all(y)) for y in ys]
@@ -855,14 +855,14 @@ def test_cocircuit_check_capacity_guard():
 
 def test_cocircuit_check_enumeration_guard():
     # Past 24 elements the check refuses to enumerate the cocircuits, with
-    # the error that m.cocircuits() raises.  At 24 it enumerates them, and
+    # the error that m.dual().circuits() raises.  At 24 it enumerates them, and
     # the graphicness test refuses the first deletion, of the coloop x1.
     def host(size: int) -> BinaryMatroid:
         ys = tuple(f"y{i}" for i in range(size - 2))
         return BinaryMatroid(("x0", "x1"), ys, Gf2Matrix(2, len(ys), ((1 << len(ys)) - 1, 0)))
 
     message = "circuit enumeration limited to 24 elements, got 25"
-    for check in (check_graphic_cocircuits, BinaryMatroid.cocircuits):
+    for check in (check_graphic_cocircuits, lambda m: m.dual().circuits()):
         with pytest.raises(CapacityError) as err:
             check(host(25))
         assert str(err.value) == message
@@ -898,7 +898,7 @@ def planted_covering_bank():
         if name[0] not in "gr":
             continue
         n = get_named(name).dual()
-        cocircuits = sorted(n.cocircuits(), key=lambda s: (len(s), sorted(s)))
+        cocircuits = sorted(n.dual().circuits(), key=lambda s: (len(s), sorted(s)))
         for _ in range(3):
             size = rng.randint(max(20, n.size + 1), 30)
             m, ops = planted_minor(rng, n, size - n.size)
@@ -908,7 +908,7 @@ def planted_covering_bank():
 
 def test_covering_cocircuit_trivial_case():
     m = cycle_matroid(complete_graph(4))
-    c = sorted(m.cocircuits(), key=lambda s: (len(s), sorted(s)))[0]
+    c = sorted(m.dual().circuits(), key=lambda s: (len(s), sorted(s)))[0]
     assert covering_cocircuit_witness(m, [], c) == c
 
 
@@ -916,7 +916,7 @@ def test_covering_cocircuit_after_one_deletion():
     m = cycle_matroid(complete_graph(4))
     ops = [delete("e12")]
     n = m.apply_ops(ops)
-    for c in sorted(n.cocircuits(), key=lambda s: (len(s), sorted(s))):
+    for c in sorted(n.dual().circuits(), key=lambda s: (len(s), sorted(s))):
         cm = covering_cocircuit_witness(m, ops, c)
         assert cm is not None
         assert c <= cm
@@ -954,7 +954,7 @@ def test_covering_cocircuit_runs_no_search_and_no_enumeration(monkeypatch):
         raise AssertionError("covering ran a search or an enumeration")
 
     monkeypatch.setattr(minors, "find_minor_witness", forbidden)
-    monkeypatch.setattr(BinaryMatroid, "cocircuits", forbidden)
+    monkeypatch.setattr(minors, "cocircuit_masks", forbidden)
     monkeypatch.setattr(BinaryMatroid, "circuits", forbidden)
     found = covering_cocircuit_witness(m, ops, {"e12", "e13"})
     assert found == {"e12", "e13", "e24", "e34"}
