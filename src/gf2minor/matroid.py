@@ -422,25 +422,6 @@ def extend_echelon(basis: list[int], v: int) -> list[int] | None:
     return [b ^ v if b & low else b for b in basis] + [v]
 
 
-def eliminate(vectors: list[int], bit: int) -> list[int] | None:
-    """Basis of the vectors in span(vectors) that avoid ``bit``.
-
-    None when no vector has the bit: the element is then a coloop of the
-    current restriction, and deleting it would lower the rank.
-    """
-    pivot = 0
-    out = []
-    for v in vectors:
-        if v & bit:
-            if pivot:
-                out.append(v ^ pivot)
-            else:
-                pivot = v
-        else:
-            out.append(v)
-    return out if pivot else None
-
-
 def delete_cycles(vectors: list[int], mask: int) -> tuple[list[int], int]:
     """A basis of the cycle space of M \\ mask, and its coloops among mask.
 
@@ -451,7 +432,8 @@ def delete_cycles(vectors: list[int], mask: int) -> tuple[list[int], int]:
     result.  A bit with no pivot is a coloop of what is left and is counted,
     so the count is r(M) - r(M \\ mask).  Fundamental circuits stay
     fundamental circuits: the pivot's cobasis bit joins the basis, and each
-    vector it is added to keeps its own.
+    vector it is added to keeps its own.  The survivor walk's one-bit
+    deletions run through it too.
     """
     pivots: dict[int, int] = {}
     kept = []

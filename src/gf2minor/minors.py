@@ -37,19 +37,20 @@ target.  That count is exact: with prefix C0 the distinct non-zero reduced
 columns are the classes of host / C0, each further contraction removes at
 least one (its own class becomes loops, others may merge, none splits), and
 a restriction keeps parallelism, so a cut leaf's pool cannot hold the
-target and the first hit is unchanged.  Nothing is
-rebuilt per contract set: the cycle space of host / C is the host's
-fundamental cycle bitmasks with C's bits cleared, and deleting a survivor
-candidate is one elimination step on that basis.  Survivor sets are walked
-depth-first in lexicographic order, one per count vector over the parallel
-classes and loops of host / C (an automorphism swaps two in a class): the
-earliest members of each, at most the target's largest class or loop count,
-which come first, so the first hit is unchanged.  The walk is pruned as soon
-as what is left stops spanning host / C or has more coloops than the target.
-For a cosimple target (no cocircuit of size at most 2) a branch is also
-pruned when what is left has a series pair (``matroid.equal_columns``):
-restricting never removes one, so every spanning survivor set would keep a
-cocircuit of size at most 2.  One walk over each survivor set's cycle space
+target and the first hit is unchanged.  Nothing is rebuilt per contract set:
+the cycle space of host / C is the host's fundamental cycle bitmasks with C's
+bits cleared, and survivor candidates are deleted from that basis by
+``matroid.delete_cycles``, as is the rest of host / C.  Survivor sets are
+walked depth-first in lexicographic order, one per count vector over the
+parallel classes and loops of host / C (an automorphism swaps two in a
+class): the earliest members of each, at most the target's largest class or
+loop count, which come first, so the first hit is unchanged.  The walk is
+pruned as soon as what is left stops spanning host / C.  For a cosimple
+target (no cocircuit of size at most 2) a branch is also pruned when what is
+left has a coloop or a series pair (``_small_cocircuit``): restricting to a
+spanning set never removes one, so every spanning survivor set would keep a
+cocircuit of size at most 2.  Survivor sets with more coloops than the target
+fail the histogram test.  One walk over each survivor set's cycle space
 extracts its circuits for ``iso.match_circuits``, stopping as soon as some
 weight occurs more often than in the target's (a label-free invariant).
 The target's side of that match is prepared once with the rest of its
@@ -86,7 +87,6 @@ from .matroid import (
     contract_cycles,
     delete,
     delete_cycles,
-    eliminate,
     enumeration_guard,
     equal_columns,
     mask_positions,
@@ -109,7 +109,6 @@ GRAPHICNESS_EXCLUDED = ("F7", "F7*", "M*(K5)", "M*(K33)")
 @dataclass(frozen=True)
 class _TargetData:
     elements: tuple[str, ...]
-    n_coloops: int
     n_loops: int
     max_parallel: int  # size of the largest parallel class of non-loops
     n_classes: int  # number of parallel classes of non-loops
@@ -124,16 +123,14 @@ def _target_data(target: BinaryMatroid) -> _TargetData:
     cycles = target.fundamental_cycles()
     everything = (1 << target.size) - 1
     classes = Counter(filter(None, map(target.full_column, elements)))
-    n_coloops = _coloops(cycles, everything)
     return _TargetData(
         elements=elements,
-        n_coloops=n_coloops,
         n_loops=len(target.loops()),
         max_parallel=max(classes.values(), default=0),
         n_classes=len(classes),
         side=prepare_side(_by_label(elements, everything), target.circuit_masks()),
         histogram=weight_histogram(cycles),
-        cosimple=not (n_coloops or equal_columns(cycles, everything)),
+        cosimple=not _small_cocircuit(cycles, everything),
     )
 
 
@@ -201,9 +198,10 @@ def _greedy_bases(
         skipped += (idx,)
 
 
-def _coloops(vectors: list[int], alive: int) -> int:
-    """Coloops of M|alive, where ``vectors`` span its cycle space."""
-    return (alive & ~support(vectors)).bit_count()
+def _small_cocircuit(vectors: list[int], alive: int) -> bool:
+    """Whether M|alive, whose cycle space ``vectors`` span, has a coloop (in
+    no vector) or a series pair (equal columns): a cocircuit of size <= 2."""
+    return bool(alive & ~support(vectors) or equal_columns(vectors, alive))
 
 
 def _match(
@@ -221,13 +219,6 @@ def _match(
     return match_circuits(tgt.side, _by_label(elems, smask), circuits)
 
 
-def _dead(tgt: _TargetData, vectors: list[int], alive: int) -> bool:
-    """Whether no spanning survivor set within M|alive can match ``tgt``: it
-    has more coloops, or a series pair (equal columns) when tgt is cosimple."""
-    return (_coloops(vectors, alive) > tgt.n_coloops
-            or tgt.cosimple and bool(equal_columns(vectors, alive)))
-
-
 def _walk(
     tgt: _TargetData, elems: tuple[str, ...], pool: list[int], prev: list[int],
     i: int, need: int, vectors: list[int], smask: int, alive: int,
@@ -237,8 +228,8 @@ def _walk(
     The survivor walk from pool position i on.  ``vectors`` span the cycle
     space of M|alive, a restriction of host / C, as bitmasks over host
     positions: the circuits of (host / C) \\ D are the minimal supports of
-    the cycle vectors avoiding D, so deleting an element is one elimination
-    step on the basis.  ``need`` more survivors are chosen from pool[i:],
+    the cycle vectors avoiding D, so deleting an element is one call of
+    ``delete_cycles``.  ``need`` more survivors are chosen from pool[i:],
     and ``smask`` holds those chosen; the elements of host / C outside the
     pool are deleted before the walk is entered.  One step rule: pool[i] is
     first kept (one recursive call) if a survivor is still needed and
@@ -249,12 +240,12 @@ def _walk(
     order of pool positions, and each prefix's eliminations are shared.  S
     must span host / C (its rank is the target's rank), so a deletion stops
     the branch when it would delete a coloop of what is left; the walk thus
-    keeps rank(alive) = r(host / C).  It also stops when ``_dead`` holds for
-    what is left: more coloops than the target, or, for a cosimple target,
-    any coloop or series pair {e, f}, since every spanning S within what is
-    left then meets {e, f}, so S & {e, f} holds a cocircuit of M|S of size
-    at most 2.  A module-level function rather than a closure, so that a
-    search leaves no reference cycle behind.
+    keeps rank(alive) = r(host / C).  For a cosimple target it also stops
+    when ``_small_cocircuit`` holds for what is left: any coloop or series
+    pair {e, f}, since every spanning S within what is left then meets
+    {e, f}, so S & {e, f} holds a cocircuit of M|S of size at most 2.  A
+    module-level function rather than a closure, so that a search leaves
+    no reference cycle behind.
     """
     while True:
         if i == len(pool):  # need is 0 here
@@ -266,11 +257,9 @@ def _walk(
                 return found
         if need == len(pool) - i:  # every remaining member must survive
             return None
-        vectors = eliminate(vectors, bit)
-        if vectors is None:
-            return None
+        vectors, lost = delete_cycles(vectors, bit)
         alive ^= bit
-        if _dead(tgt, vectors, alive):
+        if lost or tgt.cosimple and _small_cocircuit(vectors, alive):
             return None
         i += 1
 
@@ -323,7 +312,7 @@ def find_minor_witness(
             continue
         # Delete the rest of host / C; the survivors must span it.
         cycles, lost = delete_cycles(cycles, support(cycles) & ~alive)
-        if lost or _dead(tgt, cycles, alive):
+        if lost or tgt.cosimple and _small_cocircuit(cycles, alive):
             continue
         mapping = _walk(tgt, elems, pool, prev, 0, t, cycles, 0, alive)
         if mapping is not None:

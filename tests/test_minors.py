@@ -25,7 +25,7 @@ from gf2minor.matroid import (
     cycle_matroid,
     delete,
     delete_cycles,
-    equal_columns,
+    support,
 )
 from gf2minor.minors import (
     check_graphic_cocircuits,
@@ -34,7 +34,6 @@ from gf2minor.minors import (
     is_graphic,
     covering_cocircuit_witness,
     _certificate,
-    _coloops,
     _contract_sets,
     _reduce,
 )
@@ -50,7 +49,11 @@ from gen import (
     random_simple_graph,
     relabeled_copy,
 )
-from oracles import covering_cocircuit_reference, has_minor_brute_force
+from oracles import (
+    cocircuits_reference,
+    covering_cocircuit_reference,
+    has_minor_brute_force,
+)
 
 
 def g7_host() -> BinaryMatroid:
@@ -195,7 +198,7 @@ def test_duality_transport_on_all_case_hosts():
 
 def test_verdicts_match_brute_force_oracle():
     rng = Random(0xBEEF)
-    agree = 0
+    agree = with_coloop = 0
     for _ in range(60):
         host = random_matroid(rng, 8)
         target = random_matroid(rng, 6)
@@ -205,7 +208,13 @@ def test_verdicts_match_brute_force_oracle():
         if got is not None:
             assert verify_witness(host, target, got)
             agree += 1
+        with_coloop += bool(target.coloops()) and (
+            target.full_rank <= host.full_rank and target.corank <= host.corank
+        )
     assert agree > 5  # the sample must include genuine positives
+    # Targets with a coloop are not cosimple, so their survivor walk runs
+    # with no coloop or series-pair prune; the sample must search some.
+    assert with_coloop >= 10
 
 
 def test_simple_target_verdicts_match_brute_force_oracle():
@@ -413,30 +422,35 @@ def test_contract_set_walk_finds_parallel_classes_of_the_contraction():
     assert cut >= 10 and kept >= 10
 
 
-def has_small_cocircuit(vectors: list[int], alive: int) -> bool:
-    """The survivor walk's test for a coloop or a series pair of M|alive."""
-    return bool(_coloops(vectors, alive) or equal_columns(vectors, alive))
+def has_small_cocircuit_reference(m: BinaryMatroid) -> bool:
+    """Whether m has a cocircuit of size at most 2, by the oracle's list."""
+    _, cocircuits = cocircuits_reference(m.fundamental_cycles(), (1 << m.size) - 1)
+    return any(y.bit_count() <= 2 for y in cocircuits)
 
 
 def test_small_cocircuit_check_matches_the_dual_circuits():
-    # M|alive has a coloop or a series pair exactly when its dual has a
-    # circuit of size at most 2; the cycle space of the restriction is the
-    # host's with the deleted elements eliminated, as in the survivor walk.
+    # M|alive has a coloop or a series pair exactly when it has a cocircuit
+    # of size at most 2; the cycle space of the restriction is the host's
+    # after ``delete_cycles``, as in the survivor walk.  A target is
+    # cosimple exactly when it has no such cocircuit.
     rng = Random(0x5E41E5)
-    answers = set()
+    answers, cosimple = set(), set()
     for _ in range(80):
         m = random_matroid(rng, 9, min_elements=1)
         elems = m.elements()
         alive = sum(1 << idx for idx in range(m.size) if rng.random() < 0.7)
         vectors, _ = delete_cycles(m.fundamental_cycles(), (1 << m.size) - 1 & ~alive)
         restricted = m.delete_all(e for i, e in enumerate(elems) if not alive >> i & 1)
-        expected = any(len(c) <= 2 for c in restricted.dual().circuits())
-        assert _coloops(vectors, alive) == len(restricted.coloops())
-        assert has_small_cocircuit(vectors, alive) == expected
+        expected = has_small_cocircuit_reference(restricted)
+        assert (alive & ~support(vectors)).bit_count() == len(restricted.coloops())
+        assert minors._small_cocircuit(vectors, alive) == expected
         full = (1 << restricted.size) - 1
-        assert has_small_cocircuit(restricted.fundamental_cycles(), full) == expected
+        assert minors._small_cocircuit(restricted.fundamental_cycles(), full) == expected
+        is_cosimple = minors._target_data(m).cosimple
+        assert is_cosimple != has_small_cocircuit_reference(m)
         answers.add(expected)
-    assert answers == {True, False}
+        cosimple.add(is_cosimple)
+    assert answers == cosimple == {True, False}
 
 
 WHEEL4 = Graph(5, tuple(
@@ -485,7 +499,8 @@ def test_large_cosimple_targets_on_planted_and_random_hosts(name):
     # Too large for the brute-force oracle.  Planted hosts must answer yes
     # with a verified witness.  On random hosts the verdict must equal that
     # of the same search with a coloop added to host and target: the
-    # coloop-sum target is not cosimple, so no series prune runs there, and
+    # coloop-sum target is not cosimple, so neither the coloop nor the
+    # series-pair prune runs there, and
     # N + coloop is a minor of M + coloop exactly when N is a minor of M.
     target = get_named(name)
     assert minors._target_data(target).cosimple
