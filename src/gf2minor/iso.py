@@ -6,7 +6,8 @@ circuit set of one exactly onto the other's (circuits determine a matroid).
 element positions, so ``find_isomorphism`` and the minor search's survivor
 sets share it without building label sets.  Its first side comes prepared by
 ``prepare_side``, so the minor search prepares each target once and matches
-it against many survivor sets.
+it against many survivor sets.  Both match on the smaller space (the minor
+search from rank 1 on), and the minor search orders by circuits either way.
 
 The prepared side fixes the search order (positions rarest profile class
 first), the step at which each circuit is fully placed, and a key for every
@@ -95,15 +96,17 @@ class CircuitSide:
     checks: tuple[tuple[tuple[int, ...], ...], ...]
 
 
-def prepare_side(positions: Iterable[int], circuits: Iterable[int]) -> CircuitSide:
+def prepare_side(positions: Iterable[int], circuits: Iterable[int],
+                 ordered_by: Iterable[int] | None = None) -> CircuitSide:
     """Search order, check schedule and pair keys of one circuit family.
 
     Repeated circuits count once.  Positions are ordered rarest profile
-    class first, ties in the order given.
+    class first, ties in the order given, by the profiles of ``ordered_by``
+    (another family of the same matroid) if given, else of ``circuits``.
     """
     pos = list(positions)
     circ = list(dict.fromkeys(circuits))
-    prof = element_profiles(pos, circ)
+    prof = element_profiles(pos, circ if ordered_by is None else ordered_by)
     class_size = Counter(prof.values())
     order = sorted(pos, key=lambda p: (class_size[prof[p]], prof[p]))
     step = {p: i for i, p in enumerate(order)}

@@ -51,25 +51,29 @@ left has a coloop or a series pair (``_small_cocircuit``): restricting to a
 spanning set never removes one, so every spanning survivor set would keep a
 cocircuit of size at most 2.  Survivor sets with more coloops than the target
 fail the histogram test.  One walk over each survivor set's cycle space
-extracts its circuits for ``iso.match_circuits``, stopping as soon as some
-weight occurs more often than in the target's (a label-free invariant).
-The target's side of that match is prepared once with the rest of its
-search data (``iso.prepare_side``: search order, check schedule and pair
-keys), so each survivor set pays only for its own pair keys: one packed
-row per element, each circuit added once to its members' rows.  The kernel
-rejects a different element-profile multiset, then searches for the
-bijection, dropping a candidate whose row, masked to the slots of the
-elements already placed, differs from the pattern the target's keys ask
-for there; that drops only prefixes no bijection completes, so the first
-bijection, and with it the witness, is unchanged.  All enumeration guards
-raise CapacityError rather than degrade silently.
+checks it, stopping as soon as some weight occurs more often than in the
+target's (a label-free invariant).  A set that passes is matched by
+``iso.match_circuits`` on the smaller space, as in ``find_isomorphism``:
+on its cocircuits, the minimal supports of its 2^rank cocycles, when the
+target's rank is below its corank and not 0, else on its circuits.  The
+target's side is prepared once with the rest of its search data
+(``iso.prepare_side``: search order, from its circuits either way, check
+schedule and pair keys), so each survivor set pays only for its own pair
+keys: one packed row per element, each circuit added once to its members'
+rows.  The kernel rejects a different element-profile multiset, then
+searches for the bijection, dropping a candidate whose row, masked to the
+slots of the elements already placed, differs from the pattern the target's
+keys ask for there; that drops only prefixes no bijection completes.  A
+bijection maps circuits onto circuits exactly when it maps cocircuits onto
+cocircuits, so the first bijection, and with it the witness, is unchanged.
+All enumeration guards raise CapacityError rather than degrade silently.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Iterable
 
 from . import catalog
@@ -89,6 +93,7 @@ from .matroid import (
     delete_cycles,
     enumeration_guard,
     equal_columns,
+    extend_echelon,
     mask_positions,
     mask_to_labels,
     minimal_supports,
@@ -112,7 +117,8 @@ class _TargetData:
     n_loops: int
     max_parallel: int  # size of the largest parallel class of non-loops
     n_classes: int  # number of parallel classes of non-loops
-    side: CircuitSide  # the circuits for match_circuits; positions in label order
+    side: CircuitSide  # circuits, or cocircuits if dual; positions in label order
+    dual: bool  # 0 < rank < corank: survivor sets are matched on cocircuits
     histogram: tuple[int, ...]
     cosimple: bool  # no cocircuit of size at most 2
 
@@ -123,12 +129,17 @@ def _target_data(target: BinaryMatroid) -> _TargetData:
     cycles = target.fundamental_cycles()
     everything = (1 << target.size) - 1
     classes = Counter(filter(None, map(target.full_column, elements)))
+    circuits = target.circuit_masks()
+    # Rank 0 (all loops) keeps its circuits for now; see ROADMAP item 6.
+    dual = 0 < target.full_rank < target.corank
+    keys = minimal_supports(cocycle_rows(cycles, everything)) if dual else circuits
     return _TargetData(
         elements=elements,
         n_loops=len(target.loops()),
         max_parallel=max(classes.values(), default=0),
         n_classes=len(classes),
-        side=prepare_side(_by_label(elements, everything), target.circuit_masks()),
+        side=prepare_side(_by_label(elements, everything), keys, ordered_by=circuits),
+        dual=dual,
         histogram=weight_histogram(cycles),
         cosimple=not _small_cocircuit(cycles, everything),
     )
@@ -210,13 +221,19 @@ def _match(
     """Bijection from tgt's positions onto ``smask`` mapping tgt's circuits
     onto those of the cycle space ``vectors`` span, or None.
 
-    The circuits are extracted only when the cycle space has the target's
-    weight histogram.
+    Nothing is extracted unless the cycle space has the target's weight
+    histogram.  A dual target's cocircuits are matched instead, read off
+    ``vectors`` folded into echelon form: a contract set may clear private bits.
     """
-    circuits = minimal_supports(vectors, tgt.histogram)
-    if circuits is None:
+    histogram = tgt.histogram
+    if tgt.dual:
+        if span_vectors(vectors, histogram) is None:
+            return None
+        vectors, histogram = cocycle_rows(reduce(extend_echelon, vectors, []), smask), None
+    family = minimal_supports(vectors, histogram)
+    if family is None:
         return None
-    return match_circuits(tgt.side, _by_label(elems, smask), circuits)
+    return match_circuits(tgt.side, _by_label(elems, smask), family)
 
 
 def _walk(

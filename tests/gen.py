@@ -15,7 +15,11 @@ def random_matroid(rng: Random, max_elements: int, min_elements: int = 0) -> Bin
         k = rng.randint(0, n)
         if n - k >= 0:
             break
-    c = n - k
+    return random_standard_form(rng, k, n - k)
+
+
+def random_standard_form(rng: Random, k: int, c: int) -> BinaryMatroid:
+    """Random matroid [I | A] of rank k and corank c, A drawn row by row."""
     rows = tuple(rng.getrandbits(c) for _ in range(k))
     a = Gf2Matrix(k, c, rows)
     basis = tuple(f"x{i + 1}" for i in range(k))

@@ -612,6 +612,19 @@ def cocircuits_reference(cycles, ground):
     return rows, minimal
 
 
+def span_circuits_reference(cycles):
+    """The circuits of the matroid whose cycle space ``cycles`` span: the
+    inclusion-minimal nonzero combinations, from every subset of them."""
+    cycle_space = {0}
+    for c in cycles:
+        cycle_space |= {v ^ c for v in cycle_space}
+    circuits = []
+    for v in sorted(cycle_space, key=lambda v: bin(v).count("1")):
+        if v and not any(c & v == c for c in circuits):
+            circuits.append(v)
+    return circuits
+
+
 def connected_after_deleting_reference(cycles, ground, y):
     """Whether M|ground \\ y is connected, from its circuits.
 

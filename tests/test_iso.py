@@ -33,13 +33,20 @@ from gf2minor.matroid import (
     minimal_supports,
 )
 
-from gen import exchanged, random_matroid, relabeled_copy
+from gen import (
+    exchanged,
+    planted_host,
+    random_matroid,
+    random_standard_form,
+    relabeled_copy,
+)
 from oracles import (
     bijection_maps_circuits,
     circuits_by_enumeration,
     isomorphic_all_bijections,
     match_circuits_reference,
     pair_keys_reference,
+    span_circuits_reference,
 )
 
 
@@ -410,27 +417,84 @@ def test_find_isomorphism_returns_the_reference_bijection():
     assert found >= 80  # every relabeled copy
 
 
-def test_replay_survivor_sets_get_the_reference_bijection(monkeypatch):
-    # The side-1 data behind each prepared target the replays search for.
-    raw = {}
-    for name in ("M(K5)", "M(K33)", "M*(K5)", "M*(K33)"):
-        target = get_named(name)
-        elems = target.elements()
-        positions = sorted(range(target.size), key=elems.__getitem__)
-        raw[minors._target_data(target).side] = (positions, target.circuit_masks())
-    calls = []
-    kernel = minors.match_circuits
+def spy_on_survivor_matches(monkeypatch, targets) -> list[tuple[str, bool]]:
+    """Check every ``minors._match`` call for one of ``targets`` against the
+    circuit-side reference, and log (target name, hit) per call.
 
-    def checked(side1, positions2, circuits2):
-        positions2, circuits2 = list(positions2), list(circuits2)
-        got = kernel(side1, positions2, circuits2)
-        assert got == match_circuits_reference(*raw[side1], positions2, circuits2)
-        calls.append(got is not None)
+    Both families come from ``oracles``, whichever side the search matches
+    on: the target's circuits by subset enumeration, and the survivor set's
+    as the minimal supports of the cycle space its vectors span.  Survivor
+    positions are in label order, as the search gives them.
+    """
+    raw = {}
+    for name, target in targets.items():
+        elems = target.elements()
+        index = {e: p for p, e in enumerate(elems)}
+        raw[minors._target_data(target)] = name, (
+            sorted(range(target.size), key=elems.__getitem__),
+            [sum(1 << index[e] for e in c) for c in circuits_by_enumeration(target)],
+        )
+    calls = []
+    real = minors._match
+
+    def checked(tgt, vectors, smask, elems):
+        got = real(tgt, vectors, smask, elems)
+        name, (positions1, circuits1) = raw[tgt]
+        positions2 = sorted(mask_positions(smask), key=elems.__getitem__)
+        assert got == match_circuits_reference(
+            positions1, circuits1, positions2, span_circuits_reference(vectors)
+        )
+        calls.append((name, got is not None))
         return got
 
-    monkeypatch.setattr(minors, "match_circuits", checked)
+    monkeypatch.setattr(minors, "_match", checked)
+    return calls
+
+
+def test_replay_survivor_sets_get_the_reference_bijection(monkeypatch):
+    names = ("M(K5)", "M(K33)", "M*(K5)", "M*(K33)")
+    calls = spy_on_survivor_matches(monkeypatch, {n: get_named(n) for n in names})
     replay_all(jobs=1)
-    assert len(calls) >= 28 and sum(calls) >= 28
+    hits = [hit for _, hit in calls]
+    assert len(hits) >= 28 and sum(hits) >= 28
+
+
+def test_each_named_target_is_matched_on_its_smaller_family():
+    # Rank below corank: the cocircuits, 2^rank cocycles, are matched.
+    # M(K5) has 37 circuits and 15 cocircuits; M(K33) keeps its 15 circuits.
+    expected = {"M(K5)": (True, 15), "M(K33)": (False, 15), "M*(K5)": (False, 15),
+                "M*(K33)": (True, 15), "F7": (True, 7), "F7*": (False, 7)}
+    for name, (dual, n_family) in expected.items():
+        tgt = minors._target_data(get_named(name))
+        assert (tgt.dual, tgt.side.n_circuits) == (dual, n_family), name
+
+
+def test_dual_target_survivor_sets_get_the_reference_bijection(monkeypatch):
+    # A dual target is matched on cocircuits, but in the search order of
+    # its circuits, so the first bijection is the circuit-side reference's.
+    # Seeded targets of rank 4 or 5 below their corank, often with
+    # automorphisms whose first image depends on the order, each in two
+    # planted hosts and a random one; then the excluded minors that _reduce
+    # names on the non-graphic catalog entries.
+    rng = Random(0xC0C1)
+    targets, pairs = {}, []
+    while len(targets) < 40:
+        rank = rng.randint(4, 5)
+        target = random_standard_form(rng, rank, rng.randint(rank + 1, 6))
+        if target in targets.values():
+            continue
+        targets[f"t{len(targets)}"] = target
+        pairs += [(planted_host(rng, target, rng.randint(1, 3)), target) for _ in "ab"]
+        pairs.append((random_matroid(rng, target.size + 2, target.size + 2), target))
+    excluded = {n: get_named(n) for n in minors.GRAPHICNESS_EXCLUDED}
+    calls = spy_on_survivor_matches(monkeypatch, {**targets, **excluded})
+    for host, target in pairs:
+        minors.find_minor_witness(host, target)
+    for name in ("r15", "r16", "M*(K5)", "M*(K33)", "F7", "F7*"):
+        minors.graphic_certificate(get_named(name))
+    assert all(minors._target_data(t).dual for t in targets.values())
+    assert {n for n, hit in calls if hit} >= {*targets, "F7", "M*(K33)"}
+    assert sum(not hit for _, hit in calls) > 100
 
 
 def _pair_counts(positions, circuits) -> dict[tuple[int, int], Counter]:
