@@ -8,7 +8,11 @@ searches and seeded isomorphism searches; on a mismatch it is printed so
 the differing lines can be found.  CLI_PINNED_SHA256 pins, the same way, what
 the command line prints and returns for a fixed set of commands, so that a
 change meant to keep behaviour can show the CLI's output byte-identical.
-REPORT_PINNED_SHA256 pins the paper's check: ``check_graphic_cocircuits`` on
+TARGET_PINNED_SHA256 pins the targets whose search order the first pin cannot
+see: seeded targets of rank 4 or 5 below their corank, which the search
+matches on cocircuits in the order of their circuits, and the six named
+targets, whose matched spaces hold nothing but circuits or cocircuits, each in
+seeded planted and random hosts.  REPORT_PINNED_SHA256 pins the paper's check: ``check_graphic_cocircuits`` on
 the 29 matroids N, the duals of the g and r catalog entries, with every
 cocircuit's labels and its certificate (the graph, or the excluded minor and
 its witness), computed under two hash seeds.
@@ -33,10 +37,11 @@ from gf2minor.iso import find_isomorphism
 from gf2minor.matroid import Graph
 from gf2minor.minors import find_minor_witness, graphic_certificate
 
-from gen import planted_host, random_matroid, relabeled_copy
+from gen import planted_host, random_matroid, random_standard_form, relabeled_copy
 
 PINNED_SHA256 = "00840d2e8d2e3e357dbe57b30ed9c85c774f7faf188f19cd1e2429c2f4291be9"
 CLI_PINNED_SHA256 = "650ccf7c4d3b65782182a449b5dd5b3bf5cf5da3d9ba39944e0353a560c175f4"
+TARGET_PINNED_SHA256 = "34275d449c0caa75979411bf38384362ba9344bc4f3b4f8078ddf69b11b45431"
 REPORT_PINNED_SHA256 = "23305e33bcb05232d773fdc2d898825c4e07fa53457bb2675584720b5946126c"
 
 
@@ -105,6 +110,42 @@ def test_witness_identity_is_pinned():
     if digest != PINNED_SHA256:
         print(text)
     assert digest == PINNED_SHA256
+
+
+def _target_lines() -> list[str]:
+    """Witnesses for 40 seeded targets of rank 4 or 5 below their corank,
+    drawn as ``tests/test_iso.py``'s dual-target spy test draws them, each
+    in the same two planted hosts and one random host; then for each named
+    target in five planted and five random hosts of 12-16 elements."""
+    rng = Random(0xC0C1)
+    targets, pairs = [], []
+    while len(targets) < 40:
+        rank = rng.randint(4, 5)
+        target = random_standard_form(rng, rank, rng.randint(rank + 1, 6))
+        if target in targets:
+            continue
+        targets.append(target)
+        pairs += [(planted_host(rng, target, rng.randint(1, 3)), target) for _ in "ab"]
+        pairs.append((random_matroid(rng, target.size + 2, target.size + 2), target))
+    rng = Random(20261022)
+    for name in ("M(K5)", "M(K33)", "M*(K5)", "M*(K33)", "F7", "F7*"):
+        target = catalog.get_named(name)
+        for _ in range(5):
+            size = rng.randint(12, 16)
+            pairs.append((planted_host(rng, target, size - target.size), target))
+            pairs.append((random_matroid(rng, size, size), target))
+    return [
+        f"target {i} {_witness_text(find_minor_witness(host, target))}"
+        for i, (host, target) in enumerate(pairs)
+    ]
+
+
+def test_dual_and_whole_space_targets_are_pinned():
+    text = "\n".join(_target_lines())
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    if digest != TARGET_PINNED_SHA256:
+        print(text)
+    assert digest == TARGET_PINNED_SHA256
 
 
 def _cli_commands(tmp_path) -> list[list[str]]:
