@@ -367,6 +367,18 @@ def span_vectors(basis: list[int],
     return vectors
 
 
+def sums_of_at_most(basis: list[int], most: int) -> list[int]:
+    """The nonzero sums of at most ``most`` vectors of ``basis``, in the
+    Gray-code order of ``span_vectors``, by reflected doubling: the sums
+    over the first j + 1 vectors are those over the first j, then those
+    again in reverse, each plus vector j; only a sum of fewer than ``most``
+    vectors is extended."""
+    sums = [(0, 0)]  # (sum, how many vectors it adds)
+    for b in basis:
+        sums += [(v ^ b, k + 1) for v, k in reversed(sums) if k < most]
+    return [v for v, _ in sums[1:]]
+
+
 def weight_histogram(basis: list[int]) -> tuple[int, ...]:
     """Number of nonzero XOR combinations of ``basis`` per popcount.
 

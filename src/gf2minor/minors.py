@@ -55,7 +55,11 @@ checks it, stopping as soon as some weight occurs more often than in the
 target's (a label-free invariant).  A set that passes is matched by
 ``iso.match_circuits`` on the smaller space, as in ``find_isomorphism``:
 on its cocircuits, the minimal supports of its 2^rank cocycles, when the
-target's rank is below its corank and not 0, else on its circuits.  The
+target's rank is below its corank and not 0, else on its circuits.  For
+a target whose matched space holds nothing but keys (``whole``: 2^dim - 1
+of them; all six named targets) the set's span itself is matched, with no
+minimal-support scan: a bijection mapping one whole space onto the other
+is an isomorphism, and when there is one the two families are equal.  The
 target's side is prepared once with the rest of its search data
 (``iso.prepare_side``: search order, from its circuits either way, check
 schedule and pair keys), so each survivor set pays only for its own pair
@@ -121,6 +125,7 @@ class _TargetData:
     dual: bool  # 0 < rank < corank: survivor sets are matched on cocircuits
     histogram: tuple[int, ...]
     cosimple: bool  # no cocircuit of size at most 2
+    whole: bool  # the matched space is all keys: 2^rank - 1 if dual, else 2^corank - 1
 
 
 @lru_cache
@@ -133,6 +138,7 @@ def _target_data(target: BinaryMatroid) -> _TargetData:
     # Rank 0 (all loops) keeps its circuits for now; see ROADMAP item 6.
     dual = 0 < target.full_rank < target.corank
     keys = minimal_supports(cocycle_rows(cycles, everything)) if dual else circuits
+    dim = target.full_rank if dual else target.corank
     return _TargetData(
         elements=elements,
         n_loops=len(target.loops()),
@@ -142,6 +148,7 @@ def _target_data(target: BinaryMatroid) -> _TargetData:
         dual=dual,
         histogram=weight_histogram(cycles),
         cosimple=not _small_cocircuit(cycles, everything),
+        whole=len(keys) == (1 << dim) - 1,
     )
 
 
@@ -224,13 +231,16 @@ def _match(
     Nothing is extracted unless the cycle space has the target's weight
     histogram.  A dual target's cocircuits are matched instead, read off
     ``vectors`` folded into echelon form: a contract set may clear private bits.
+    A whole target is matched on the span itself, which equals the set's
+    circuits (or cocircuits) exactly when the set is isomorphic to it, so
+    the first bijection does not move.
     """
     histogram = tgt.histogram
     if tgt.dual:
         if span_vectors(vectors, histogram) is None:
             return None
         vectors, histogram = cocycle_rows(reduce(extend_echelon, vectors, []), smask), None
-    family = minimal_supports(vectors, histogram)
+    family = (span_vectors if tgt.whole else minimal_supports)(vectors, histogram)
     if family is None:
         return None
     return match_circuits(tgt.side, _by_label(elems, smask), family)

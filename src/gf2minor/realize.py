@@ -7,18 +7,19 @@ It has two stages.  ``_star_families`` contracts each class of elements
 in series (equal columns over the cycle basis, ``matroid.equal_columns``) to
 one edge; the cosimple rest of rank r >= 2 is graphic exactly when r + 1 of
 its cocircuits, the vertex stars, cover every element twice and have rank
-r.  Cocycles, the span of the rows of [I | A] that ``cocycle_rows`` reads
-off the fundamental circuits with no elimination, are read lightest first
-and each deleted from the cycle basis: ``cocircuit_deletions`` keeps a
+r.  Cocycles, sums of the rows of [I | A] that ``cocycle_rows`` reads off
+the fundamental circuits with no elimination, are read lightest first and
+each deleted from the cycle basis: ``cocircuit_deletions`` keeps a
 cocircuit Y, forced when the component ``_component`` grows in M \\ Y is
 all of it.  Reading stops at r + 1 forced stars or past the weight that
-the stars still missing can carry.  ``_lay_out`` joins the stars by edges and
-subdivides each series edge back; ``realizable`` is the verdict of the
-first stage alone.  None means not graphic, and ``minors._certificate``
-then finds an excluded minor.  Only bitmask elimination
-(``matroid.delete_cycles``, once per cocycle read) is used here, never the
-rank routine of ``audit``, so that ``audit.verify_graph`` shares no code
-with the realization it checks.
+the stars still missing can carry, so only the sums of at most that many
+rows are formed (``matroid.sums_of_at_most``), not the 2^r of the span.
+``_lay_out`` joins the stars by edges and subdivides each series edge
+back; ``realizable`` is the verdict of the first stage alone.  None means
+not graphic, and ``minors._certificate`` then finds an excluded minor.
+Only bitmask elimination (``matroid.delete_cycles``, once per cocycle
+read) is used here, never the rank routine of ``audit``, so that
+``audit.verify_graph`` shares no code with the realization it checks.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from itertools import takewhile
 from typing import Iterable, Iterator
 
 from .matroid import (
-    delete_cycles, equal_columns, extend_echelon, mask_positions, span_vectors,
+    delete_cycles, equal_columns, extend_echelon, mask_positions, sums_of_at_most,
 )
 
 
@@ -106,18 +107,23 @@ def _stars(cycles: list[int], ground: int, rank: int) -> list[int] | None:
     ``rank``.  Conversely such a family is the star family of a graph whose
     cut space, hence whose cycle matroid, is M's.
 
-    The cocycles, the span of ``cocycle_rows``, are read lightest first
-    through ``cocircuit_deletions``.  A cocircuit Y with M \\ Y connected
-    (read off its deletion: a bond whose sides do not both have an edge) is
-    a star of every such G.  These forced stars F are taken first.  A star
-    family holds F, and its ``rank`` + 1 members weigh at least 3 each and
-    2|ground| in all, so no other member weighs more than 3 + spare, where
-    spare is 2|ground| - 3(``rank`` + 1) less the sum of |f| - 3 over F.
+    The cocycles, sums of the rows of ``cocycle_rows``, are read lightest
+    first through ``cocircuit_deletions``.  A cocircuit Y with M \\ Y
+    connected (read off its deletion: a bond whose sides do not both have
+    an edge) is a star of every such G.  These forced stars F are taken
+    first.  A star family holds F, and its ``rank`` + 1 members weigh at
+    least 3 each and 2|ground| in all, so no other member weighs more than
+    3 + spare, where spare is 2|ground| - 3(``rank`` + 1) less the sum of
+    |f| - 3 over F.
     The reading stops at the first heavier cocycle, before the first if
     spare < 0, or once F has ``rank`` + 1 members, which can then only be
-    the family.  The verdict is that of a full read: a forced cocircuit
-    left unread is a star of every realization, so of any family found
-    among those read, which it is not.
+    the family.  Each row owns a bit, so a sum of k rows weighs at least k,
+    and spare only falls: the sums of at most 3 + spare rows, sorted by
+    weight, hold every cocycle the reading can reach, in the order of the
+    whole sorted span, and no more than C(rank, <= 3 + spare) are formed.
+    The verdict is that of a full read: a forced cocircuit left unread is a
+    star of every realization, so of any family found among those read,
+    which it is not.
 
     When the forced stars fall short, the rest are found among those read
     by an exact depth-first search that branches on the open element with
@@ -137,8 +143,9 @@ def _stars(cycles: list[int], ground: int, rank: int) -> list[int] | None:
     span: list[int] = []
     once = twice = 0
     read: list[int] = []  # the cocircuits read that are not forced
-    # Heavier cocycles fit no family holding the forced stars; spare is read per draw.
-    lightest = sorted(span_vectors(rows), key=int.bit_count)
+    # Heavier cocycles fit no family holding the forced stars; spare is read
+    # per draw and only falls, and a sum of k rows weighs at least k.
+    lightest = sorted(sums_of_at_most(rows, 3 + spare), key=int.bit_count)
     fitting = takewhile(lambda y: y.bit_count() - 3 <= spare, lightest)
     for y, left in cocircuit_deletions(cycles, fitting):
         rest = ground & ~y

@@ -38,10 +38,12 @@ from gf2minor.matroid import (
     extend_echelon,
     mask_positions,
     span_vectors,
+    sums_of_at_most,
     support,
 )
 from gf2minor.minors import (
     GRAPHICNESS_EXCLUDED,
+    check_graphic_cocircuits,
     find_minor_witness,
     graphic_certificate,
 )
@@ -870,6 +872,94 @@ def test_cocircuit_stream_matches_the_references(monkeypatch):
 
     monkeypatch.setattr(realize, "delete_cycles", lenient)
     assert stream_faults(cases)["order"] > 0
+
+
+# -- the star search's bounded cocycle read -----------------------------------------
+
+
+def test_sums_of_at_most_are_the_span_cut_by_how_many_rows_they_add():
+    # Rows that each own a bit, as cocycle rows do: a sum of k rows holds k
+    # owned bits, so it weighs at least k, and the cut keeps every vector
+    # of weight at most ``most``, in the order of ``span_vectors``.
+    rng = Random(0x5ACE)
+    for _ in range(200):
+        rank = rng.randint(0, 8)
+        owned = rng.sample(range(16), rank)
+        rows = [1 << p | rng.getrandbits(16) << 16 for p in owned]
+        span = span_vectors(rows)
+        for most in range(rank + 2):
+            got = sums_of_at_most(rows, most)
+            assert got == [v for v in span if (v & 0xFFFF).bit_count() <= most]
+            assert {v for v in span if v.bit_count() <= most} <= set(got)
+
+
+def star_feeds(run, bounded: bool) -> tuple[list[list[int]], object, int]:
+    """The cocycles each ``_stars`` call of ``run()`` draws into
+    ``cocircuit_deletions``, in order, what ``run()`` returns, and how many
+    calls the row bound cut short.  Unless ``bounded``, ``_stars`` reads the
+    whole span of its cocycle rows in place of the bounded sums."""
+    feeds: list[list[int]] = []
+    cut = 0
+    stream, sums = realize.cocircuit_deletions, realize.sums_of_at_most
+
+    def drawn(cycles, cocycles):
+        feed: list[int] = []
+        feeds.append(feed)
+
+        def tee():
+            for y in cocycles:
+                feed.append(y)
+                yield y
+
+        return stream(cycles, tee())
+
+    def counted(rows, most):
+        nonlocal cut
+        cut += most < len(rows)
+        return sums(rows, most) if bounded else span_vectors(rows)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(realize, "cocircuit_deletions", drawn)
+        mp.setattr(realize, "sums_of_at_most", counted)
+        return feeds, run(), cut
+
+
+def test_bounded_cocycle_read_draws_what_the_whole_span_would():
+    # The budget is read per draw and only falls, so ``_stars`` must draw
+    # the same cocycles from the bounded sums as from the whole sorted span,
+    # and answer the same.  The catalog and its duals, 3-connected and
+    # random graphs, and every cocircuit deletion of the 29 paper matroids N.
+    rng = Random(0xB0DE)
+    graphs = [wheel(n) for n in range(3, 9)] + [prism(n) for n in range(3, 9)]
+    graphs += [complete_graph(n) for n in range(3, 7)] + [complete_bipartite_graph(3, 3)]
+    graphs += [random_simple_graph(rng, 7, 6, 14) for _ in range(20)]
+    graphs += [random_graph(rng, 7, 12) for _ in range(20)]
+    named = [get_named(name) for name in catalog_names()]
+    matroids = named + [m.dual() for m in named] + [seeded(rng, g) for g in graphs]
+    papers = [get_named(name).dual() for name in catalog_names() if name[0] in "gr"]
+
+    def run():
+        return ([realization(m) for m in matroids],
+                [check_graphic_cocircuits(n) for n in papers])
+
+    bounded, answers, cut = star_feeds(run, bounded=True)
+    whole, whole_answers, _ = star_feeds(run, bounded=False)
+    assert bounded == whole and answers == whole_answers
+    assert len(bounded) > 1000 and cut > 100
+
+
+def test_prisms_past_the_size_guard_realize():
+    # Cubic: no star weighs more than 3, so the star search reads the sums
+    # of at most 3 cocycle rows, not the 2^23 or 2^39 of the whole span.
+    # In list order the spanning forest is two paths and a rung, so every
+    # star is a sum of at most 2 rows; shuffled, some take 3.
+    rng = Random(0x9A15)
+    for m in [cycle_matroid(prism(n)) for n in (12, 20)] + [seeded(rng, prism(12))]:
+        found = realization(m)
+        assert found is not None
+        elems = m.elements()
+        g = Graph(found[0], tuple((u, v, elems[p]) for p, u, v in found[1]))
+        assert verify_graph(m, g)
 
 
 # -- edge cases -------------------------------------------------------------------

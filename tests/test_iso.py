@@ -23,6 +23,7 @@ from gf2minor.iso import (
 from gf2minor.matroid import (
     CIRCUIT_ENUM_LIMIT,
     BinaryMatroid,
+    Graph,
     complete_bipartite_graph,
     complete_graph,
     contract,
@@ -494,6 +495,46 @@ def test_dual_target_survivor_sets_get_the_reference_bijection(monkeypatch):
         minors.graphic_certificate(get_named(name))
     assert all(minors._target_data(t).dual for t in targets.values())
     assert {n for n, hit in calls if hit} >= {*targets, "F7", "M*(K33)"}
+    assert sum(not hit for _, hit in calls) > 100
+
+
+NAMED_TARGETS = ("M(K5)", "M(K33)", "M*(K5)", "M*(K33)", "F7", "F7*")
+
+
+def two_triangles() -> BinaryMatroid:
+    """Two disjoint triangles: three cycles, of which only two are circuits."""
+    return cycle_matroid(Graph(6, ((0, 1, "a"), (1, 2, "b"), (0, 2, "c"),
+                                   (3, 4, "d"), (4, 5, "e"), (3, 5, "f"))))
+
+
+def test_whole_space_targets_are_those_whose_matched_space_is_all_keys():
+    # Each named target's matched space, cocycles or cycles, holds 15 or 7
+    # vectors, every one a cocircuit or circuit; so do M(K4)'s 7 cycles.
+    # The sum of two disjoint triangles is a cycle but not a circuit.
+    for name in NAMED_TARGETS:
+        assert minors._target_data(get_named(name)).whole, name
+    assert minors._target_data(cycle_matroid(complete_graph(4))).whole
+    assert not minors._target_data(two_triangles()).whole
+
+
+def test_whole_space_survivor_sets_get_the_reference_bijection(monkeypatch):
+    # A whole-space target is matched on the survivor set's whole span:
+    # every hit and every rejection must be the circuit-side reference's.
+    # The replays, then each named target, M(K4) and the two triangles in
+    # seeded planted and random hosts of 12-16 elements.
+    targets = {n: get_named(n) for n in NAMED_TARGETS}
+    targets["M(K4)"] = cycle_matroid(complete_graph(4))
+    targets["2C3"] = two_triangles()
+    calls = spy_on_survivor_matches(monkeypatch, targets)
+    replay_all(jobs=1)
+    rng = Random(0x3401E)
+    for target in targets.values():
+        for _ in range(4):
+            size = rng.randint(12, 16)
+            minors.find_minor_witness(planted_host(rng, target, size - target.size), target)
+            minors.find_minor_witness(random_matroid(rng, size, size), target)
+    hits = Counter(name for name, hit in calls if hit)
+    assert set(hits) == set(targets) and sum(hits.values()) >= 28 + 4 * len(targets)
     assert sum(not hit for _, hit in calls) > 100
 
 
